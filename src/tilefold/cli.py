@@ -481,20 +481,9 @@ CRITERIA_INDEX = {
 def build_report(command: str, samples: int, seed: int) -> dict:
     sections: dict = {}
     timings: dict = {}
-    if command == "report all":
-        builders = [
-            ("fan quotient",),
-            ("group verify",),
-            ("intersection table",),
-            ("quartics rank",),
-            ("cones mori",),
-            ("cones nef",),
-            ("cones eff",),
-            ("cones flags",),
-        ]
-    else:
-        builders = [(command,)]
-    for (cmd,) in builders:
+    # `report all` runs every section in SECTION_BUILDERS order
+    commands = list(SECTION_BUILDERS) if command == "report all" else [command]
+    for cmd in commands:
         t0 = time.monotonic()
         built = SECTION_BUILDERS[cmd](samples, seed)
         for key, section in built.items():
@@ -635,6 +624,10 @@ def run(argv: list[str]) -> int:
     if opts["export"] is not None and command != "fan quotient":
         sys.stderr.write("error: --export only applies to `fan quotient`\n")
         return 2
+    csv_ok = command == "intersection table" or command.startswith("cones")
+    if opts["csv"] and not csv_ok:
+        sys.stderr.write("error: --csv not supported for this command\n")
+        return 2
 
     try:
         report = build_report(command, opts["samples"], opts["seed"])
@@ -655,11 +648,8 @@ def run(argv: list[str]) -> int:
     if opts["csv"]:
         if command == "intersection table":
             payload = intersection_table_csv()
-        elif command.startswith("cones"):
-            payload = ray_table_csv(next(iter(report["sections"].values())))
         else:
-            sys.stderr.write("error: --csv not supported for this command\n")
-            return 2
+            payload = ray_table_csv(next(iter(report["sections"].values())))
         with open(opts["csv"], "w", encoding="utf-8") as fh:
             fh.write(payload)
 
@@ -676,7 +666,6 @@ def run(argv: list[str]) -> int:
             for d in diffs[:20]:
                 sys.stderr.write(f"  {d['path']}: {d['report']!r} != {d['golden']!r}\n")
             return 1
-        return 0
 
     return 0 if report["pass"] else 1
 

@@ -14,7 +14,6 @@ from itertools import combinations
 from .exactlat import integer_kernel, primitive_vector, rational_rank
 from .polyhedra import (
     Cone,
-    cone_from_generators,
     dual_cone,
     face_lattice_fvector,
     lp_in_cone,
@@ -55,9 +54,9 @@ def mori_generators() -> dict:
     for i, j in _unordered_pairs(range(4)):
         d = f"D{i}{j}"
         a_side = curve_class(f"A{i}", d)
-        assert a_side == curve_class(f"A{j}", d)
         b_side = curve_class(f"B{i}", d)
-        assert b_side == curve_class(f"B{j}", d)
+        if a_side != curve_class(f"A{j}", d) or b_side != curve_class(f"B{j}", d):
+            raise RuntimeError(f"the two contractions of {d} give different curves")
         gens[f"A{i}*{d}"] = a_side
         gens[f"B{i}*{d}"] = b_side
     for i in range(4):
@@ -71,7 +70,8 @@ def mori_generators() -> dict:
         name = f"C{pair[0]}{pair[1]}*C{rest[0]}{rest[1]}"
         gens[name] = curve_class(f"C{pair[0]}{pair[1]}", f"C{rest[0]}{rest[1]}")
     prim = {name: primitive_vector(v) for name, v in gens.items()}
-    assert len(set(prim.values())) == 31
+    if len(set(prim.values())) != 31:
+        raise RuntimeError("the Mori generators are not 31 distinct classes")
     return prim
 
 
@@ -79,7 +79,7 @@ def mori_generators() -> dict:
 def mori_cone() -> dict:
     """The cone of curves: 31 extremal rays, 189 facets, K-degree split."""
     gens = mori_generators()
-    cone = cone_from_generators(RANK, sorted(set(gens.values())))
+    cone = Cone.from_rays(RANK, sorted(set(gens.values())))
     names_by_ray = {}
     for name, v in gens.items():
         names_by_ray.setdefault(v, []).append(name)
@@ -89,7 +89,8 @@ def mori_cone() -> dict:
     degrees = {ray: pair_class_curve(k, ray) for ray in cone.rays}
     k_negative = sorted(r for r, d in degrees.items() if d > 0)
     k_trivial = sorted(r for r, d in degrees.items() if d == 0)
-    assert not any(d < 0 for d in degrees.values())
+    if any(d < 0 for d in degrees.values()):
+        raise RuntimeError("a Mori ray has negative anticanonical degree")
     return {
         "cone": cone,
         "generators": gens,
@@ -179,9 +180,10 @@ def classify_contractions() -> dict:
             kind = "to-curve"
         elif cube == 0:
             kind = "to-surface"
-        else:
-            assert cube > 0
+        elif cube > 0:
             kind = "birational"
+        else:
+            raise RuntimeError(f"nef ray {ray} has negative cube {cube}")
         records.append({"ray": ray, "cube": cube, "kind": kind})
     counts = {}
     for rec in records:
@@ -314,7 +316,8 @@ def _span_section_of_nef(generator_classes) -> Cone:
     """Intersection of the nef cone with the rational span of the generators."""
     mori = mori_cone()["cone"]
     gen_rows = [list(v) for v in generator_classes]
-    assert rational_rank(gen_rows) == len(gen_rows)
+    if rational_rank(gen_rows) != len(gen_rows):
+        raise RuntimeError("flag section generators are linearly dependent")
     normal_directions = integer_kernel(gen_rows)
     return Cone.from_inequalities(RANK, mori.rays, normal_directions)
 
@@ -473,7 +476,7 @@ def effective_cone_analysis() -> dict:
     """Extremality of the 24 generators and the dual inclusion check."""
     gens = effective_generators()
     prim = {name: primitive_vector(v) for name, v in gens.items()}
-    cone = cone_from_generators(RANK, sorted(set(prim.values())))
+    cone = Cone.from_rays(RANK, sorted(set(prim.values())))
     all_extremal = set(cone.rays) == set(prim.values()) and len(
         set(prim.values())
     ) == 24

@@ -117,13 +117,15 @@ def picard_lattice() -> dict:
         v[basis_index[sym]] = 1
         label_class[sym] = tuple(v)
     for key, row in PLANE_ROWS.items():
-        assert row.count(key) == 1 and key not in BASIS
+        if row.count(key) != 1 or key in BASIS:
+            raise RuntimeError(f"plane row {key} does not define {key} once")
         v = [0] * RANK
         v[0] = 1
         for lab in row:
             if lab == key:
                 continue
-            assert lab in basis_index, (key, lab)
+            if lab not in basis_index:
+                raise RuntimeError(f"plane row {key} uses the non-basis label {lab}")
             v[basis_index[lab]] -= 1
         label_class[key] = tuple(v)
     v = [0] * RANK
@@ -260,7 +262,8 @@ def _check_rule_tables_well_defined() -> bool:
 @lru_cache(maxsize=8)
 def _transported_tables(which: str) -> dict[str, dict]:
     """Rule tables for every C (resp. D) label, transported from the base."""
-    assert _check_rule_tables_well_defined()
+    if not _check_rule_tables_well_defined():
+        raise RuntimeError("rule tables are not invariant under their stabilizers")
     base_table = RULE_C_BASE if which == "C" else RULE_D_BASE
     base = "C23" if which == "C" else "D01"
     out = {}
@@ -268,7 +271,8 @@ def _transported_tables(which: str) -> dict[str, dict]:
         if lab[0] != which:
             continue
         g = _transport_elements()[lab]
-        assert act_on_label(g, base) == lab
+        if act_on_label(g, base) != lab:
+            raise RuntimeError(f"transport element does not send {base} to {lab}")
         out[lab] = {
             _pair_key(act_on_label(g, e), act_on_label(g, f)): v
             for (e, f), v in base_table.items()
@@ -494,12 +498,6 @@ def label_tensor() -> dict:
     return {"tensor": t, "edges": edges}
 
 
-def _qh_label_expansion() -> list[tuple[int, int]]:
-    """qH in label coordinates via the fixed substitution row."""
-    row = PLANE_ROWS[QH_SUBSTITUTION_ROW]
-    return [(LABEL_INDEX[lab], 1) for lab in row]
-
-
 def _basis_label_expansions(substitution_row: str | None = None) -> list[list[tuple[int, int]]]:
     row = PLANE_ROWS[substitution_row or QH_SUBSTITUTION_ROW]
     out = []
@@ -696,9 +694,11 @@ def _line_basis(lab: str) -> list[tuple[int, ...]]:
     from .exactlat import integer_kernel
 
     sub = TABLE1[lab]
-    assert sub.kind == "line"
+    if sub.kind != "line":
+        raise RuntimeError(f"{lab} is not a line of P^3")
     basis = integer_kernel([list(r) for r in sub.data])
-    assert len(basis) == 2
+    if len(basis) != 2:
+        raise RuntimeError(f"the equations of {lab} do not cut out a line")
     return basis
 
 
@@ -719,7 +719,8 @@ def _binary_restriction_rows(lab: str, monomials) -> list[list[int]]:
                         nxt[ds] = nxt.get(ds, 0) + c * qi
                 poly = nxt
                 deg += 1
-        assert deg == 4
+        if deg != 4:
+            raise RuntimeError(f"monomial {exps} is not a quartic")
         for ds, c in poly.items():
             rows[ds][col] = c
     return rows
@@ -778,7 +779,3 @@ def quartic_system() -> dict:
     }
     return report
 
-
-def quartic_system_dimension() -> int:
-    """Projective dimension of the quartic system through the six lines."""
-    return quartic_system()["projective_dimension"]

@@ -153,13 +153,11 @@ def hermite_normal_form(m) -> tuple[Matrix, Matrix]:
     return h, u
 
 
-def hnf_basis(vectors, length: int | None = None) -> list[Vector]:
+def hnf_basis(vectors) -> list[Vector]:
     """Canonical (HNF, no zero rows) basis of the lattice spanned by vectors."""
     vectors = [list(v) for v in vectors]
     if not vectors:
         return []
-    if length is None:
-        length = len(vectors[0])
     h, _ = hermite_normal_form(vectors)
     return [tuple(row) for row in h if any(row)]
 
@@ -247,14 +245,19 @@ def integer_kernel(m) -> list[Vector]:
     rows, cols = matrix_shape(m)
     h, u = hermite_normal_form(transpose(m))
     raw = [u[i] for i in range(cols) if not any(h[i])]
-    return hnf_basis(raw, cols)
+    return hnf_basis(raw)
 
 
-def rational_rank(m) -> int:
-    """Rank over Q by fraction-free Gaussian elimination (independent of HNF)."""
+def _echelon(m) -> tuple[Matrix, list[int]]:
+    """Fraction-free row echelon form: (rows, pivot columns).
+
+    Each pivot clears the entries below it by cross-multiplication, with no
+    division, so integer input stays integral.  Rows past the last pivot
+    are zero.  The single elimination kernel behind rank and rational solve.
+    """
     rows, cols = matrix_shape(m)
     a = copy_matrix(m)
-    rank = 0
+    pivots = []
     row = 0
     for col in range(cols):
         piv = None
@@ -269,11 +272,16 @@ def rational_rank(m) -> int:
             if a[i][col] != 0:
                 f, g = a[row][col], a[i][col]
                 a[i] = [f * x - g * y for x, y in zip(a[i], a[row])]
-        rank += 1
+        pivots.append(col)
         row += 1
         if row == rows:
             break
-    return rank
+    return a, pivots
+
+
+def rational_rank(m) -> int:
+    """Rank over Q by fraction-free Gaussian elimination (independent of HNF)."""
+    return len(_echelon(m)[1])
 
 
 def det(m) -> int:
@@ -335,32 +343,22 @@ def in_row_lattice(a, b) -> bool:
 
 
 def solve_rational(a, b):
-    """Solution x (tuple of Fractions) of a @ x == b over Q, or None."""
+    """Solution x (tuple of Fractions) of a @ x == b over Q, or None.
+
+    Free variables are set to zero, so an underdetermined system yields
+    the solution supported on the pivot columns.
+    """
     rows, cols = matrix_shape(a)
     if len(b) != rows:
         raise ValueError("shape mismatch in solve_rational")
-    aug = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(a, b)]
-    pivots = []
-    row = 0
-    for col in range(cols):
-        piv = next((i for i in range(row, rows) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(rows):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, rows):
-        if aug[i][cols] != 0:
-            return None
+    ech, pivots = _echelon([list(row) + [bb] for row, bb in zip(a, b)])
+    if pivots and pivots[-1] == cols:
+        return None  # a pivot in the right-hand side: inconsistent
     x = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][cols]
+    for r in reversed(range(len(pivots))):
+        row = ech[r]
+        rest = sum(row[j] * x[j] for j in pivots[r + 1 :])
+        x[pivots[r]] = Fraction(row[cols] - rest, row[pivots[r]])
     return tuple(x)
 
 
@@ -375,7 +373,8 @@ def orthogonal_complement_projection(v, basis):
     gram = [[dot(bi, bj) for bj in basis] for bi in basis]
     rhs = [dot(bi, v) for bi in basis]
     coeffs = solve_rational(gram, rhs)
-    assert coeffs is not None  # Gram matrix of independent vectors
+    if coeffs is None:
+        raise RuntimeError("Gram system of the lineality basis has no solution")
     out = [Fraction(x) for x in v]
     for c, b in zip(coeffs, basis):
         if c:

@@ -240,7 +240,6 @@ class Cone:
 
     def contains(self, point) -> bool:
         """Exact membership for an integer or rational point."""
-        point = tuple(Fraction(x) for x in point)
         if len(point) != self.ambient_dim:
             raise ValueError("point has wrong length")
         return all(dot(e, point) == 0 for e in self.equations) and all(
@@ -286,11 +285,6 @@ class Cone:
 # cone operations
 
 
-def cone_from_generators(ambient_dim: int, generators) -> Cone:
-    """Cone with irredundant extremal rays and irredundant facets."""
-    return Cone.from_rays(ambient_dim, generators)
-
-
 def dual_cone(c: Cone) -> Cone:
     """Swap the ray and facet descriptions; an exact involution."""
     return Cone(c.ambient_dim, c.facets, c.equations, c.rays, c.lineality)
@@ -317,13 +311,6 @@ def is_face(f: Cone, c: Cone) -> bool:
         sorted(r for r in c.rays if all(dot(n, r) == 0 for n in tight))
     )
     return generated_rays == f.rays and f.lineality == c.lineality
-
-
-def minimal_face_containing(c: Cone, point) -> tuple[Vec, ...]:
-    """Rays of the smallest face of c containing the given point of c."""
-    assert c.contains(point)
-    tight = [n for n in c.facets if dot(n, point) == 0]
-    return tuple(sorted(r for r in c.rays if all(dot(n, r) == 0 for n in tight)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +373,6 @@ def face_lattice_raysets(c: Cone) -> dict[int, int]:
                 faces[child] = -1
                 stack.append(child)
     # exact dimensions
-    single_cache: dict[int, int] = {}
     for mask in faces:
         n = mask.bit_count()
         if n == 0:
@@ -406,7 +392,8 @@ def face_lattice_fvector(c: Cone) -> tuple[int, ...]:
     counts = [0] * (top_dim + 1)
     for _, d in faces.items():
         counts[d] += 1
-    assert counts[top_dim] == 1  # the cone itself
+    if counts[top_dim] != 1:
+        raise RuntimeError(f"{counts[top_dim]} faces of full dimension, expected the cone alone")
     return tuple(counts[1:top_dim])
 
 
@@ -573,6 +560,8 @@ class Fan:
 def make_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
     rays = tuple(tuple(int(x) for x in r) for r in rays)
     for r in rays:
+        if len(r) != ambient_dim:
+            raise ValueError(f"fan ray {r} does not have length {ambient_dim}")
         if primitive_vector(r) != r or not any(r):
             raise ValueError("fan rays must be primitive and nonzero")
     if len(set(rays)) != len(rays):

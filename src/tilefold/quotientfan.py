@@ -15,7 +15,6 @@ from itertools import permutations
 
 from .exactlat import (
     dot,
-    in_row_lattice,
     mat_mul,
     mat_vec,
     matrix_shape,
@@ -119,12 +118,10 @@ def source_data() -> tuple[RootData, ProjectionData, Fan]:
         tuple(f"E{i}" for i in range(6)),
     )
     # cokernel really annihilates the weight rows
-    assert all(
-        all(x == 0 for x in row)
-        for row in mat_mul(pd.cokernel_matrix, transpose(pd.weight_matrix))
-    )
-    assert rational_rank(pd.weight_matrix) == 3
-    assert rational_rank(pd.cokernel_matrix) == 3
+    if any(any(row) for row in mat_mul(pd.cokernel_matrix, transpose(pd.weight_matrix))):
+        raise RuntimeError("the cokernel matrix does not annihilate the weights")
+    if rational_rank(pd.weight_matrix) != 3 or rational_rank(pd.cokernel_matrix) != 3:
+        raise RuntimeError("weight and cokernel matrices must have rank 3")
     # weight columns are the positive roots in simple-root coordinates:
     # chart coordinate y_ab carries the root alpha_a + ... + alpha_b
     spans = {"y11": (1, 1), "y22": (2, 2), "y33": (3, 3), "y12": (1, 2), "y23": (2, 3), "y13": (1, 3)}
@@ -132,7 +129,8 @@ def source_data() -> tuple[RootData, ProjectionData, Fan]:
     for idx, name in enumerate(CHART_COORDS):
         a, b = spans[name]
         expected = tuple(1 if a <= k <= b else 0 for k in (1, 2, 3))
-        assert tuple(cols[idx]) == expected, name
+        if tuple(cols[idx]) != expected:
+            raise RuntimeError(f"weight column {name} is not the root of its span")
     orthant = make_fan(
         6,
         [tuple(1 if j == i else 0 for j in range(6)) for i in range(6)],
@@ -220,9 +218,11 @@ def quotient_fan(fan: Fan, proj) -> Fan:
 
     candidates: dict[tuple, Cone] = {}
     for chamber in _chambers(rows, normals):
-        assert chamber.is_pointed(), "arrangement normals do not span"
+        if not chamber.is_pointed():
+            raise RuntimeError("arrangement normals do not span")
         witness = chamber.interior_point()
-        assert all(dot(n, witness) != 0 for n in normals)
+        if any(dot(n, witness) == 0 for n in normals):
+            raise RuntimeError(f"chamber witness {witness} lies on a wall")
         containing = [c for c in distinct.values() if c.contains(witness)]
         if not containing:
             continue
@@ -355,7 +355,8 @@ def _projects_bijectively(proj, faces) -> bool:
 
 def common_refinement(fan_a: Fan, fan_b: Fan) -> Fan:
     """Common refinement of two fans with equal full-dimensional support."""
-    assert fan_a.ambient_dim == fan_b.ambient_dim
+    if fan_a.ambient_dim != fan_b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
     pieces: dict[tuple, Cone] = {}
     for ca in fan_a.cones():
         for cb in fan_b.cones():
@@ -475,8 +476,6 @@ def principal_divisor_witness(fan: Fan, coefficients):
     """Character m with div(m) equal to the given ray-coefficient vector."""
     n = fan.ambient_dim
     relation_rows = [[r[j] for r in fan.rays] for j in range(n)]
-    if not in_row_lattice(relation_rows, tuple(coefficients)):
-        return None
     return solve_left_integer(relation_rows, tuple(coefficients))
 
 
@@ -532,7 +531,8 @@ def chart_ample_polytope() -> Polytope:
     coeff[ray_index[QUOTIENT_RAYS[CHART_DIVISOR_RAY["B2"]]]] = 3
     coeff[ray_index[QUOTIENT_RAYS[CHART_DIVISOR_RAY["D12"]]]] = 2
     poly = divisor_polytope(fan, coeff)
-    assert poly is not None
+    if poly is None:
+        raise RuntimeError("the chart ample divisor has an empty polytope")
     return poly
 
 
@@ -598,10 +598,7 @@ class PartitionOutsideChartError(KeyError):
 
 def partition_cone(phi: OrderedPartition) -> Cone:
     """Face of the orthant attached to a fundamental partition on this chart."""
-    tag = phi.type_tag()
-    if tag is None or tag not in PARTITION_FACE:
-        raise PartitionOutsideChartError(tag)
-    return Cone.from_rays(6, [_unit6(i) for i in PARTITION_FACE[tag]])
+    return partition_cone_by_tag(phi.type_tag())
 
 
 def partition_cone_by_tag(tag: str) -> Cone:

@@ -13,8 +13,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .exactlat import integer_kernel, scale_to_primitive_integer
+from .exactlat import (
+    identity_matrix,
+    integer_kernel,
+    mat_mul,
+    scale_to_primitive_integer,
+    solve_rational,
+    transpose,
+)
 
 Perm = tuple[int, int, int, int]
 
@@ -151,10 +159,6 @@ def act_on_label(g: GroupElement, lab: str) -> str:
             idx = tuple(W0[i] for i in idx)
     idx = tuple(g.perm[i] for i in idx)
     return label(kind, idx)
-
-
-def label_orbit(g_list, lab: str) -> set[str]:
-    return {act_on_label(g, lab) for g in g_list}
 
 
 def action_is_faithful(group=None) -> bool:
@@ -295,46 +299,16 @@ def chart_matrix(y1, y2, y3):
     ]
 
 
-def _mat_mul_frac(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)] for i in range(4)
-    ]
-
-
 def _mat_exp_nilpotent(n):
     q = Fraction
     acc = [[q(1) if i == j else q(0) for j in range(4)] for i in range(4)]
     term = [[q(1) if i == j else q(0) for j in range(4)] for i in range(4)]
     for k in range(1, 4):
-        term = _mat_mul_frac(term, n)
+        term = mat_mul(term, n)
         for i in range(4):
             for j in range(4):
-                acc[i][j] += term[i][j] / _factorial(k)
+                acc[i][j] += term[i][j] / factorial(k)
     return acc
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _mat_inv_frac(a):
-    n = 4
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise DegenerateSampleError("singular matrix in inversion")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def _permutation_matrix(p: Perm):
@@ -366,7 +340,7 @@ def _mat_log_unipotent(lmat):
     term = [row[:] for row in n]
     sign = -1
     for k in range(2, 4):
-        term = _mat_mul_frac(term, n)
+        term = mat_mul(term, n)
         for i in range(4):
             for j in range(4):
                 acc[i][j] += Fraction(sign, k) * term[i][j]
@@ -386,11 +360,15 @@ def derive_generator_pointwise(name: str, y_coords) -> tuple[int, ...]:
     y1, y2, y3 = (Fraction(v) for v in y_coords)
     expm = _mat_exp_nilpotent(chart_matrix(y1, y2, y3))
     if name == "tau":
+        # columns of the inverse transpose, one exact solve per unit vector
+        transposed = transpose(expm)
+        columns = [solve_rational(transposed, e) for e in identity_matrix(4)]
+        if None in columns:
+            raise DegenerateSampleError("singular matrix in inversion")
         w0m = _permutation_matrix(W0)
-        transposed = [[expm[j][i] for j in range(4)] for i in range(4)]
-        moved = _mat_mul_frac(_mat_mul_frac(w0m, _mat_inv_frac(transposed)), w0m)
+        moved = mat_mul(mat_mul(w0m, transpose(columns)), w0m)
     else:
-        moved = _mat_mul_frac(_permutation_matrix(GENERATORS[name].perm), expm)
+        moved = mat_mul(_permutation_matrix(GENERATORS[name].perm), expm)
     lower = _lu_unipotent_lower(moved)
     logm = _mat_log_unipotent(lower)
     m10, m21, m32 = logm[1][0], logm[2][1], logm[3][2]
@@ -411,34 +389,50 @@ def chart_point_to_x(y_point) -> tuple[int, ...]:
     return normalize_point(x)
 
 
+def _sample_until(samples: int, draw, skip) -> tuple[int, int]:
+    """Judge random samples until `samples` of them have a verdict.
+
+    draw() takes one random sample and returns a function judging it.  The
+    judge returns True or False, or raises one of the exception types in
+    `skip` for a non-generic sample, which is then redrawn; only the judge
+    runs under that handler.  At most 100 draws per wanted sample are
+    made.  Returns (passed, skipped).
+    """
+    passed = skipped = tried = 0
+    while tried - skipped < samples:
+        tried += 1
+        if tried > 100 * max(samples, 1):
+            raise RuntimeError("sampling budget exhausted")
+        judge = draw()
+        try:
+            ok = judge()
+        except skip:
+            skipped += 1
+            continue
+        passed += ok
+    return passed, skipped
+
+
 def derivation_agreement(name: str, samples: int = 100, seed: int = 0) -> dict:
     """Check the derivation pipeline against the closed form on random samples."""
     rng = random.Random(seed)
     gen = generator_map(name)
-    agree = 0
-    degenerate = 0
-    tried = 0
-    done = 0
-    while done < samples:
-        tried += 1
-        if tried > 100 * max(samples, 1):
-            raise RuntimeError("sampling budget exhausted")
+
+    def draw():
         y = tuple(rng.randint(-20, 20) for _ in range(3))
-        try:
-            derived = derive_generator_pointwise(name, y)
-            expected = evaluate(gen, chart_point_to_x((1,) + y))
-        except (DegenerateSampleError, BasePointError):
-            degenerate += 1
-            continue
-        done += 1
-        if derived == expected:
-            agree += 1
+        return lambda: derive_generator_pointwise(name, y) == evaluate(
+            gen, chart_point_to_x((1,) + y)
+        )
+
+    agree, degenerate = _sample_until(
+        samples, draw, (DegenerateSampleError, BasePointError)
+    )
     return {
         "generator": name,
-        "samples": done,
+        "samples": samples,
         "agree": agree,
         "degenerate_skipped": degenerate,
-        "all_agree": agree == done,
+        "all_agree": agree == samples,
     }
 
 
@@ -496,27 +490,17 @@ def verify_subvariety_image(
     every surviving image to satisfy the target equations and at least one
     sample to have a well-defined image.
     """
-    ok = 0
-    base_hits = 0
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 100 * max(samples, 1):
-            raise RuntimeError("sampling budget exhausted")
+
+    def draw():
         p = sample_point(source, rng)
-        assert subvariety_equations_satisfied(source, p)
-        try:
-            image = evaluate(m, p)
-        except BasePointError:
-            base_hits += 1
-            continue
-        done += 1
-        if subvariety_equations_satisfied(target, image):
-            ok += 1
+        if not subvariety_equations_satisfied(source, p):
+            raise RuntimeError(f"sampled point {p} is off the source {source}")
+        return lambda: subvariety_equations_satisfied(target, evaluate(m, p))
+
+    ok, base_hits = _sample_until(samples, draw, BasePointError)
     return {
-        "verified": ok == done and done > 0,
-        "samples": done,
+        "verified": ok == samples and samples > 0,
+        "samples": samples,
         "passed": ok,
         "base_locus_hits": base_hits,
     }
@@ -617,7 +601,8 @@ def boundary_image_table(samples: int = 25, seed: int = 0) -> tuple[dict, dict]:
     rng = random.Random(seed)
     checks = []
     for gname, src, dst in TABLE1_CHAIN:
-        assert act_on_label(GENERATORS[gname], src) == dst
+        if act_on_label(GENERATORS[gname], src) != dst:
+            raise RuntimeError(f"{gname} does not send {src} to {dst}")
         rep = verify_subvariety_image(
             generator_map(gname), TABLE1[src], TABLE1[dst], samples, rng
         )
@@ -667,27 +652,17 @@ def relations_hold_pointwise(samples: int = 100, seed: int = 0) -> dict:
     out = {}
     for name, letters in RELATION_WORDS.items():
         # abstract check first
-        g = word(*letters)
-        abstract = g == IDENTITY
-        passed = 0
-        done = 0
-        attempts = 0
-        while done < samples:
-            attempts += 1
-            if attempts > 100 * max(samples, 1):
-                raise RuntimeError("sampling budget exhausted")
+        abstract = word(*letters) == IDENTITY
+
+        def draw():
             p = random_projective_point(rng)
-            try:
-                q = evaluate_word(letters, p)
-            except BasePointError:
-                continue
-            done += 1
-            if q == p:
-                passed += 1
+            return lambda: evaluate_word(letters, p) == p
+
+        passed, _ = _sample_until(samples, draw, BasePointError)
         out[name] = {
             "abstract_identity": abstract,
-            "samples": done,
+            "samples": samples,
             "passed": passed,
-            "holds": abstract and passed == done,
+            "holds": abstract and passed == samples,
         }
     return out

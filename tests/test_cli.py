@@ -23,6 +23,12 @@ class TestParsing:
     def test_export_only_for_fan(self, tmp_path):
         assert cli.run(["quartics", "rank", "--export", str(tmp_path / "f.txt")]) == 2
 
+    def test_csv_rejected_before_any_output(self, tmp_path):
+        out = tmp_path / "q.json"
+        csv = tmp_path / "q.csv"
+        assert cli.run(["quartics", "rank", "--out", str(out), "--csv", str(csv)]) == 2
+        assert not out.exists() and not csv.exists()
+
 
 class TestReports:
     def test_quartics_report(self, tmp_path):
@@ -124,6 +130,14 @@ class TestGoldenComparison:
         assert cli.run(["quartics", "rank", "--golden", str(golden), "--out", str(out)]) == 1
         golden.write_text("{not json")
         assert cli.run(["quartics", "rank", "--golden", str(golden), "--out", str(out)]) == 2
+
+    def test_failing_report_exits_1_even_when_golden_matches(self, tmp_path, monkeypatch):
+        failing = {"checks": [cli.check("forced_mismatch", 1, 2)], "data": {}}
+        monkeypatch.setattr(cli, "section_quartics", lambda: failing)
+        out = tmp_path / "r.json"
+        assert cli.run(["quartics", "rank", "--out", str(out)]) == 1
+        again = tmp_path / "again.json"
+        assert cli.run(["quartics", "rank", "--golden", str(out), "--out", str(again)]) == 1
 
     def test_shipped_golden_matches_fresh_run(self):
         assert os.path.exists(GOLDEN_PATH), "golden report must ship with the repo"

@@ -192,9 +192,9 @@ class TestEffectiveCone:
     def test_effective_contains_nef_generators(self):
         # nef divisors are effective here; every nef ray lies in the cone
         from tilefold.conelab import nef_cone
-        from tilefold.polyhedra import cone_from_generators
+        from tilefold.polyhedra import Cone
 
-        eff = cone_from_generators(
+        eff = Cone.from_rays(
             12, sorted({primitive_vector(v) for v in effective_generators().values()})
         )
         for r in nef_cone()["cone"].rays:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
@@ -211,7 +212,75 @@ class TestKernel:
             assert in_row_lattice([list(k) for k in ker], combo)
 
 
+def gauss_jordan_solve(a, b):
+    """Reference: (solution of a @ x == b or None, pivot count of a).
+
+    Plain Gauss-Jordan elimination over Fraction, free variables zero; the
+    fraction-free kernel behind solve_rational and rational_rank must agree.
+    """
+    rows, cols = len(a), len(a[0])
+    aug = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(a, b)]
+    pivots = []
+    row = 0
+    for col in range(cols):
+        piv = next((i for i in range(row, rows) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for i in range(rows):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
+        pivots.append(col)
+        row += 1
+    if any(aug[i][cols] != 0 for i in range(row, rows)):
+        return None, len(pivots)
+    x = [Fraction(0)] * cols
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][cols]
+    return tuple(x), len(pivots)
+
+
+# entries in [-3, 3] make singular and inconsistent systems common; the
+# right-hand side is either arbitrary or a @ x, which is always consistent
+small_system = st.integers(1, 4).flatmap(
+    lambda r: st.integers(1, 4).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-3, 3), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        ).flatmap(
+            lambda a: st.tuples(
+                st.just(a),
+                st.one_of(
+                    st.lists(st.integers(-9, 9), min_size=r, max_size=r),
+                    st.lists(st.integers(-9, 9), min_size=c, max_size=c).map(
+                        lambda x: mat_vec(a, x)
+                    ),
+                ),
+            )
+        )
+    )
+)
+
+
 class TestSolvers:
+    @settings(max_examples=400, deadline=None)
+    @given(small_system)
+    def test_echelon_kernel_matches_gauss_jordan(self, system):
+        a, b = system
+        expected, pivot_count = gauss_jordan_solve(a, b)
+        x = solve_rational(a, b)
+        assert x == expected
+        if x is not None:
+            assert all(isinstance(v, Fraction) for v in x)
+            assert mat_vec(a, x) == tuple(b)
+        assert rational_rank(a) == pivot_count
+        if len(a) == len(a[0]):
+            assert (det(a) != 0) == (pivot_count == len(a))
+
     def test_solve_left(self):
         a = [[2, 0, 1], [0, 3, 1]]
         b = tuple(x + y for x, y in zip(a[0], a[1]))

@@ -8,7 +8,6 @@ from tilefold.exactlat import dot, integer_kernel, primitive_vector, rational_ra
 from tilefold.polyhedra import (
     Cone,
     check_fan,
-    cone_from_generators,
     convex_hull,
     dual_cone,
     face_lattice_fvector,
@@ -53,17 +52,17 @@ vectors3 = st.lists(
 
 class TestCones:
     def test_orthant(self):
-        c = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        c = Cone.from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert len(c.rays) == 3 and len(c.facets) == 3
         assert dual_cone(c) == c
 
     def test_redundant_generator_dropped(self):
-        c = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
+        c = Cone.from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
         assert c.rays == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
     def test_zero_ambient_rejects_generators(self):
         with pytest.raises(ValueError):
-            cone_from_generators(0, [(1,)])
+            Cone.from_rays(0, [(1,)])
 
     def test_halfplane_dual_is_ray(self):
         halfplane = Cone.from_inequalities(2, [(1, 0)])
@@ -72,21 +71,21 @@ class TestCones:
         assert d.rays == ((1, 0),) and d.lineality_dim == 0
 
     def test_dimension_mismatch(self):
-        a = cone_from_generators(2, [(1, 0)])
-        b = cone_from_generators(3, [(1, 0, 0)])
+        a = Cone.from_rays(2, [(1, 0)])
+        b = Cone.from_rays(3, [(1, 0, 0)])
         with pytest.raises(ValueError):
             intersect_cones(a, b)
 
     def test_intersection_idempotent(self):
-        c = cone_from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 1, 1)])
+        c = Cone.from_rays(3, [(1, 0, 0), (1, 1, 0), (1, 1, 1)])
         assert intersect_cones(c, c) == c
 
     @settings(max_examples=120, deadline=None)
     @given(vectors3)
     def test_double_description_round_trip(self, gens):
-        c = cone_from_generators(3, gens)
+        c = Cone.from_rays(3, gens)
         assert dual_cone(dual_cone(c)) == c
-        rebuilt = cone_from_generators(
+        rebuilt = Cone.from_rays(
             3,
             list(c.rays)
             + list(c.lineality)
@@ -99,7 +98,7 @@ class TestCones:
     @settings(max_examples=120, deadline=None)
     @given(vectors3)
     def test_facets_against_brute_force(self, gens):
-        c = cone_from_generators(3, gens)
+        c = Cone.from_rays(3, gens)
         if c.lineality or c.dim != 3:
             return
         # facets of the cone are the extremal rays of its polar
@@ -109,7 +108,7 @@ class TestCones:
     @given(vectors3, st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)))
     def test_farkas_consistency(self, gens, point):
         # facet membership and the LP oracle must agree on every point
-        c = cone_from_generators(3, gens)
+        c = Cone.from_rays(3, gens)
         if c.lineality:
             return
         assert c.contains(point) == lp_in_cone(c.rays, point)
@@ -117,49 +116,49 @@ class TestCones:
 
 class TestFaces:
     def test_zero_cone_is_face_of_pointed(self):
-        zero = cone_from_generators(3, [])
-        orthant = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        zero = Cone.from_rays(3, [])
+        orthant = Cone.from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert is_face(zero, orthant)
 
     def test_interior_ray_is_not_a_face(self):
-        big = cone_from_generators(3, [(-1, -1, -1), (0, 1, 0)])
-        inner = cone_from_generators(3, [(-1, 0, -1)])  # the sum of the rays
+        big = Cone.from_rays(3, [(-1, -1, -1), (0, 1, 0)])
+        inner = Cone.from_rays(3, [(-1, 0, -1)])  # the sum of the rays
         assert big.contains((-1, 0, -1))
         assert not is_face(inner, big)
 
     def test_generating_ray_is_a_face(self):
-        big = cone_from_generators(3, [(-1, -1, -1), (0, 1, 0)])
-        assert is_face(cone_from_generators(3, [(-1, -1, -1)]), big)
+        big = Cone.from_rays(3, [(-1, -1, -1), (0, 1, 0)])
+        assert is_face(Cone.from_rays(3, [(-1, -1, -1)]), big)
 
     def test_not_contained_raises(self):
-        orthant = cone_from_generators(2, [(1, 0), (0, 1)])
-        outside = cone_from_generators(2, [(-1, 0)])
+        orthant = Cone.from_rays(2, [(1, 0), (0, 1)])
+        outside = Cone.from_rays(2, [(-1, 0)])
         with pytest.raises(ValueError):
             is_face(outside, orthant)
 
     def test_cone_is_its_own_face(self):
-        c = cone_from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 1, 1)])
+        c = Cone.from_rays(3, [(1, 0, 0), (1, 1, 0), (1, 1, 1)])
         assert is_face(c, c)
 
 
 class TestFaceLattice:
     def test_orthant_f_vector(self):
-        c = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        c = Cone.from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert face_lattice_fvector(c) == (3, 3)
 
     def test_simplicial_4d(self):
         gens = [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
-        assert face_lattice_fvector(cone_from_generators(4, gens)) == (4, 6, 4)
+        assert face_lattice_fvector(Cone.from_rays(4, gens)) == (4, 6, 4)
 
     def test_cross_polytope_cone(self):
         # cone over the square: 4 rays, 4 facets
         gens = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
-        assert face_lattice_fvector(cone_from_generators(3, gens)) == (4, 4)
+        assert face_lattice_fvector(Cone.from_rays(3, gens)) == (4, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(vectors3)
     def test_euler_relation(self, gens):
-        c = cone_from_generators(3, gens)
+        c = Cone.from_rays(3, gens)
         if c.lineality or c.dim != 3:
             return
         fv = face_lattice_fvector(c)
@@ -233,3 +232,9 @@ class TestFans:
     def test_text_rejects_garbage(self):
         with pytest.raises(ValueError):
             fan_from_text("CONES\n0 1\n")
+
+    def test_rays_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="length 2"):
+            fan_from_text("RAYS\n1 0\n0 1 0\nCONES\n0\n1\n")
+        with pytest.raises(ValueError, match="length 3"):
+            make_fan(3, [(1, 0, 0), (0, 1)], [{0}, {1}])

@@ -1,4 +1,8 @@
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tilefold.exactlat import mat_mul, mat_vec, primitive_vector, transpose
@@ -57,6 +61,30 @@ class TestSourceData:
         rd, pd, orthant = source_data()
         assert len(orthant.rays) == 6
         assert orthant.maximal_cones == (frozenset(range(6)),)
+
+    def test_corrupted_weights_raise_under_optimize(self):
+        # invariant checks must be real exceptions, which `python -O` keeps
+        code = (
+            "import sys\n"
+            "from tilefold import quotientfan\n"
+            "assert sys.flags.optimize\n"
+            "quotientfan.WEIGHT_MATRIX[0][0] = 2\n"
+            "try:\n"
+            "    quotientfan.source_data()\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "raised"
 
 
 class TestQuotientFan:

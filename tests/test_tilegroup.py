@@ -208,6 +208,14 @@ class TestSubvarieties:
         )
         assert not rep["verified"]
 
+    def test_source_in_base_locus_exhausts_budget(self):
+        # A1 lies in the base locus of r2, so every sample is redrawn
+        rng = random.Random(0)
+        with pytest.raises(RuntimeError, match="budget"):
+            verify_subvariety_image(
+                generator_map("r2"), TABLE1["A1"], TABLE1["A0"], 3, rng
+            )
+
     def test_identity_map_fixes_every_variety(self):
         from tilefold.tilegroup import RationalMap, _linear_poly
 

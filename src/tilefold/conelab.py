@@ -38,10 +38,6 @@ from .tilegroup import full_group
 # curve class generators
 
 
-def _unordered_pairs(items):
-    return combinations(items, 2)
-
-
 @lru_cache(maxsize=1)
 def mori_generators() -> dict:
     """The 31 curve classes generating the cone of curves, by family.
@@ -51,7 +47,7 @@ def mori_generators() -> dict:
     Coincidences inside the D families are asserted.
     """
     gens: dict[str, tuple[int, ...]] = {}
-    for i, j in _unordered_pairs(range(4)):
+    for i, j in combinations(range(4), 2):
         d = f"D{i}{j}"
         a_side = curve_class(f"A{i}", d)
         b_side = curve_class(f"B{i}", d)
@@ -114,7 +110,7 @@ def all_pair_functionals_report() -> dict:
     cone = mori_cone()["cone"]
     outside = []
     zero = 0
-    for e, f in _unordered_pairs(LABELS):
+    for e, f in combinations(LABELS, 2):
         v = curve_class(e, f)
         if not any(v):
             zero += 1
@@ -253,6 +249,10 @@ def contraction_orbit_report() -> dict:
     ktriv_orbits = orbit_decomposition(mori["k_trivial"], act_on_curve)
     a0d01 = primitive_vector(curve_class("A0", "D01"))
     return {
+        "to_curve_orbits": curve_orbits,
+        "to_surface_orbits": surface_orbits,
+        "k_negative_orbits": kneg_orbits,
+        "k_trivial_orbits": ktriv_orbits,
         "to_curve_orbit_sizes": [len(o) for o in curve_orbits],
         "to_surface_orbit_sizes": [len(o) for o in surface_orbits],
         "grass_ray_is_to_curve": grass_ray in to_curve,

@@ -4,8 +4,10 @@ Cones carry both descriptions (extremal rays and facet normals), computed by
 the double description method over arbitrary-precision integers.  Insertion
 order is lexicographic and every stored vector is canonical, so equal cones
 produced along different routes compare equal and golden-file tests are
-byte-stable.  Fans are ray lists plus maximal cones with the face axioms
-checked exactly, never assumed.
+byte-stable.  Face lattices come from the ray-facet incidences alone, with
+dimensions read off the cover relation rather than ranked face by face.
+Fans are ray lists plus maximal cones with the face axioms checked exactly,
+never assumed.
 """
 
 from __future__ import annotations
@@ -317,71 +319,56 @@ def is_face(f: Cone, c: Cone) -> bool:
 # face lattice enumeration
 
 
-def _rank_of_rows(rows) -> int:
-    if not rows:
-        return 0
-    return rational_rank([list(r) for r in rows])
-
-
 def face_lattice_raysets(c: Cone) -> dict[int, int]:
     """All faces of a pointed cone as {ray bitmask: dimension}.
 
-    Faces are the Galois-closed sets of the ray-facet incidence; enumeration
-    adds one ray at a time and closes, which reaches every face.  Dimensions
-    are exact ranks of the ray sets.
+    Faces come from the ray-facet incidence alone (Kaibel & Pfetsch, 2002).
+    For a face with tight-facet mask `tight`, each ray j outside it gives
+    `tight & ray_facet_mask[j]`; the maximal such masks are the covers of the
+    face, one dimension up.  A depth-first walk over covers from the zero face
+    reaches every face; its height is checked against the rank of the rays.
     """
     if not c.is_pointed():
         raise ValueError("face enumeration requires a pointed cone")
-    rays = c.rays
-    facets = c.facets
-    nrays = len(rays)
+    nrays = len(c.rays)
     ray_facet_mask = []
-    for r in rays:
+    for r in c.rays:
         mask = 0
-        for h_idx, n in enumerate(facets):
+        for h_idx, n in enumerate(c.facets):
             if dot(n, r) == 0:
                 mask |= 1 << h_idx
         ray_facet_mask.append(mask)
-    all_facets_mask = (1 << len(facets)) - 1
-
-    def close(ray_mask: int) -> int:
-        tight = all_facets_mask
-        m = ray_mask
-        while m:
-            low = m & -m
-            tight &= ray_facet_mask[low.bit_length() - 1]
-            m ^= low
-        closed = 0
-        for i in range(nrays):
-            if ray_facet_mask[i] & tight == tight:
-                closed |= 1 << i
-        return closed
-
-    bottom = close(0)
-    if bottom != 0:
+    all_facets_mask = (1 << len(c.facets)) - 1
+    if any(m == all_facets_mask for m in ray_facet_mask):
         raise ValueError("cone is not pointed in incidence data")
+
     faces: dict[int, int] = {0: 0}
-    stack = [0]
+    height = 0
+    stack = [(all_facets_mask, 0, 0)]  # (tight-facet mask, ray mask, dimension)
     while stack:
-        cur = stack.pop()
-        for i in range(nrays):
-            b = 1 << i
-            if cur & b:
-                continue
-            child = close(cur | b)
-            if child not in faces:
-                faces[child] = -1
-                stack.append(child)
-    # exact dimensions
-    for mask in faces:
-        n = mask.bit_count()
-        if n == 0:
-            faces[mask] = 0
-        elif n <= 2:
-            faces[mask] = n  # distinct extremal rays are independent in pairs
-        else:
-            rows = [rays[i] for i in range(nrays) if mask & (1 << i)]
-            faces[mask] = _rank_of_rows(rows)
+        tight, face, dim = stack.pop()
+        height = max(height, dim)
+        joins: dict[int, int] = {}  # tight mask of face + ray j -> those rays j
+        for j in range(nrays):
+            if not face >> j & 1:
+                m = tight & ray_facet_mask[j]
+                joins[m] = joins.get(m, 0) | 1 << j
+        covers: list[int] = []  # maximal masks of joins; supersets sort first
+        for m in sorted(joins, key=int.bit_count, reverse=True):
+            for kept in covers:
+                if m | kept == kept:
+                    break  # m lies below a cover
+            else:
+                covers.append(m)
+                child = face | joins[m]
+                if child not in faces:
+                    faces[child] = dim + 1
+                    stack.append((m, child, dim + 1))
+    rank = rational_rank(c.rays) if c.rays else 0
+    if not height == c.dim == rank:
+        raise RuntimeError(
+            f"face lattice height {height}, cone dimension {c.dim}, ray rank {rank}"
+        )
     return faces
 
 

@@ -139,6 +139,32 @@ class TestGoldenComparison:
         again = tmp_path / "again.json"
         assert cli.run(["quartics", "rank", "--golden", str(out), "--out", str(again)]) == 1
 
+    def test_failing_checks_named_on_stderr(self, tmp_path, monkeypatch, capsys):
+        failing = {
+            "checks": [cli.check("forced_mismatch", 1, 2), cli.check("still_fine", 3, 3)],
+            "data": {},
+        }
+        monkeypatch.setattr(cli, "section_quartics", lambda: failing)
+        assert cli.run(["quartics", "rank", "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert "quartics/forced_mismatch" in err
+        assert "still_fine" not in err
+
+    def test_internal_error_prints_traceback(self, tmp_path, monkeypatch, capsys):
+        from tilefold import divcalc
+
+        def broken_quartic_system():
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(divcalc, "quartic_system", broken_quartic_system)
+        out = tmp_path / "r.json"
+        assert cli.run(["quartics", "rank", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "section_quartics" in err and "broken_quartic_system" in err
+        assert "RuntimeError: invariant broken" in err
+        assert not out.exists()
+
     def test_shipped_golden_matches_fresh_run(self):
         assert os.path.exists(GOLDEN_PATH), "golden report must ship with the repo"
         with open(GOLDEN_PATH, "r", encoding="utf-8") as fh:

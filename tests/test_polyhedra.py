@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tilefold.cli import EXPECTED_MORI_FVECTOR
 from tilefold.exactlat import dot, integer_kernel, primitive_vector, rational_rank
 from tilefold.polyhedra import (
     Cone,
@@ -11,6 +12,7 @@ from tilefold.polyhedra import (
     convex_hull,
     dual_cone,
     face_lattice_fvector,
+    face_lattice_raysets,
     fan_from_text,
     fan_to_text,
     intersect_cones,
@@ -41,6 +43,83 @@ def brute_extremal_rays(dim, ineqs):
         if tight and rational_rank(tight) == dim - 1:
             out.add(r)
     return out
+
+
+def _rank_of_rows(rows) -> int:
+    if not rows:
+        return 0
+    return rational_rank([list(r) for r in rows])
+
+
+def reference_face_lattice_raysets(c: Cone) -> dict[int, int]:
+    """All faces of a pointed cone as {ray bitmask: dimension}.
+
+    Faces are the Galois-closed sets of the ray-facet incidence; enumeration
+    adds one ray at a time and closes, which reaches every face.  Dimensions
+    are exact ranks of the ray sets.
+    """
+    if not c.is_pointed():
+        raise ValueError("face enumeration requires a pointed cone")
+    rays = c.rays
+    facets = c.facets
+    nrays = len(rays)
+    ray_facet_mask = []
+    for r in rays:
+        mask = 0
+        for h_idx, n in enumerate(facets):
+            if dot(n, r) == 0:
+                mask |= 1 << h_idx
+        ray_facet_mask.append(mask)
+    all_facets_mask = (1 << len(facets)) - 1
+
+    def close(ray_mask: int) -> int:
+        tight = all_facets_mask
+        m = ray_mask
+        while m:
+            low = m & -m
+            tight &= ray_facet_mask[low.bit_length() - 1]
+            m ^= low
+        closed = 0
+        for i in range(nrays):
+            if ray_facet_mask[i] & tight == tight:
+                closed |= 1 << i
+        return closed
+
+    bottom = close(0)
+    if bottom != 0:
+        raise ValueError("cone is not pointed in incidence data")
+    faces: dict[int, int] = {0: 0}
+    stack = [0]
+    while stack:
+        cur = stack.pop()
+        for i in range(nrays):
+            b = 1 << i
+            if cur & b:
+                continue
+            child = close(cur | b)
+            if child not in faces:
+                faces[child] = -1
+                stack.append(child)
+    # exact dimensions
+    for mask in faces:
+        n = mask.bit_count()
+        if n == 0:
+            faces[mask] = 0
+        elif n <= 2:
+            faces[mask] = n  # distinct extremal rays are independent in pairs
+        else:
+            rows = [rays[i] for i in range(nrays) if mask & (1 << i)]
+            faces[mask] = _rank_of_rows(rows)
+    return faces
+
+
+@st.composite
+def pointed_cones(draw):
+    """Generators in R^d, d = 3..5, with a positive first coordinate."""
+    d = draw(st.integers(3, 5))
+    entry = st.integers(-3, 3)
+    gen = st.tuples(st.integers(1, 3), *[entry] * (d - 1))
+    return d, draw(st.lists(gen, min_size=1, max_size=d + 4))
 
 
 vectors3 = st.lists(
@@ -164,6 +243,56 @@ class TestFaceLattice:
         fv = face_lattice_fvector(c)
         total = sum((-1) ** i * f for i, f in enumerate(fv))
         assert total == 1 - (-1) ** (c.dim - 1)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(pointed_cones())
+    def test_matches_closure_reference(self, cone):
+        d, gens = cone
+        c = Cone.from_rays(d, gens)
+        faces = face_lattice_raysets(c)
+        assert faces == reference_face_lattice_raysets(c)
+        counts = [0] * (c.dim + 1)
+        for k in faces.values():
+            counts[k] += 1
+        # Euler: the alternating count over the zero face up to the cone is 0
+        assert sum((-1) ** k * f for k, f in enumerate(counts)) == 0
+        if c.dim == d:
+            fv = face_lattice_fvector(c)
+            assert face_lattice_fvector(dual_cone(c)) == tuple(reversed(fv))
+
+    def test_expected_mori_fvector_satisfies_euler(self):
+        # an 11-dimensional polytope section: f_0 - f_1 + ... + f_10 = 2
+        assert sum((-1) ** i * f for i, f in enumerate(EXPECTED_MORI_FVECTOR)) == 2
+
+    def test_inconsistent_equations_raise(self):
+        orthant = Cone.from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        wrong = Cone(3, orthant.rays, (), orthant.facets, ((0, 0, 1),))
+        with pytest.raises(RuntimeError, match="height 3, cone dimension 2"):
+            face_lattice_raysets(wrong)
+
+    def test_non_pointed_rejected(self):
+        with pytest.raises(ValueError):
+            face_lattice_raysets(Cone.from_inequalities(2, [(1, 0)]))
+
+    def test_zero_cone(self):
+        zero = Cone.from_rays(3, [])
+        assert zero.dim == 0
+        assert face_lattice_raysets(zero) == {0: 0}
+        assert face_lattice_fvector(zero) == ()
+
+    def test_single_ray_in_plane(self):
+        ray = Cone.from_rays(2, [(1, 2)])
+        assert ray.dim == 1
+        assert face_lattice_raysets(ray) == {0: 0, 1: 1}
+
+    def test_permutohedron_homogenisation(self):
+        # a 4-dimensional pointed cone in R^5: the permutohedron lies in a hyperplane
+        gens = [(1,) + p for p in itertools.permutations((1, 2, 3, 4))]
+        c = Cone.from_rays(5, gens)
+        assert c.dim == 4 and len(c.rays) == 24
+        assert face_lattice_raysets(c) == reference_face_lattice_raysets(c)
+        assert face_lattice_fvector(c) == (24, 36, 14)
 
 
 class TestHull:

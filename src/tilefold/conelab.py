@@ -476,18 +476,35 @@ def effective_cone_analysis() -> dict:
     """Extremality of the 24 generators and the dual inclusion check."""
     gens = effective_generators()
     prim = {name: primitive_vector(v) for name, v in gens.items()}
-    cone = Cone.from_rays(RANK, sorted(set(prim.values())))
-    all_extremal = set(cone.rays) == set(prim.values()) and len(
-        set(prim.values())
-    ) == 24
+    prim_set = set(prim.values())
+    cone = Cone.from_rays(RANK, sorted(prim_set))
+    all_extremal = set(cone.rays) == prim_set and len(prim_set) == 24
 
+    # One LP per group orbit of dual rays (Bremner, Dutour Sikirić &
+    # Schürmann, 2009), certified first: the group maps the moving dual
+    # generators onto themselves, so the moving dual is group-invariant, and
+    # each dual ray's orbit lies among the dual rays.
     dual = dual_cone(cone)
     cgens = moving_dual_cone()["generators"]
-    inclusion = all(lp_in_cone(cgens, r) for r in dual.rays)
+    group = full_group()
+    if {primitive_vector(act_on_curve(g, c)) for g in group for c in cgens} != set(cgens):
+        raise RuntimeError("the group does not preserve the moving dual generators")
+    dual_set = set(dual.rays)
+    seen = set()
+    reps = []
+    for r in dual.rays:
+        if r in seen:
+            continue
+        orbit = {primitive_vector(act_on_curve(g, r)) for g in group}
+        if not orbit <= dual_set:
+            raise RuntimeError("the group orbit of a dual ray leaves the dual rays")
+        seen |= orbit
+        reps.append(r)
+    inclusion = all(lp_in_cone(cgens, r) for r in reps)
 
     preserved = all(
-        primitive_vector(act_on_class(g, v)) in set(prim.values())
-        for g in full_group()
+        primitive_vector(act_on_class(g, v)) in prim_set
+        for g in group
         for v in prim.values()
     )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exactlat import (
     dot,
@@ -458,67 +459,102 @@ def polytope_from_inequalities(ambient_dim: int, rows) -> Polytope | None:
 # exact linear programming (membership oracle, kept independent of the DD)
 
 
+def _eliminate(row, pivot_row, col: int, support) -> list[int]:
+    """pivot_row[col] * row - row[col] * pivot_row, divided by its content.
+
+    Rows are integer lists holding a positive multiple of their true values;
+    pivot_row[col] > 0 keeps the multiple positive.  `support` lists the
+    nonzero positions of pivot_row.
+    """
+    p, f = pivot_row[col], row[col]
+    new = [p * x for x in row]
+    for j in support:
+        new[j] -= f * pivot_row[j]
+    g = 0
+    for x in new:  # not gcd(*new): its argument tuples raised peak RSS
+        g = gcd(g, x)
+    return [x // g for x in new] if g > 1 else new
+
+
 def lp_in_cone(generators, point) -> bool:
     """Phase-1 rational simplex: is point a nonnegative combination?
 
     Bland's rule gives termination.  This is deliberately a second route,
-    independent of facet computations, for Farkas-style cross checks.
+    independent of facet computations, for Farkas-style cross checks.  The
+    verdict carries exact evidence, re-checked before it is returned:
+    True comes with the basic solution lambda >= 0, and sum lambda_j g_j
+    must equal the point; False comes with the Farkas functional z read off
+    the objective row (z_i = -s_i (1 - rc[n+i]), rc the reduced costs and
+    s_i the sign that made row i's right-hand side nonnegative), and
+    z.g >= 0 for every generator g and z.point < 0 must hold.  A failed
+    check raises RuntimeError.
     """
-    gens = [tuple(Fraction(x) for x in g) for g in generators]
+    gens = [[Fraction(x) for x in g] for g in generators]
     b = [Fraction(x) for x in point]
     m = len(b)
     if not gens:
         return all(x == 0 for x in b)
     n = len(gens)
-    # rows: m constraints sum_j lambda_j gens[j][i] = b_i, artificials added
-    tableau = [[gens[j][i] for j in range(n)] for i in range(m)]
-    rhs = list(b)
+    width = n + m  # structural then artificial columns; index width is the rhs
+    signs = [-1 if x < 0 else 1 for x in b]
+    # Constraint row i: sum_j lambda_j s_i g_j[i] + artificial_i = s_i b_i,
+    # scaled to integers.  Its true values are the row over its basic entry.
+    tableau = []
     for i in range(m):
-        if rhs[i] < 0:
-            tableau[i] = [-x for x in tableau[i]]
-            rhs[i] = -rhs[i]
-    for i in range(m):
-        row = [Fraction(0)] * m
-        row[i] = Fraction(1)
-        tableau[i] = tableau[i] + row
-    basis = [n + i for i in range(m)]
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
+        row = [signs[i] * g[i] for g in gens] + [Fraction(0)] * m + [signs[i] * b[i]]
+        row[n + i] = Fraction(1)
+        scale = lcm(*[x.denominator for x in row])
+        tableau.append([x.numerator * (scale // x.denominator) for x in row])
+    basis = list(range(n, width))
+    # Objective row of min sum(artificials), kept in the tableau and updated
+    # by every pivot: minus the column sums of the constraint rows, 0 on the
+    # artificial columns, then the rhs (minus the objective value) and last
+    # the positive divisor that gives the true values.
+    scale = lcm(*[row[n + i] for i, row in enumerate(tableau)])
+    obj = [0] * (width + 2)
+    for i, row in enumerate(tableau):
+        f = scale // row[n + i]
+        for j in range(n):
+            obj[j] -= f * row[j]
+        obj[width] -= f * row[width]
+    obj[width + 1] = scale
 
-    def reduced_costs():
-        # duals y solve y_i over basic rows; here basis columns are unit-ized
-        rc = list(cost)
-        for i, bi in enumerate(basis):
-            if cost[bi] != 0:
-                for j in range(n + m):
-                    rc[j] -= cost[bi] * tableau[i][j]
-        return rc
-
-    # normalize tableau so basic columns are unit vectors (they start so)
     while True:
-        rc = reduced_costs()
-        enter = next((j for j in range(n + m) if rc[j] < 0), None)
+        enter = next((j for j in range(width) if obj[j] < 0), None)
         if enter is None:
             break
+        if enter in basis:
+            raise RuntimeError("simplex: a basic column has a nonzero reduced cost")
         ratios = [
-            (rhs[i] / tableau[i][enter], basis[i], i)
-            for i in range(m)
-            if tableau[i][enter] > 0
+            (Fraction(row[width], row[enter]), basis[i], i)
+            for i, row in enumerate(tableau)
+            if row[enter] > 0
         ]
         if not ratios:
-            return False  # unbounded phase-1 cannot happen; defensive
-        best = min(ratios, key=lambda t: (t[0], t[1]))
-        leave_row = best[2]
-        piv = tableau[leave_row][enter]
-        tableau[leave_row] = [x / piv for x in tableau[leave_row]]
-        rhs[leave_row] /= piv
-        for i in range(m):
-            if i != leave_row and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave_row])]
-                rhs[i] -= f * rhs[leave_row]
-        basis[leave_row] = enter
-    objective = sum(rhs[i] for i in range(m) if basis[i] >= n)
-    return objective == 0
+            raise RuntimeError("simplex: the phase-1 objective is unbounded below")
+        leave = min(ratios)[2]
+        pivot_row = tableau[leave]
+        support = [j for j, x in enumerate(pivot_row) if x]
+        for i, row in enumerate(tableau):
+            if i != leave and row[enter]:
+                tableau[i] = _eliminate(row, pivot_row, enter, support)
+        obj = _eliminate(obj, pivot_row, enter, support)
+        basis[leave] = enter
+
+    if obj[width] == 0:
+        lam = [Fraction(0)] * n
+        for row, j in zip(tableau, basis):
+            if j < n:
+                lam[j] = Fraction(row[width], row[j])
+        combo = [sum(l * g[i] for l, g in zip(lam, gens)) for i in range(m)]
+        if min(lam) < 0 or combo != b:
+            raise RuntimeError("simplex: the membership certificate does not give the point")
+        return True
+    # z scaled by the objective row's positive divisor
+    z = [-s * (obj[width + 1] - obj[n + i]) for i, s in enumerate(signs)]
+    if any(dot(z, g) < 0 for g in gens) or dot(z, b) >= 0:
+        raise RuntimeError("simplex: the Farkas certificate does not separate the point")
+    return False
 
 
 # ---------------------------------------------------------------------------

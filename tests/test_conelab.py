@@ -1,6 +1,9 @@
 
+import dataclasses
+
 import pytest
 
+from tilefold import conelab
 from tilefold.conelab import (
     all_pair_functionals_report,
     classify_contractions,
@@ -167,6 +170,36 @@ class TestEffectiveCone:
 
     def test_group_preserves_effective_generators(self):
         assert effective_cone_analysis()["group_preserves_generators"]
+
+    def _recompute_with(self, monkeypatch, name, patched):
+        """effective_cone_analysis with conelab.<name> replaced; cache restored."""
+        monkeypatch.setattr(conelab, name, patched)
+        effective_cone_analysis.cache_clear()
+        try:
+            return effective_cone_analysis()
+        finally:
+            monkeypatch.undo()
+            effective_cone_analysis.cache_clear()
+            effective_cone_analysis()
+
+    def test_orbit_reduction_needs_invariant_moving_dual(self, monkeypatch):
+        # one generator short, the moving dual is no longer a union of orbits
+        real = conelab.moving_dual_cone()
+        short = {**real, "generators": real["generators"][1:]}
+        with pytest.raises(RuntimeError, match="moving dual generators"):
+            self._recompute_with(monkeypatch, "moving_dual_cone", lambda: short)
+        assert effective_cone_analysis()["dual_included_in_moving_dual"]
+
+    def test_orbit_reduction_needs_dual_orbits_among_dual_rays(self, monkeypatch):
+        real = conelab.dual_cone
+
+        def dual_missing_a_ray(c):
+            d = real(c)
+            return dataclasses.replace(d, rays=d.rays[1:])
+
+        with pytest.raises(RuntimeError, match="orbit of a dual ray"):
+            self._recompute_with(monkeypatch, "dual_cone", dual_missing_a_ray)
+        assert effective_cone_analysis()["dual_ray_count"] == 294
 
     def test_k_trivial_span_rank(self):
         e = effective_cone_analysis()

@@ -114,9 +114,9 @@ def reference_face_lattice_raysets(c: Cone) -> dict[int, int]:
 
 
 @st.composite
-def pointed_cones(draw):
-    """Generators in R^d, d = 3..5, with a positive first coordinate."""
-    d = draw(st.integers(3, 5))
+def pointed_cones(draw, min_dim=3, max_dim=5):
+    """Generators in R^d, d = min_dim..max_dim, with a positive first coordinate."""
+    d = draw(st.integers(min_dim, max_dim))
     entry = st.integers(-3, 3)
     gen = st.tuples(st.integers(1, 3), *[entry] * (d - 1))
     return d, draw(st.lists(gen, min_size=1, max_size=d + 4))
@@ -191,6 +191,34 @@ class TestCones:
         if c.lineality:
             return
         assert c.contains(point) == lp_in_cone(c.rays, point)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pointed_cones(4, 6))
+    def test_round_trip_and_duality_in_higher_dimensions(self, cone):
+        d, gens = cone
+        c = Cone.from_rays(d, gens)
+        back = Cone.from_inequalities(d, c.facets, c.equations)
+        assert back == c and back.facets == c.facets and back.equations == c.equations
+        # the dual rebuilt from its generators by double description
+        dual = Cone.from_rays(
+            d, list(c.facets) + list(c.equations) + [tuple(-x for x in e) for e in c.equations]
+        )
+        assert dual == dual_cone(c) and dual.facets == c.rays
+        assert dual_cone(dual_cone(c)) == c
+
+    @settings(max_examples=40, deadline=None)
+    @given(pointed_cones(4, 6), st.data())
+    def test_lp_agrees_with_facets_in_higher_dimensions(self, cone, data):
+        d, gens = cone
+        c = Cone.from_rays(d, gens)
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+        inside = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(d))
+        assert lp_in_cone(gens, inside) and c.contains(inside)
+        if any(inside):
+            # the first coordinate turns negative: outside, a Farkas verdict
+            assert not lp_in_cone(gens, tuple(-x for x in inside))
+        point = data.draw(st.tuples(*[st.integers(-6, 6)] * d))
+        assert lp_in_cone(gens, point) == c.contains(point) == lp_in_cone(c.rays, point)
 
 
 class TestFaces:

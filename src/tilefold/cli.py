@@ -70,14 +70,8 @@ EXPECTED_QUOTIENT_RAYS = sorted(quotientfan.QUOTIENT_RAYS)
 EXPECTED_MORI_FVECTOR = (31, 387, 2647, 10942, 28495, 47531, 50616, 33484, 12912, 2544, 189)
 EXPECTED_NEF_HISTOGRAM = {0: 20, 1: 6, 2: 24, 4: 6, 5: 48, 14: 6, 16: 15, 18: 16, 22: 48}
 
-RELEVANCE_REQUIRED_PAIRS = (
-    ("A1/B1", (1, 4), (0,)),
-    ("B2/A2", (1, 3), (2,)),
-    ("C02/C13", (0, 2, 5), (1,)),
-    ("D12/C12", (1, 3, 4), (2, 4)),
-    ("D12/C03", (1, 3, 4), (0, 3)),
-    ("C12/C03", (2, 4), (0, 3)),
-)
+# cone/companion partition tags; PARTITION_FACE gives their orthant faces
+RELEVANCE_REQUIRED_PAIRS = ("A1/B1", "B2/A2", "C02/C13", "D12/C12", "D12/C03", "C12/C03")
 
 
 def section_fan_quotient() -> dict:
@@ -99,10 +93,12 @@ def section_fan_quotient() -> dict:
     rd, pd, orthant = quotientfan.source_data()
     pairs = quotientfan.relevant_pairs(orthant, pd.cokernel_matrix)
     got = {(p["cone"], p["companion"]) for p in pairs}
-    for name, cone, comp in RELEVANCE_REQUIRED_PAIRS:
-        checks.append(check(f"relevant_pair_{name}", True, (cone, comp) in got))
+    face = quotientfan.PARTITION_FACE
+    for name in RELEVANCE_REQUIRED_PAIRS:
+        cone, comp = name.split("/")
+        checks.append(check(f"relevant_pair_{name}", True, (face[cone], face[comp]) in got))
     c12_c03 = next(
-        p for p in pairs if p["cone"] == (2, 4) and p["companion"] == (0, 3)
+        p for p in pairs if (p["cone"], p["companion"]) == (face["C12"], face["C03"])
     )
     checks.append(
         check("relevance_c12_c03_meets_in_rho6", [[0, 0, -1]], c12_c03["intersection_rays"])

@@ -32,7 +32,7 @@ from .divcalc import (
     surface_graph,
     triple,
 )
-from .tilegroup import full_group
+from .tilegroup import TAU, full_group
 
 # ---------------------------------------------------------------------------
 # curve class generators
@@ -193,27 +193,25 @@ def classify_contractions() -> dict:
 # orbits
 
 
+def orbit(vector, action) -> frozenset:
+    """The primitive images of primitive_vector(vector) under the 48 elements."""
+    v = primitive_vector(vector)
+    return frozenset(primitive_vector(action(g, v)) for g in full_group())
+
+
 def orbit_decomposition(vectors, action) -> list[list]:
-    """Partition vectors into orbits of the 48-element group action."""
-    group = full_group()
-    remaining = set(vectors)
+    """Partition vectors into orbits; raises if an orbit leaves the vectors."""
     vector_set = set(vectors)
+    seen: set = set()
     orbits = []
-    while remaining:
-        seed = sorted(remaining)[0]
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            for g in group:
-                img = primitive_vector(action(g, cur))
-                if img not in vector_set:
-                    raise RuntimeError("group action does not permute the ray set")
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        orbits.append(sorted(orbit))
-        remaining -= orbit
+    for v in sorted(vector_set):
+        if v in seen:
+            continue
+        orb = orbit(v, action)
+        if not orb <= vector_set:
+            raise RuntimeError("group action does not permute the ray set")
+        seen |= orb
+        orbits.append(sorted(orb))
     return sorted(orbits, key=lambda o: (len(o), o))
 
 
@@ -231,9 +229,7 @@ def contraction_orbit_report() -> dict:
     surface_orbits = orbit_decomposition(to_surface, act_on_class)
 
     grass_ray = primitive_vector(class_of_labels(("C01", "C23", "D01", "D23")))
-    grass_invariant = all(
-        act_on_class(g, grass_ray) == grass_ray for g in full_group()
-    )
+    grass_invariant = orbit(grass_ray, act_on_class) == {grass_ray}
     surface_reps = {
         1: primitive_vector(class_of_labels(("A0", "B0", "D01", "D02", "D03"))),
         2: primitive_vector(class_of_labels(("A2", "A3", "C01", "D23"))),
@@ -263,16 +259,11 @@ def contraction_orbit_report() -> dict:
         "k_negative_is_orbit_of_A0xD01": len(kneg_orbits) == 1
         and a0d01 in kneg_orbits[0],
         "k_trivial_orbit_reps": {
-            "A0*B1": orbit_size_of(curve_class("A0", "B1"), act_on_curve),
-            "A0*B0": orbit_size_of(curve_class("A0", "B0"), act_on_curve),
-            "C01*C23": orbit_size_of(curve_class("C01", "C23"), act_on_curve),
+            "A0*B1": len(orbit(curve_class("A0", "B1"), act_on_curve)),
+            "A0*B0": len(orbit(curve_class("A0", "B0"), act_on_curve)),
+            "C01*C23": len(orbit(curve_class("C01", "C23"), act_on_curve)),
         },
     }
-
-
-def orbit_size_of(vector, action) -> int:
-    group = full_group()
-    return len({primitive_vector(action(g, primitive_vector(vector))) for g in group})
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +313,6 @@ def _span_section_of_nef(generator_classes) -> Cone:
     return Cone.from_inequalities(RANK, mori.rays, normal_directions)
 
 
-def _barycenter(cone: Cone) -> tuple[int, ...]:
-    acc = [0] * cone.ambient_dim
-    for r in cone.rays:
-        acc = [a + b for a, b in zip(acc, r)]
-    return primitive_vector(acc)
-
-
 @lru_cache(maxsize=1)
 def partial_flag_cones() -> dict:
     """The two five-dimensional nef sections and their pentachoron shape."""
@@ -337,18 +321,17 @@ def partial_flag_cones() -> dict:
     n1 = _span_section_of_nef(m1)
     n1p = _span_section_of_nef(m1p)
 
-    tau = next(g for g in full_group() if g.flip and g.perm == (0, 1, 2, 3))
     tau_swaps = {
-        tuple(sorted(primitive_vector(act_on_class(tau, r)) for r in n1.rays))
+        tuple(sorted(primitive_vector(act_on_class(TAU, r)) for r in n1.rays))
         == tuple(sorted(n1p.rays)),
-        tuple(sorted(primitive_vector(act_on_class(tau, r)) for r in n1p.rays))
+        tuple(sorted(primitive_vector(act_on_class(TAU, r)) for r in n1p.rays))
         == tuple(sorted(n1.rays)),
     } == {True}
 
     l2 = class_of_labels(FLAG_L2)
     l2p = class_of_labels(FLAG_L2P)
-    bary1 = _barycenter(n1)
-    bary1p = _barycenter(n1p)
+    bary1 = primitive_vector(n1.interior_point())
+    bary1p = primitive_vector(n1p.interior_point())
 
     m1_rays = {primitive_vector(v) for v in m1}
     m1p_rays = {primitive_vector(v) for v in m1p}
@@ -356,7 +339,7 @@ def partial_flag_cones() -> dict:
     extra1p = {primitive_vector(class_of_labels(g)) for g in FLAG_N1P_EXTRA}
 
     x13 = class_of_labels(FLAG_X13_RAY)
-    x13_invariant = all(act_on_class(g, x13) == x13 for g in full_group())
+    x13_invariant = orbit(x13, act_on_class) == {primitive_vector(x13)}
 
     # ample restriction witnesses: positive degree on every node curve
     nodes_edges = solve_petersen()["edges"]
@@ -464,10 +447,7 @@ def moving_dual_cone() -> dict:
         primitive_vector(gamma1()),
         primitive_vector(gamma2()),
     ]
-    gens: set = set()
-    for s in seeds:
-        for g in full_group():
-            gens.add(primitive_vector(act_on_curve(g, s)))
+    gens = frozenset().union(*(orbit(s, act_on_curve) for s in seeds))
     return {"generators": sorted(gens), "seed_count": len(seeds)}
 
 
@@ -483,30 +463,17 @@ def effective_cone_analysis() -> dict:
     # One LP per group orbit of dual rays (Bremner, Dutour Sikirić &
     # Schürmann, 2009), certified first: the group maps the moving dual
     # generators onto themselves, so the moving dual is group-invariant, and
-    # each dual ray's orbit lies among the dual rays.
+    # orbit_decomposition raises unless each dual ray's orbit lies among the
+    # dual rays.
     dual = dual_cone(cone)
     cgens = moving_dual_cone()["generators"]
-    group = full_group()
-    if {primitive_vector(act_on_curve(g, c)) for g in group for c in cgens} != set(cgens):
+    cgen_set = set(cgens)
+    if not all(orbit(c, act_on_curve) <= cgen_set for c in cgens):
         raise RuntimeError("the group does not preserve the moving dual generators")
-    dual_set = set(dual.rays)
-    seen = set()
-    reps = []
-    for r in dual.rays:
-        if r in seen:
-            continue
-        orbit = {primitive_vector(act_on_curve(g, r)) for g in group}
-        if not orbit <= dual_set:
-            raise RuntimeError("the group orbit of a dual ray leaves the dual rays")
-        seen |= orbit
-        reps.append(r)
+    reps = [o[0] for o in orbit_decomposition(dual.rays, act_on_curve)]
     inclusion = all(lp_in_cone(cgens, r) for r in reps)
 
-    preserved = all(
-        primitive_vector(act_on_class(g, v)) in prim_set
-        for g in group
-        for v in prim.values()
-    )
+    preserved = all(orbit(v, act_on_class) <= prim_set for v in prim.values())
 
     mori = mori_cone()
     ktriv = mori["k_trivial"]
@@ -568,17 +535,8 @@ def group_preserves_cones() -> dict:
     nef = nef_cone()
     mori_rays = set(mori["cone"].rays)
     nef_rays = set(nef["cone"].rays)
-    group = full_group()
-    mori_ok = all(
-        primitive_vector(act_on_curve(g, r)) in mori_rays
-        for g in group
-        for r in mori_rays
-    )
-    nef_ok = all(
-        primitive_vector(act_on_class(g, r)) in nef_rays
-        for g in group
-        for r in nef_rays
-    )
+    mori_ok = all(orbit(r, act_on_curve) <= mori_rays for r in mori_rays)
+    nef_ok = all(orbit(r, act_on_class) <= nef_rays for r in nef_rays)
     return {"mori_preserved": mori_ok, "nef_preserved": nef_ok}
 
 

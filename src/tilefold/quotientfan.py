@@ -11,6 +11,7 @@ rho_6 = (0,0,-1) the one extra quotient ray).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 from .exactlat import (
@@ -244,6 +245,7 @@ def quotient_fan(fan: Fan, proj) -> Fan:
     return result
 
 
+@lru_cache(maxsize=1)
 def chart_quotient_fan() -> Fan:
     _, pd, orthant = source_data()
     return quotient_fan(orthant, pd.cokernel_matrix)

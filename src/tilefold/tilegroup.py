@@ -13,16 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from .exactlat import (
-    identity_matrix,
-    integer_kernel,
-    mat_mul,
-    scale_to_primitive_integer,
-    solve_rational,
-    transpose,
-)
+from .exactlat import integer_kernel, mat_mul, scale_to_primitive_integer
 
 Perm = tuple[int, int, int, int]
 
@@ -92,24 +86,21 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(pinv, False)
 
 
-def group_closure(generators=(R1, R2, R3, TAU)) -> list[GroupElement]:
-    """All products of the generators, in a deterministic order."""
+@lru_cache(maxsize=1)
+def full_group() -> tuple[GroupElement, ...]:
+    """All products of r1, r2, r3 and tau, in a deterministic order."""
     seen = {IDENTITY}
     frontier = [IDENTITY]
     while frontier:
         nxt = []
         for g in frontier:
-            for s in generators:
+            for s in GENERATORS.values():
                 h = compose(g, s)
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
-    return sorted(seen, key=lambda g: (g.flip, g.perm))
-
-
-def full_group() -> list[GroupElement]:
-    return group_closure()
+    return tuple(sorted(seen, key=lambda g: (g.flip, g.perm)))
 
 
 def word(*names: str) -> GroupElement:
@@ -311,10 +302,6 @@ def _mat_exp_nilpotent(n):
     return acc
 
 
-def _permutation_matrix(p: Perm):
-    return [[Fraction(1 if p[j] == i else 0) for j in range(4)] for i in range(4)]
-
-
 def _lu_unipotent_lower(a):
     """Doolittle LU; returns the unipotent lower factor or raises."""
     q = Fraction
@@ -356,19 +343,20 @@ def derive_generator_pointwise(name: str, y_coords) -> tuple[int, ...]:
     unipotent lower factor, fix the torus gauge by normalizing the first
     subdiagonal to ones, then apply the coordinate change.  Raises
     DegenerateSampleError on non-generic samples.
+
+    A permutation p moves row j of exp(n) to row p(j).  For tau,
+    w0 (exp n)^-T w0 = exp(-n') with n'[i][j] = n[3-j][3-i], since
+    M -> w0 M^T w0 reverses products; n' is again lower nilpotent.
     """
     y1, y2, y3 = (Fraction(v) for v in y_coords)
-    expm = _mat_exp_nilpotent(chart_matrix(y1, y2, y3))
+    n = chart_matrix(y1, y2, y3)
     if name == "tau":
-        # columns of the inverse transpose, one exact solve per unit vector
-        transposed = transpose(expm)
-        columns = [solve_rational(transposed, e) for e in identity_matrix(4)]
-        if None in columns:
-            raise DegenerateSampleError("singular matrix in inversion")
-        w0m = _permutation_matrix(W0)
-        moved = mat_mul(mat_mul(w0m, transpose(columns)), w0m)
+        moved = _mat_exp_nilpotent(
+            [[-n[3 - j][3 - i] for j in range(4)] for i in range(4)]
+        )
     else:
-        moved = mat_mul(_permutation_matrix(GENERATORS[name].perm), expm)
+        expm = _mat_exp_nilpotent(n)
+        moved = [expm[j] for j in _perm_inv(GENERATORS[name].perm)]
     lower = _lu_unipotent_lower(moved)
     logm = _mat_log_unipotent(lower)
     m10, m21, m32 = logm[1][0], logm[2][1], logm[3][2]
@@ -572,17 +560,12 @@ def _verify_seed_rows() -> bool:
     for lab, (kind, data) in SEED_CHART_DATA.items():
         target = TABLE1[lab]
         if kind == "point":
-            pts = [tuple(Fraction(v) for v in data)]
+            pts = [data]
         else:
-            basis = integer_kernel([list(row) for row in data])
-            pts = [tuple(Fraction(v) for v in b) for b in basis]
+            pts = integer_kernel([list(row) for row in data])
             pts.append(tuple(sum(col) for col in zip(*pts)))
         for y_point in pts:
-            x = tuple(
-                sum(Fraction(c) * v for c, v in zip(row, y_point))
-                for row in COORD_CHANGE
-            )
-            if not subvariety_equations_satisfied(target, x):
+            if not subvariety_equations_satisfied(target, chart_point_to_x(y_point)):
                 return False
     return True
 

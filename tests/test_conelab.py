@@ -15,6 +15,8 @@ from tilefold.conelab import (
     mori_generators,
     multican_nonnegative_on_mori,
     nef_cone,
+    orbit,
+    orbit_decomposition,
     orbit_sizes,
     pairing_checks,
     partial_flag_cones,
@@ -25,7 +27,7 @@ from tilefold.divcalc import (
     curve_class,
 )
 from tilefold.exactlat import primitive_vector
-from tilefold.polyhedra import dual_cone
+from tilefold.polyhedra import Cone, dual_cone
 
 
 class TestMoriCone:
@@ -197,9 +199,19 @@ class TestEffectiveCone:
             d = real(c)
             return dataclasses.replace(d, rays=d.rays[1:])
 
-        with pytest.raises(RuntimeError, match="orbit of a dual ray"):
+        with pytest.raises(RuntimeError, match="does not permute the ray set"):
             self._recompute_with(monkeypatch, "dual_cone", dual_missing_a_ray)
         assert effective_cone_analysis()["dual_ray_count"] == 294
+
+    def test_dual_rays_fall_into_26_orbits(self):
+        # one effective-cone LP per orbit: 26 instead of 294
+        prim = {primitive_vector(v) for v in effective_generators().values()}
+        dual = dual_cone(Cone.from_rays(12, sorted(prim)))
+        orbits = orbit_decomposition(dual.rays, act_on_curve)
+        assert len(orbits) == 26
+        assert sum(len(o) for o in orbits) == len(dual.rays) == 294
+        assert all(48 % len(o) == 0 for o in orbits)
+        assert all(set(o) == orbit(o[0], act_on_curve) for o in orbits)
 
     def test_k_trivial_span_rank(self):
         e = effective_cone_analysis()

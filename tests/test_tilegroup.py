@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tilefold.tilegroup import (
     GENERATORS,
@@ -17,6 +18,7 @@ from tilefold.tilegroup import (
     act_on_label,
     action_is_faithful,
     boundary_image_table,
+    chart_point_to_x,
     compose,
     derivation_agreement,
     derive_generator_pointwise,
@@ -49,6 +51,11 @@ class TestAbstractGroup:
 
     def test_group_order_48(self):
         assert len(full_group()) == 48
+
+    def test_group_built_once(self):
+        group = full_group()
+        assert isinstance(group, tuple)
+        assert full_group() is group
 
     def test_inverse(self):
         for g in full_group():
@@ -163,6 +170,17 @@ class TestDerivation:
         ]
         with pytest.raises(DegenerateSampleError):
             _lu_unipotent_lower(singular_leading)
+
+    @pytest.mark.parametrize("name", ["r1", "r2", "r3", "tau"])
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(*[st.fractions(-20, 20, max_denominator=12)] * 3))
+    def test_agreement_at_rational_points(self, name, y):
+        try:
+            derived = derive_generator_pointwise(name, y)
+            expected = evaluate(generator_map(name), chart_point_to_x((1,) + y))
+        except (DegenerateSampleError, BasePointError):
+            return
+        assert derived == expected
 
     def test_specific_point(self):
         y = (2, 3, 5)

@@ -20,19 +20,20 @@ from .polyhedra import (
 )
 from .divcalc import (
     LABELS,
+    MULTICAN_LABEL_SETS,
     RANK,
     act_on_class,
     act_on_curve,
     anticanonical,
     class_of_labels,
     curve_class,
+    orbit,
     pair_class_curve,
     picard_lattice,
     solve_petersen,
-    surface_graph,
     triple,
 )
-from .tilegroup import TAU, full_group
+from .tilegroup import TAU
 
 # ---------------------------------------------------------------------------
 # curve class generators
@@ -193,12 +194,6 @@ def classify_contractions() -> dict:
 # orbits
 
 
-def orbit(vector, action) -> frozenset:
-    """The primitive images of primitive_vector(vector) under the 48 elements."""
-    v = primitive_vector(vector)
-    return frozenset(primitive_vector(action(g, v)) for g in full_group())
-
-
 def orbit_decomposition(vectors, action) -> list[list]:
     """Partition vectors into orbits; raises if an orbit leaves the vectors."""
     vector_set = set(vectors)
@@ -213,10 +208,6 @@ def orbit_decomposition(vectors, action) -> list[list]:
         seen |= orb
         orbits.append(sorted(orb))
     return sorted(orbits, key=lambda o: (len(o), o))
-
-
-def orbit_sizes(vectors, action) -> list[int]:
-    return sorted(len(o) for o in orbit_decomposition(vectors, action))
 
 
 @lru_cache(maxsize=1)
@@ -342,16 +333,16 @@ def partial_flag_cones() -> dict:
     x13_invariant = orbit(x13, act_on_class) == {primitive_vector(x13)}
 
     # ample restriction witnesses: positive degree on every node curve
-    nodes_edges = solve_petersen()["edges"]
+    graphs = solve_petersen()["graphs"]
     positivity = True
     for i in range(4):
         b = f"B{i}"
-        nodes, _ = surface_graph(b, nodes_edges)
+        nodes, _ = graphs[b]
         for e in nodes:
             if pair_class_curve(l2, curve_class(b, e)) <= 0:
                 positivity = False
         a = f"A{i}"
-        nodes, _ = surface_graph(a, nodes_edges)
+        nodes, _ = graphs[a]
         for e in nodes:
             if pair_class_curve(l2p, curve_class(a, e)) <= 0:
                 positivity = False
@@ -545,8 +536,6 @@ def multican_nonnegative_on_mori() -> dict:
 
     Also: every K-trivial ray meets some boundary divisor negatively.
     """
-    from .divcalc import MULTICAN_LABEL_SETS
-
     mori = mori_cone()
     lc = picard_lattice()["label_class"]
     expr_ok = all(

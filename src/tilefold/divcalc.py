@@ -21,6 +21,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .exactlat import (
+    integer_kernel,
+    primitive_vector,
     rational_rank,
     smith_invariants,
 )
@@ -225,95 +227,73 @@ SURFACE_NODES_A0 = (
     "B0", "B1", "B2", "B3", "C12", "C13", "C23", "D01", "D02", "D03",
 )
 
-_BASE_OF_KIND = {"A": "A0", "B": "A0", "C": "C23", "D": "D01"}
-
 
 def _pair_key(e: str, f: str):
     return (e, f) if e <= f else (f, e)
-
-
-@lru_cache(maxsize=1)
-def _transport_elements() -> dict[str, GroupElement]:
-    """One group element per label carrying that label's base label to it."""
-    group = full_group()
-    out: dict[str, GroupElement] = {}
-    for lab in LABELS:
-        base = _BASE_OF_KIND[lab[0]]
-        out[lab] = next(g for g in group if act_on_label(g, base) == lab)
-    return out
-
-
-@lru_cache(maxsize=1)
-def _check_rule_tables_well_defined() -> bool:
-    """Base tables must be invariant under the stabilizer of their base label."""
-    group = full_group()
-    for base, table in (("C23", RULE_C_BASE), ("D01", RULE_D_BASE)):
-        stab = [g for g in group if act_on_label(g, base) == base]
-        for g in stab:
-            moved = {
-                _pair_key(act_on_label(g, e), act_on_label(g, f)): v
-                for (e, f), v in table.items()
-            }
-            if moved != {_pair_key(e, f): v for (e, f), v in table.items()}:
-                return False
-    return True
-
-
-@lru_cache(maxsize=8)
-def _transported_tables(which: str) -> dict[str, dict]:
-    """Rule tables for every C (resp. D) label, transported from the base."""
-    if not _check_rule_tables_well_defined():
-        raise RuntimeError("rule tables are not invariant under their stabilizers")
-    base_table = RULE_C_BASE if which == "C" else RULE_D_BASE
-    base = "C23" if which == "C" else "D01"
-    out = {}
-    for lab in LABELS:
-        if lab[0] != which:
-            continue
-        g = _transport_elements()[lab]
-        if act_on_label(g, base) != lab:
-            raise RuntimeError(f"transport element does not send {base} to {lab}")
-        out[lab] = {
-            _pair_key(act_on_label(g, e), act_on_label(g, f)): v
-            for (e, f), v in base_table.items()
-        }
-    return out
-
-
-def surface_graph(lab: str, edges_a0: frozenset) -> tuple[frozenset, frozenset]:
-    """Nodes and edges of the incidence graph on an A or B surface label."""
-    g = _transport_elements()[lab]
-    nodes = frozenset(act_on_label(g, n) for n in SURFACE_NODES_A0)
-    edges = frozenset(
-        frozenset(act_on_label(g, x) for x in e) for e in edges_a0
-    )
-    return nodes, edges
 
 
 class RuleConsistencyError(RuntimeError):
     pass
 
 
-def _make_rule_engine(edges_a0: frozenset):
-    """Label-level rule evaluator parametrized by the solved adjacency."""
-    c_tables = _transported_tables("C")
-    d_tables = _transported_tables("D")
-    graphs = {
-        lab: surface_graph(lab, edges_a0) for lab in LABELS if lab[0] in "AB"
-    }
+def _transport(base: str, move) -> dict:
+    """move(g) for all 48 elements g, keyed by the label g sends base to.
+
+    Two elements sending base to the same label differ by an element of the
+    stabiliser of base, so the images agree exactly when the moved data is
+    stabiliser-invariant; otherwise RuleConsistencyError is raised.
+    """
+    out: dict = {}
+    for g in full_group():
+        image = move(g)
+        if out.setdefault(act_on_label(g, base), image) != image:
+            raise RuleConsistencyError(
+                f"data on {base} is not invariant under the stabiliser of {base}"
+            )
+    return out
+
+
+@lru_cache(maxsize=1)
+def _transported_tables() -> dict[str, dict]:
+    """Rule tables for every C and D label, transported from C23 and D01."""
+    tables: dict[str, dict] = {}
+    for base, table in (("C23", RULE_C_BASE), ("D01", RULE_D_BASE)):
+        tables.update(_transport(base, lambda g: {
+            _pair_key(act_on_label(g, e), act_on_label(g, f)): v
+            for (e, f), v in table.items()
+        }))
+    return tables
+
+
+def surface_graphs(edges_a0: frozenset) -> dict[str, tuple[frozenset, frozenset]]:
+    """Nodes and edges of the incidence graph on every A and B surface label.
+
+    Raises RuleConsistencyError unless edges_a0 is invariant under the
+    stabiliser of A0.
+    """
+    return _transport(
+        "A0",
+        lambda g: (
+            frozenset(act_on_label(g, n) for n in SURFACE_NODES_A0),
+            frozenset(frozenset(act_on_label(g, x) for x in e) for e in edges_a0),
+        ),
+    )
+
+
+def _make_rule_engine(graphs: dict):
+    """Label-level triple evaluator parametrized by the surface graphs."""
+    tables = _transported_tables()
 
     def rule_value(slot: str, e: str, f: str) -> int:
         # value of e.f.slot by the rule attached to slot; requires slot not in (e, f)
-        kind = slot[0]
-        if kind in "AB":
+        if slot[0] in "AB":
             nodes, edges = graphs[slot]
             if e == f:
                 return -1 if e in nodes else 0
             if e in nodes and f in nodes and frozenset((e, f)) in edges:
                 return 1
             return 0
-        table = c_tables[slot] if kind == "C" else d_tables[slot]
-        return table.get(_pair_key(e, f), 0)
+        return tables[slot].get(_pair_key(e, f), 0)
 
     def triple_value(a: str, b: str, c: str) -> int:
         if a == b == c:
@@ -329,15 +309,11 @@ def _make_rule_engine(edges_a0: frozenset):
             raise RuleConsistencyError(f"rules disagree on {a}.{b}.{c}: {vals}")
         return vals.pop()
 
-    return rule_value, triple_value
+    return triple_value
 
 
 # ---------------------------------------------------------------------------
 # solving the surface adjacency
-
-def _stabilizer_a0() -> list[GroupElement]:
-    return [g for g in full_group() if not g.flip and g.perm[0] == 0]
-
 
 def _forced_adjacency() -> tuple[dict, list]:
     """Edge values forced by the C- and D-rule tables via triple consistency.
@@ -345,17 +321,14 @@ def _forced_adjacency() -> tuple[dict, list]:
     For nodes u, v of the A0 graph the value u.v.A0 must also equal every
     transported table value read off at a C- or D-type slot among {u, v}.
     """
-    c_tables = _transported_tables("C")
-    d_tables = _transported_tables("D")
+    tables = _transported_tables()
     forced: dict[frozenset, int] = {}
     unknown: list[frozenset] = []
     for u, v in combinations(SURFACE_NODES_A0, 2):
         votes = {}
         for slot, other in ((u, v), (v, u)):
-            if slot[0] == "C":
-                votes[slot] = c_tables[slot].get(_pair_key(other, "A0"), 0)
-            elif slot[0] == "D":
-                votes[slot] = d_tables[slot].get(_pair_key(other, "A0"), 0)
+            if slot[0] in "CD":
+                votes[slot] = tables[slot].get(_pair_key(other, "A0"), 0)
         pair = frozenset((u, v))
         if votes:
             if len(set(votes.values())) != 1:
@@ -419,10 +392,10 @@ def solve_petersen() -> dict:
     values above, (ii) vanishing of the form against the relation lattice
     with one slot at A0, (iii) equivariance under the order-6 stabilizer of
     A0 and (iv) 3-regularity.  The solution must be unique and isomorphic
-    to the Petersen graph.
+    to the Petersen graph; its transports to the A and B surfaces are
+    returned under "graphs".
     """
     forced, unknown = _forced_adjacency()
-    stab = _stabilizer_a0()
     solutions = []
     failures = {"regularity": 0, "stabilizer": 0, "descent": 0, "consistency": 0}
     for bits in product((0, 1), repeat=len(unknown)):
@@ -439,35 +412,32 @@ def solve_petersen() -> dict:
         if any(d != 3 for d in degree.values()):
             failures["regularity"] += 1
             continue
-        stable = all(
-            frozenset(act_on_label(g, x) for x in e) in edges
-            for e in edges
-            for g in stab
-        )
-        if not stable:
+        try:
+            graphs = surface_graphs(edges)
+        except RuleConsistencyError:
             failures["stabilizer"] += 1
             continue
         try:
-            _, triple_value = _make_rule_engine(edges)
-            if not _descent_slice_holds(triple_value):
+            if not _descent_slice_holds(_make_rule_engine(graphs)):
                 failures["descent"] += 1
                 continue
         except RuleConsistencyError:
             failures["consistency"] += 1
             continue
-        solutions.append(edges)
+        solutions.append((edges, graphs))
     if len(solutions) != 1:
         raise RuleConsistencyError(
             f"adjacency solution not unique: {len(solutions)} found, "
             f"constraint failures {failures}"
         )
-    edges = solutions[0]
+    edges, graphs = solutions[0]
     if not _graph_is_petersen(edges):
         raise RuleConsistencyError("solved adjacency is not the Petersen graph")
     forced_edges = {pair for pair, v in forced.items() if v == 1}
     return {
         "nodes": SURFACE_NODES_A0,
         "edges": edges,
+        "graphs": graphs,
         "forced_edges": forced_edges,
         "forced_pair_count": len(forced),
         "unknown_pair_count": len(unknown),
@@ -482,8 +452,8 @@ def solve_petersen() -> dict:
 @lru_cache(maxsize=1)
 def label_tensor() -> dict:
     """The full 20x20x20 label-level intersection table, with hard checks."""
-    edges = solve_petersen()["edges"]
-    _, triple_value = _make_rule_engine(edges)
+    pet = solve_petersen()
+    triple_value = _make_rule_engine(pet["graphs"])
     t = [
         [[0] * N_LABELS for _ in range(N_LABELS)] for _ in range(N_LABELS)
     ]
@@ -495,7 +465,7 @@ def label_tensor() -> dict:
                     (i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i),
                 ):
                     t[p][q][r] = v
-    return {"tensor": t, "edges": edges}
+    return {"tensor": t, "edges": pet["edges"]}
 
 
 def _basis_label_expansions(substitution_row: str | None = None) -> list[list[tuple[int, int]]]:
@@ -613,6 +583,12 @@ def act_on_curve(g: GroupElement, v) -> tuple[int, ...]:
     return _apply_matrix(curve_action()[g], v)
 
 
+def orbit(vector, action) -> frozenset:
+    """The primitive images of primitive_vector(vector) under the 48 elements."""
+    v = primitive_vector(vector)
+    return frozenset(primitive_vector(action(g, v)) for g in full_group())
+
+
 # ---------------------------------------------------------------------------
 # anticanonical class and curve classes
 
@@ -646,7 +622,7 @@ def anticanonical() -> dict:
     expressions_agree = all(
         class_of_labels(labels) == k for labels in MULTICAN_LABEL_SETS
     )
-    invariant = all(act_on_class(g, k) == k for g in full_group())
+    invariant = orbit(k, act_on_class) == {primitive_vector(k)}
     return {
         "class": k,
         "expressions_agree": expressions_agree,
@@ -691,8 +667,6 @@ def _quartic_monomials() -> list[tuple[int, int, int, int]]:
 
 
 def _line_basis(lab: str) -> list[tuple[int, ...]]:
-    from .exactlat import integer_kernel
-
     sub = TABLE1[lab]
     if sub.kind != "line":
         raise RuntimeError(f"{lab} is not a line of P^3")

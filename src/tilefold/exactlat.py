@@ -307,13 +307,6 @@ def det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def is_unimodular(m) -> bool:
-    try:
-        return abs(det(m)) == 1
-    except ValueError:
-        return False
-
-
 def solve_left_integer(a, b):
     """Integer x with x @ a == b, or None.  Decides row-lattice membership."""
     rows, cols = matrix_shape(a)
@@ -336,10 +329,6 @@ def solve_left_integer(a, b):
     if any(residue):
         return None
     return tuple(sum(y[i] * u[i][k] for i in range(rows)) for k in range(rows))
-
-
-def in_row_lattice(a, b) -> bool:
-    return solve_left_integer(a, b) is not None
 
 
 def solve_rational(a, b):

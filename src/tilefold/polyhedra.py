@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exactlat import (
+    det,
     dot,
     hnf_basis,
     integer_kernel,
@@ -230,10 +231,6 @@ class Cone:
     @property
     def dim(self) -> int:
         return self.ambient_dim - len(self.equations)
-
-    @property
-    def lineality_dim(self) -> int:
-        return len(self.lineality)
 
     def is_pointed(self) -> bool:
         return not self.lineality
@@ -652,8 +649,6 @@ def is_complete_fan(fan: Fan) -> bool:
 
 def fan_is_smooth(fan: Fan) -> bool:
     """Every maximal cone unimodular (simplicial with determinant +-1)."""
-    from .exactlat import det
-
     for s in fan.maximal_cones:
         rays = [fan.rays[i] for i in sorted(s)]
         if len(rays) != fan.ambient_dim:

@@ -194,6 +194,15 @@ def _chambers(dim: int, normals) -> list[Cone]:
     return [cone for _, cone in chambers]
 
 
+def _checked_fan(dim: int, cones) -> Fan:
+    """The fan on the rays of the given cones, with the fan axioms checked."""
+    rays = sorted({r for c in cones for r in c.rays})
+    index = {r: i for i, r in enumerate(rays)}
+    fan = make_fan(dim, rays, [frozenset(index[r] for r in c.rays) for c in cones])
+    check_fan(fan)  # fails loudly on an algorithm bug
+    return fan
+
+
 def quotient_fan(fan: Fan, proj) -> Fan:
     """Quotient fan: cones are the minimal intersections of projected cones.
 
@@ -235,14 +244,7 @@ def quotient_fan(fan: Fan, proj) -> Fan:
         minimal = Cone.from_inequalities(rows, ineqs, eqs)
         candidates[minimal.key()] = minimal
 
-    maximal = list(candidates.values())
-    rays = sorted({r for c in maximal for r in c.rays})
-    index = {r: i for i, r in enumerate(rays)}
-    result = make_fan(
-        rows, rays, [frozenset(index[r] for r in c.rays) for c in maximal]
-    )
-    check_fan(result)  # fails loudly on an algorithm bug
-    return result
+    return _checked_fan(rows, candidates.values())
 
 
 @lru_cache(maxsize=1)
@@ -335,12 +337,9 @@ def _orthant_subfan(name: str) -> list[frozenset[int]]:
 
 
 def _projected_subfan(proj, faces) -> Fan:
-    cones = [_project_cone(proj, [_unit6(i) for i in sorted(s)]) for s in faces]
-    rays = sorted({r for c in cones for r in c.rays})
-    index = {r: i for i, r in enumerate(rays)}
-    fan = make_fan(3, rays, [frozenset(index[r] for r in c.rays) for c in cones])
-    check_fan(fan)
-    return fan
+    return _checked_fan(
+        3, [_project_cone(proj, [_unit6(i) for i in sorted(s)]) for s in faces]
+    )
 
 
 def _unit6(i: int) -> tuple[int, ...]:
@@ -365,15 +364,7 @@ def common_refinement(fan_a: Fan, fan_b: Fan) -> Fan:
             meet = intersect_cones(ca, cb)
             if meet.dim == fan_a.ambient_dim:
                 pieces[meet.key()] = meet
-    rays = sorted({r for c in pieces.values() for r in c.rays})
-    index = {r: i for i, r in enumerate(rays)}
-    fan = make_fan(
-        fan_a.ambient_dim,
-        rays,
-        [frozenset(index[r] for r in c.rays) for c in pieces.values()],
-    )
-    check_fan(fan)
-    return fan
+    return _checked_fan(fan_a.ambient_dim, pieces.values())
 
 
 def git_subfans() -> dict:
@@ -596,11 +587,6 @@ PARTITION_FACE = {
 
 class PartitionOutsideChartError(KeyError):
     pass
-
-
-def partition_cone(phi: OrderedPartition) -> Cone:
-    """Face of the orthant attached to a fundamental partition on this chart."""
-    return partition_cone_by_tag(phi.type_tag())
 
 
 def partition_cone_by_tag(tag: str) -> Cone:

@@ -197,9 +197,6 @@ class RationalMap:
     components: tuple[Poly, Poly, Poly, Poly]
     name: str = ""
 
-    def degree(self) -> int:
-        return max(sum(e) for poly in self.components for _, e in poly)
-
 
 R1_MATRIX = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 R3_MATRIX = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))

@@ -17,7 +17,6 @@ from tilefold.conelab import (
     nef_cone,
     orbit,
     orbit_decomposition,
-    orbit_sizes,
     pairing_checks,
     partial_flag_cones,
 )
@@ -128,7 +127,7 @@ class TestOrbits:
 
     def test_foreign_vectors_raise(self):
         with pytest.raises(RuntimeError):
-            orbit_sizes([primitive_vector(curve_class("A0", "B1"))], act_on_curve)
+            orbit_decomposition([primitive_vector(curve_class("A0", "B1"))], act_on_curve)
             # a single ray of a larger orbit cannot be closed under the action
 
 

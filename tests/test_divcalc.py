@@ -1,8 +1,9 @@
 import random
 from itertools import combinations
 
+import pytest
 
-
+from tilefold import divcalc
 from tilefold.divcalc import (
     LABELS,
     LABEL_INDEX,
@@ -10,6 +11,7 @@ from tilefold.divcalc import (
     PLANE_ROWS,
     QUADRIC_ROW,
     RANK,
+    RuleConsistencyError,
     anticanonical,
     basis_tensor,
     class_of,
@@ -18,6 +20,7 @@ from tilefold.divcalc import (
     expr,
     label_relations_in_label_space,
     label_tensor,
+    orbit,
     pair_class_curve,
     picard_action,
     picard_lattice,
@@ -25,9 +28,11 @@ from tilefold.divcalc import (
     act_on_curve,
     quartic_system,
     solve_petersen,
+    surface_graphs,
     triple,
     triple_labels,
 )
+from tilefold.exactlat import primitive_vector
 from tilefold.tilegroup import act_on_label, full_group
 
 
@@ -384,3 +389,35 @@ class TestQuarticSystem:
                     row.append(v)
                 rows.append(row)
         assert rational_rank(rows) == 21
+
+class TestTransport:
+    def test_rule_table_not_stabiliser_invariant_raises(self, monkeypatch):
+        broken = dict(divcalc.RULE_C_BASE)
+        del broken[("A0", "B2")]
+        monkeypatch.setattr(divcalc, "RULE_C_BASE", broken)
+        divcalc._transported_tables.cache_clear()
+        try:
+            with pytest.raises(RuleConsistencyError, match="C23"):
+                divcalc._transported_tables()
+        finally:
+            monkeypatch.undo()
+            divcalc._transported_tables.cache_clear()
+
+    def test_surface_graphs(self):
+        edges = solve_petersen()["edges"]
+        graphs = surface_graphs(edges)
+        assert sorted(graphs) == [f"{k}{i}" for k in "AB" for i in range(4)]
+        assert graphs["A0"] == (frozenset(divcalc.SURFACE_NODES_A0), edges)
+        non_edge = next(
+            frozenset(p) for p in combinations(divcalc.SURFACE_NODES_A0, 2)
+            if frozenset(p) not in edges
+        )
+        broken = (edges - {min(edges, key=sorted)}) | {non_edge}
+        with pytest.raises(RuleConsistencyError, match="A0"):
+            surface_graphs(broken)
+
+    def test_orbit_agrees_with_label_action(self):
+        lc = picard_lattice()["label_class"]
+        for base, kinds in (("A0", "AB"), ("C23", "C"), ("D01", "D")):
+            expected = {primitive_vector(lc[lab]) for lab in LABELS if lab[0] in kinds}
+            assert orbit(lc[base], act_on_class) == expected

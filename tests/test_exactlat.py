@@ -9,9 +9,7 @@ from tilefold.exactlat import (
     hermite_normal_form,
     hnf_basis,
     identity_matrix,
-    in_row_lattice,
     integer_kernel,
-    is_unimodular,
     mat_mul,
     mat_vec,
     primitive_vector,
@@ -62,6 +60,17 @@ def is_row_hnf(h):
         elif seen_zero:
             return False
     return True
+
+
+def is_unimodular(m) -> bool:
+    try:
+        return abs(det(m)) == 1
+    except ValueError:
+        return False
+
+
+def in_row_lattice(a, b) -> bool:
+    return solve_left_integer(a, b) is not None
 
 
 def row_lattices_equal(a, b):

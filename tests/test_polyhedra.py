@@ -145,9 +145,9 @@ class TestCones:
 
     def test_halfplane_dual_is_ray(self):
         halfplane = Cone.from_inequalities(2, [(1, 0)])
-        assert halfplane.lineality_dim == 1
+        assert len(halfplane.lineality) == 1
         d = dual_cone(halfplane)
-        assert d.rays == ((1, 0),) and d.lineality_dim == 0
+        assert d.rays == ((1, 0),) and len(d.lineality) == 0
 
     def test_dimension_mismatch(self):
         a = Cone.from_rays(2, [(1, 0)])

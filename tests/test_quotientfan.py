@@ -20,7 +20,6 @@ from tilefold.quotientfan import (
     git_subfans,
     non_projected_rays,
     partition,
-    partition_cone,
     partition_cone_by_tag,
     principal_divisor_witness,
     quotient_fan,
@@ -396,9 +395,9 @@ class TestPartitions:
             assert img == {QUOTIENT_RAYS[i] for i in rhos}, tag
 
     def test_partition_cone_via_object(self):
-        cone = partition_cone(partition({1}, {0, 2, 3}))
+        cone = partition_cone_by_tag(partition({1}, {0, 2, 3}).type_tag())
         assert len(cone.rays) == 2
 
     def test_partition_outside_dictionary(self):
         with pytest.raises(PartitionOutsideChartError):
-            partition_cone(partition({0}, {1, 2, 3}))  # A0 is not on this chart
+            partition_cone_by_tag(partition({0}, {1, 2, 3}).type_tag())  # A0 is not on this chart

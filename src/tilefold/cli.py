@@ -164,7 +164,7 @@ def section_group_verify(samples: int, seed: int) -> dict:
     checks = []
     group = tilegroup.full_group()
     checks.append(check("group_order", 48, len(group)))
-    checks.append(check("label_action_faithful", True, tilegroup.action_is_faithful(group)))
+    checks.append(check("label_action_faithful", True, tilegroup.action_is_faithful()))
 
     relations = tilegroup.relations_hold_pointwise(samples=samples, seed=seed)
     for name, rep in sorted(relations.items()):
@@ -617,6 +617,16 @@ def run(argv: list[str]) -> int:
     if opts["csv"] and not csv_ok:
         sys.stderr.write("error: --csv not supported for this command\n")
         return 2
+    if opts["golden"]:
+        try:
+            with open(opts["golden"], "r", encoding="utf-8") as fh:
+                golden = json.load(fh)
+        except (OSError, ValueError) as exc:
+            sys.stderr.write(f"error reading golden file: {exc}\n")
+            return 2
+        if not isinstance(golden, dict):
+            sys.stderr.write("error reading golden file: not a JSON object\n")
+            return 2
 
     try:
         report = build_report(command, opts["samples"], opts["seed"])
@@ -626,23 +636,25 @@ def run(argv: list[str]) -> int:
         sys.stderr.write("internal error:\n" + traceback.format_exc())
         return 2
 
-    text = report_to_json(report)
+    writes = []  # (path, text)
     if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+        writes.append((opts["out"], report_to_json(report)))
     else:
-        sys.stdout.write(text)
-
+        sys.stdout.write(report_to_json(report))
     if opts["export"]:
-        with open(opts["export"], "w", encoding="utf-8") as fh:
-            fh.write(report["sections"]["fan_quotient"]["data"]["fan_text"])
+        writes.append((opts["export"], report["sections"]["fan_quotient"]["data"]["fan_text"]))
     if opts["csv"]:
         if command == "intersection table":
-            payload = intersection_table_csv()
+            writes.append((opts["csv"], intersection_table_csv()))
         else:
-            payload = ray_table_csv(next(iter(report["sections"].values())))
-        with open(opts["csv"], "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            writes.append((opts["csv"], ray_table_csv(next(iter(report["sections"].values())))))
+    for path, payload in writes:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {path}: {exc.strerror}\n")
+            return 2
 
     failing = [
         f"{key}/{c['name']}"
@@ -654,12 +666,6 @@ def run(argv: list[str]) -> int:
         sys.stderr.write(f"{len(failing)} failing check(s): {', '.join(failing)}\n")
 
     if opts["golden"]:
-        try:
-            with open(opts["golden"], "r", encoding="utf-8") as fh:
-                golden = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            sys.stderr.write(f"error reading golden file: {exc}\n")
-            return 2
         diffs = compare_golden(report, golden)
         if diffs:
             sys.stderr.write(f"{len(diffs)} difference(s) against the golden report\n")

@@ -30,6 +30,7 @@ from .divcalc import (
     orbit,
     pair_class_curve,
     picard_lattice,
+    ray_permutations,
     solve_petersen,
     triple,
 )
@@ -103,7 +104,8 @@ def mori_cone() -> dict:
 @lru_cache(maxsize=1)
 def mori_f_vector() -> tuple[int, ...]:
     """Full face-count vector of the cone of curves (dimensions 1..11)."""
-    return face_lattice_fvector(mori_cone()["cone"])
+    cone = mori_cone()["cone"]
+    return face_lattice_fvector(cone, ray_permutations(cone.rays, act_on_curve))
 
 
 def all_pair_functionals_report() -> dict:

@@ -589,6 +589,22 @@ def orbit(vector, action) -> frozenset:
     return frozenset(primitive_vector(action(g, v)) for g in full_group())
 
 
+def ray_permutations(vectors, action) -> tuple[tuple[int, ...], ...]:
+    """One index permutation of the primitive `vectors` per element of full_group().
+
+    Entry i of the permutation of g is the index of primitive_vector(action(g,
+    vectors[i])); raises RuntimeError when an image leaves `vectors`.
+    """
+    index = {v: i for i, v in enumerate(vectors)}
+    perms = []
+    for g in full_group():
+        images = [index.get(primitive_vector(action(g, v))) for v in vectors]
+        if None in images:
+            raise RuntimeError("group action does not permute the vector set")
+        perms.append(tuple(images))
+    return tuple(perms)
+
+
 # ---------------------------------------------------------------------------
 # anticanonical class and curve classes
 

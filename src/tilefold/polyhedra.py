@@ -5,7 +5,8 @@ the double description method over arbitrary-precision integers.  Insertion
 order is lexicographic and every stored vector is canonical, so equal cones
 produced along different routes compare equal and golden-file tests are
 byte-stable.  Face lattices come from the ray-facet incidences alone, with
-dimensions read off the cover relation rather than ranked face by face.
+dimensions read off the cover relation rather than ranked face by face, and
+can be walked up to a group of ray permutations that the incidence certifies.
 Fans are ray lists plus maximal cones with the face axioms checked exactly,
 never assumed.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import or_
 
 from .exactlat import (
     det,
@@ -317,7 +319,49 @@ def is_face(f: Cone, c: Cone) -> bool:
 # face lattice enumeration
 
 
-def face_lattice_raysets(c: Cone) -> dict[int, int]:
+def _images(ray_images, mask: int) -> list[int]:
+    """The images of a ray mask under each permutation behind `ray_images`."""
+    images = ray_images[-1]  # zeros, the images of the empty mask
+    while mask:
+        low = mask & -mask
+        images = list(map(or_, images, ray_images[low.bit_length() - 1]))
+        mask ^= low
+    return images
+
+
+def _ray_images(ray_permutations, ray_facet_mask, nfacets: int) -> list:
+    """The image bits of each ray under certified face-lattice automorphisms.
+
+    Entry j holds `1 << p[j]` for each permutation p, and a last entry holds
+    zeros.  Each permutation must be a bijection of range(nrays) sending the
+    ray set of every facet onto the ray set of a facet, and the set must be
+    closed under composition; otherwise RuntimeError.
+    """
+    perms = [tuple(p) for p in ray_permutations]
+    if not perms:
+        return []
+    nrays = len(ray_facet_mask)
+    identity = list(range(nrays))
+    for p in perms:
+        if sorted(p) != identity:
+            raise RuntimeError(f"ray permutation {p} is not a bijection of {nrays} rays")
+    perm_set = set(perms)
+    if any(tuple(p[i] for i in q) not in perm_set for p in perms for q in perms):
+        raise RuntimeError("ray permutations are not closed under composition")
+    ray_images = [[1 << p[j] for p in perms] for j in range(nrays)] + [[0] * len(perms)]
+    facet_rays = [0] * nfacets
+    for j, mask in enumerate(ray_facet_mask):
+        for h in range(nfacets):
+            if mask >> h & 1:
+                facet_rays[h] |= 1 << j
+    facet_set = set(facet_rays)
+    for f in facet_rays:
+        if not facet_set.issuperset(_images(ray_images, f)):
+            raise RuntimeError("a ray permutation does not map facets onto facets")
+    return ray_images
+
+
+def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, int]:
     """All faces of a pointed cone as {ray bitmask: dimension}.
 
     Faces come from the ray-facet incidence alone (Kaibel & Pfetsch, 2002).
@@ -325,6 +369,18 @@ def face_lattice_raysets(c: Cone) -> dict[int, int]:
     `tight & ray_facet_mask[j]`; the maximal such masks are the covers of the
     face, one dimension up.  A depth-first walk over covers from the zero face
     reaches every face; its height is checked against the rank of the rays.
+
+    `ray_permutations` is a group of permutations of the ray indices, each
+    a tuple whose entry i is the index of the image of ray i.  Before the
+    walk each one is certified as a bijection that maps the ray set of every
+    facet onto the ray set of a facet, and the group as closed under
+    composition; a group that passes acts on the face lattice by
+    automorphisms, whatever code produced it, and any other input raises
+    RuntimeError.  The walk then works up to symmetry (Bremner, Dutour
+    Sikirić & Schürmann, 2009): a cover not yet seen enters together with all
+    its images, one dimension up, and only that cover is walked on.  The
+    covers of g(F) are the images of the covers of F, so every face is still
+    reached and each orbit is expanded once.  The result is the full dict.
     """
     if not c.is_pointed():
         raise ValueError("face enumeration requires a pointed cone")
@@ -339,6 +395,7 @@ def face_lattice_raysets(c: Cone) -> dict[int, int]:
     all_facets_mask = (1 << len(c.facets)) - 1
     if any(m == all_facets_mask for m in ray_facet_mask):
         raise ValueError("cone is not pointed in incidence data")
+    ray_images = _ray_images(ray_permutations, ray_facet_mask, len(c.facets))
 
     faces: dict[int, int] = {0: 0}
     height = 0
@@ -361,6 +418,8 @@ def face_lattice_raysets(c: Cone) -> dict[int, int]:
                 child = face | joins[m]
                 if child not in faces:
                     faces[child] = dim + 1
+                    if ray_images:
+                        faces.update(dict.fromkeys(_images(ray_images, child), dim + 1))
                     stack.append((m, child, dim + 1))
     rank = rational_rank(c.rays) if c.rays else 0
     if not height == c.dim == rank:
@@ -370,9 +429,9 @@ def face_lattice_raysets(c: Cone) -> dict[int, int]:
     return faces
 
 
-def face_lattice_fvector(c: Cone) -> tuple[int, ...]:
+def face_lattice_fvector(c: Cone, ray_permutations=()) -> tuple[int, ...]:
     """Face counts by dimension 1..dim-1 (rays through facets)."""
-    faces = face_lattice_raysets(c)
+    faces = face_lattice_raysets(c, ray_permutations)
     top_dim = c.dim
     counts = [0] * (top_dim + 1)
     for _, d in faces.items():

@@ -152,9 +152,8 @@ def act_on_label(g: GroupElement, lab: str) -> str:
     return label(kind, idx)
 
 
-def action_is_faithful(group=None) -> bool:
-    group = group or full_group()
-    for g in group:
+def action_is_faithful() -> bool:
+    for g in full_group():
         if g == IDENTITY:
             continue
         if all(act_on_label(g, lab) == lab for lab in LABELS):

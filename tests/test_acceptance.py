@@ -88,7 +88,7 @@ def test_criterion_05_group_relations():
     rels = tilegroup.relations_hold_pointwise(samples=100, seed=0)
     ok = (
         len(group) == 48
-        and tilegroup.action_is_faithful(group)
+        and tilegroup.action_is_faithful()
         and all(v["holds"] and v["samples"] >= 100 for v in rels.values())
     )
     report(5, "relations at 100 points; order 48; faithful label action", ok, time.monotonic() - t0, 10)

@@ -1,6 +1,7 @@
 import json
 import os
 
+import pytest
 
 from tilefold import cli
 
@@ -28,6 +29,29 @@ class TestParsing:
         csv = tmp_path / "q.csv"
         assert cli.run(["quartics", "rank", "--out", str(out), "--csv", str(csv)]) == 2
         assert not out.exists() and not csv.exists()
+
+    def test_unusable_golden_rejected_before_any_output(self, tmp_path, capsys):
+        bad = tmp_path / "g.json"
+        for content in (None, "{not json", "[]"):
+            if content is not None:
+                bad.write_text(content)
+            assert cli.run(["cones", "mori", "--golden", str(bad)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "golden" in err
+
+    @pytest.mark.parametrize("command, option", [
+        ("quartics rank", "--out"),
+        ("intersection table", "--csv"),
+        ("fan quotient", "--export"),
+    ])
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, command, option):
+        missing = tmp_path / "missing"
+        argv = command.split() + [option, str(missing / "x")]
+        if option != "--out":
+            argv += ["--out", str(tmp_path / "r.json")]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {missing / 'x'}" in err and "Traceback" not in err
 
 
 class TestReports:

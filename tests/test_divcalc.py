@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from tilefold import divcalc
+from tilefold.conelab import mori_cone
 from tilefold.divcalc import (
     LABELS,
     LABEL_INDEX,
@@ -27,6 +28,7 @@ from tilefold.divcalc import (
     act_on_class,
     act_on_curve,
     quartic_system,
+    ray_permutations,
     solve_petersen,
     surface_graphs,
     triple,
@@ -421,3 +423,17 @@ class TestTransport:
         for base, kinds in (("A0", "AB"), ("C23", "C"), ("D01", "D")):
             expected = {primitive_vector(lc[lab]) for lab in LABELS if lab[0] in kinds}
             assert orbit(lc[base], act_on_class) == expected
+
+    def test_ray_permutations_of_the_mori_rays(self):
+        rays = mori_cone()["cone"].rays
+        perms = ray_permutations(rays, act_on_curve)
+        assert len(set(perms)) == len(full_group()) == 48
+        for g, p in zip(full_group(), perms):
+            assert sorted(p) == list(range(len(rays)))
+            assert [primitive_vector(act_on_curve(g, r)) for r in rays] == [rays[i] for i in p]
+
+    def test_ray_permutations_reject_a_set_the_group_moves(self):
+        rays = mori_cone()["cone"].rays
+        assert len(orbit(rays[0], act_on_curve)) > 1
+        with pytest.raises(RuntimeError, match="does not permute"):
+            ray_permutations(rays[1:], act_on_curve)

@@ -122,6 +122,44 @@ def pointed_cones(draw, min_dim=3, max_dim=5):
     return d, draw(st.lists(gen, min_size=1, max_size=d + 4))
 
 
+def coordinate_group(d, sigma, full):
+    """A group of permutations of the coordinates 1..d-1 of R^d.
+
+    The symmetric group of those coordinates when `full`, else the cyclic
+    group generated by `sigma`; coordinate 0 stays put.
+    """
+    if full:
+        return [(0,) + p for p in itertools.permutations(range(1, d))]
+    g = (0,) + tuple(1 + i for i in sigma)
+    group = [tuple(range(d))]
+    while (power := tuple(g[i] for i in group[-1])) != group[0]:
+        group.append(power)
+    return group
+
+
+def permuted_rays(c, group):
+    """The ray index permutations of `c` induced by coordinate permutations."""
+    index = {r: i for i, r in enumerate(c.rays)}
+    return [tuple(index[tuple(r[g[k]] for k in range(len(r)))] for r in c.rays) for g in group]
+
+
+@st.composite
+def symmetric_cones(draw):
+    """A pointed cone in R^d, d = 3..5, symmetric under a coordinate group."""
+    d = draw(st.integers(3, 5))
+    full = draw(st.booleans())
+    sigma = draw(st.permutations(range(d - 1)))
+    group = coordinate_group(d, sigma, full)
+    entry = st.integers(-2, 2)
+    seeds = draw(st.lists(st.tuples(st.integers(1, 3), *[entry] * (d - 1)), min_size=1, max_size=3))
+    gens = {tuple(v[g[k]] for k in range(d)) for v in seeds for g in group}
+    return d, sorted(gens), group
+
+
+# cone over the square with vertices (+-1, +-1); its rays sort as
+# (-1,-1), (-1,1), (1,-1), (1,1)
+SQUARE = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
+
 vectors3 = st.lists(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
     min_size=1,
@@ -288,6 +326,33 @@ class TestFaceLattice:
         if c.dim == d:
             fv = face_lattice_fvector(c)
             assert face_lattice_fvector(dual_cone(c)) == tuple(reversed(fv))
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_cones())
+    def test_symmetric_walk_matches_plain_walk(self, cone):
+        d, gens, group = cone
+        c = Cone.from_rays(d, gens)
+        perms = permuted_rays(c, group)
+        assert face_lattice_raysets(c, perms) == face_lattice_raysets(c)
+
+    def test_ray_permutation_must_be_a_bijection(self):
+        square = Cone.from_rays(3, SQUARE)
+        for bad in [(0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 3, 4)]:
+            with pytest.raises(RuntimeError, match="not a bijection"):
+                face_lattice_raysets(square, [bad])
+
+    def test_ray_permutations_must_keep_the_facet_incidence(self):
+        # swapping rays 0 and 1 maps the edge {0, 2} onto the diagonal {1, 2}
+        square = Cone.from_rays(3, SQUARE)
+        with pytest.raises(RuntimeError, match="facets onto facets"):
+            face_lattice_raysets(square, [(0, 1, 2, 3), (1, 0, 2, 3)])
+        # the reflection x -> -x swaps 0 with 2 and 1 with 3: an automorphism
+        assert face_lattice_raysets(square, [(0, 1, 2, 3), (2, 3, 0, 1)]) == face_lattice_raysets(square)
+
+    def test_ray_permutations_must_form_a_group(self):
+        square = Cone.from_rays(3, SQUARE)
+        with pytest.raises(RuntimeError, match="closed under composition"):
+            face_lattice_raysets(square, [(2, 3, 0, 1)])
 
     def test_expected_mori_fvector_satisfies_euler(self):
         # an 11-dimensional polytope section: f_0 - f_1 + ... + f_10 = 2

@@ -72,6 +72,13 @@ class TestSourceData:
             "    quotientfan.source_data()\n"
             "except RuntimeError:\n"
             "    print('raised')\n"
+            # a ray swap that maps an edge of the square onto a diagonal
+            "from tilefold.polyhedra import Cone, face_lattice_raysets\n"
+            "square = Cone.from_rays(3, [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)])\n"
+            "try:\n"
+            "    face_lattice_raysets(square, [(0, 1, 2, 3), (1, 0, 2, 3)])\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n"
         )
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -83,7 +90,7 @@ class TestSourceData:
             env=dict(os.environ, PYTHONPATH=path),
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "raised"
+        assert done.stdout.split() == ["raised", "raised"]
 
 
 class TestQuotientFan:

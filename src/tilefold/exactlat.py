@@ -2,15 +2,16 @@
 
 All matrices are lists (or tuples) of rows of Python ints, so every
 computation here is arbitrary precision by construction.  Rationals are
-`fractions.Fraction`.  These routines back every other module: normal
-forms for lattice computations, kernels for subtorus inclusions, and
-exact rank/solve for membership tests.
+`fractions.Fraction`.  Two elimination kernels back every other module:
+`hermite_normal_form` over Z gives normal forms, Smith invariants, kernels
+for subtorus inclusions and lattice membership; the Bareiss `_echelon`
+over Q gives rank, determinant and rational solve for membership tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vector = tuple[int, ...]
 Matrix = list[list[int]]
@@ -162,78 +163,32 @@ def hnf_basis(vectors) -> list[Vector]:
     return [tuple(row) for row in h if any(row)]
 
 
-def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: (s, u, v) with u @ m @ v == s diagonal, d_i | d_{i+1}."""
-    rows, cols = matrix_shape(m)
-    s = copy_matrix(m)
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-
-    def clear_position(t: int) -> None:
-        while True:
-            # Move a nonzero entry of minimal absolute value to (t, t).
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                return
-            bi, bj = best
-            if bi != t:
-                _swap_rows(s, t, bi)
-                _swap_rows(u, t, bi)
-            if bj != t:
-                for row in s:
-                    row[t], row[bj] = row[bj], row[t]
-                for row in v:
-                    row[t], row[bj] = row[bj], row[t]
-            piv = s[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                q = s[i][t] // piv
-                if q:
-                    s[i] = [a - q * b for a, b in zip(s[i], s[t])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[t])]
-                if s[i][t] != 0:
-                    dirty = True
-            for j in range(t + 1, cols):
-                q = s[t][j] // piv
-                if q:
-                    for row in s:
-                        row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
-                if s[t][j] != 0:
-                    dirty = True
-            if dirty:
-                continue
-            # Enforce that the pivot divides every remaining entry.
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if s[i][j] % piv != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                return
-            s[t] = [a + b for a, b in zip(s[t], s[offender])]
-            u[t] = [a + b for a, b in zip(u[t], u[offender])]
-
-    for t in range(min(rows, cols)):
-        clear_position(t)
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-    return s, u, v
-
-
 def smith_invariants(m) -> list[int]:
-    s, _, _ = smith_normal_form(m)
-    rows, cols = matrix_shape(m)
-    return [s[i][i] for i in range(min(rows, cols)) if s[i][i] != 0]
+    """Nonzero Smith invariants d_1 | d_2 | ... of an integer matrix.
+
+    Row Hermite forms of the matrix and of its transpose are taken in turn
+    until every row and column has at most one nonzero entry.  That matrix
+    is equivalent to m, and diag(a, b) to diag(gcd(a, b), lcm(a, b)), so
+    replacing pairs of its entries by their gcd and lcm gives the chain.
+    """
+    matrix_shape(m)  # rejects empty and ragged input
+    h = copy_matrix(m)
+    # The loop ends.  A Hermite form's leading pivot g is the gcd of its
+    # column, which is zero elsewhere; the next form's is the gcd of g's
+    # row, so it divides g.  If it equals g, the transpose has the row
+    # g * e_0, so by uniqueness of the Hermite form g's row is then zero
+    # elsewhere too, and stays so while the passes go on in the rest.
+    # A positive integer falls to a proper divisor only finitely often.
+    while True:
+        entries = [(i, j, x) for i, row in enumerate(h) for j, x in enumerate(row) if x]
+        if len({i for i, _, _ in entries}) == len({j for _, j, _ in entries}) == len(entries):
+            break
+        h = transpose(hermite_normal_form(h)[0])
+    d = [abs(x) for _, _, x in entries]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d
 
 
 def integer_kernel(m) -> list[Vector]:
@@ -248,35 +203,39 @@ def integer_kernel(m) -> list[Vector]:
     return hnf_basis(raw)
 
 
-def _echelon(m) -> tuple[Matrix, list[int]]:
-    """Fraction-free row echelon form: (rows, pivot columns).
+def _echelon(m) -> tuple[Matrix, list[int], int]:
+    """Bareiss fraction-free row echelon form: (rows, pivot columns, sign).
 
-    Each pivot clears the entries below it by cross-multiplication, with no
-    division, so integer input stays integral.  Rows past the last pivot
-    are zero.  The single elimination kernel behind rank and rational solve.
+    Each pivot step sets every row below to (f*row - g*pivot_row) // prev,
+    f the pivot, g the row's entry under it, prev the previous pivot.  The
+    division is exact, and it needs all rows on one scale, so rows with
+    g == 0 are rescaled too.  Entries are minors of the row-swapped input:
+    the last pivot of a square nonsingular matrix is sign * determinant,
+    sign the parity of the row swaps.  Rows past the last pivot are zero.
     """
     rows, cols = matrix_shape(m)
     a = copy_matrix(m)
     pivots = []
+    sign = 1
+    prev = 1
     row = 0
     for col in range(cols):
-        piv = None
-        for i in range(row, rows):
-            if a[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(row, rows) if a[i][col] != 0), None)
         if piv is None:
             continue
-        _swap_rows(a, row, piv)
+        if piv != row:
+            _swap_rows(a, row, piv)
+            sign = -sign
+        f = a[row][col]
         for i in range(row + 1, rows):
-            if a[i][col] != 0:
-                f, g = a[row][col], a[i][col]
-                a[i] = [f * x - g * y for x, y in zip(a[i], a[row])]
+            g = a[i][col]
+            a[i] = [(f * x - g * y) // prev for x, y in zip(a[i], a[row])]
         pivots.append(col)
+        prev = f
         row += 1
         if row == rows:
             break
-    return a, pivots
+    return a, pivots, sign
 
 
 def rational_rank(m) -> int:
@@ -285,26 +244,12 @@ def rational_rank(m) -> int:
 
 
 def det(m) -> int:
-    """Determinant of a square integer matrix (Bareiss, exact)."""
+    """Determinant of a square integer matrix: the signed last Bareiss pivot."""
     n, cols = matrix_shape(m)
     if n != cols:
         raise ValueError("determinant of a non-square matrix")
-    a = copy_matrix(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            _swap_rows(a, k, piv)
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    a, pivots, sign = _echelon(m)
+    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
 def solve_left_integer(a, b):
@@ -340,7 +285,7 @@ def solve_rational(a, b):
     rows, cols = matrix_shape(a)
     if len(b) != rows:
         raise ValueError("shape mismatch in solve_rational")
-    ech, pivots = _echelon([list(row) + [bb] for row, bb in zip(a, b)])
+    ech, pivots, _ = _echelon([list(row) + [bb] for row, bb in zip(a, b)])
     if pivots and pivots[-1] == cols:
         return None  # a pivot in the right-hand side: inconsistent
     x = [Fraction(0)] * cols

@@ -548,6 +548,8 @@ def lp_in_cone(generators, point) -> bool:
     gens = [[Fraction(x) for x in g] for g in generators]
     b = [Fraction(x) for x in point]
     m = len(b)
+    if any(len(g) != m for g in gens):
+        raise ValueError("generator has wrong length")
     if not gens:
         return all(x == 0 for x in b)
     n = len(gens)

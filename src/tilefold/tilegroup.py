@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .exactlat import integer_kernel, mat_mul, scale_to_primitive_integer
 
@@ -286,16 +285,20 @@ def chart_matrix(y1, y2, y3):
     ]
 
 
-def _mat_exp_nilpotent(n):
-    q = Fraction
-    acc = [[q(1) if i == j else q(0) for j in range(4)] for i in range(4)]
-    term = [[q(1) if i == j else q(0) for j in range(4)] for i in range(4)]
-    for k in range(1, 4):
-        term = mat_mul(term, n)
-        for i in range(4):
-            for j in range(4):
-                acc[i][j] += term[i][j] / factorial(k)
-    return acc
+# Coefficients of exp(n) and of log(I + n) for a 4x4 n with n^4 = 0.
+_EXP = (1, 1, Fraction(1, 2), Fraction(1, 6))
+_LOG = (0, 1, Fraction(-1, 2), Fraction(1, 3))
+
+
+def _nilpotent_series(n, coeffs):
+    """sum_k coeffs[k] n^k for a 4x4 matrix n with n^4 = 0."""
+    n2 = mat_mul(n, n)
+    n3 = mat_mul(n2, n)
+    c0, c1, c2, c3 = coeffs
+    return [
+        [(c0 if i == j else 0) + c1 * n[i][j] + c2 * n2[i][j] + c3 * n3[i][j] for j in range(4)]
+        for i in range(4)
+    ]
 
 
 def _lu_unipotent_lower(a):
@@ -316,21 +319,6 @@ def _lu_unipotent_lower(a):
     return lower
 
 
-def _mat_log_unipotent(lmat):
-    q = Fraction
-    n = [[lmat[i][j] - (q(1) if i == j else q(0)) for j in range(4)] for i in range(4)]
-    acc = [row[:] for row in n]
-    term = [row[:] for row in n]
-    sign = -1
-    for k in range(2, 4):
-        term = mat_mul(term, n)
-        for i in range(4):
-            for j in range(4):
-                acc[i][j] += Fraction(sign, k) * term[i][j]
-        sign = -sign
-    return acc
-
-
 def derive_generator_pointwise(name: str, y_coords) -> tuple[int, ...]:
     """Recompute a generator at one chart point, in the x-coordinates.
 
@@ -347,14 +335,17 @@ def derive_generator_pointwise(name: str, y_coords) -> tuple[int, ...]:
     y1, y2, y3 = (Fraction(v) for v in y_coords)
     n = chart_matrix(y1, y2, y3)
     if name == "tau":
-        moved = _mat_exp_nilpotent(
-            [[-n[3 - j][3 - i] for j in range(4)] for i in range(4)]
+        moved = _nilpotent_series(
+            [[-n[3 - j][3 - i] for j in range(4)] for i in range(4)], _EXP
         )
     else:
-        expm = _mat_exp_nilpotent(n)
+        expm = _nilpotent_series(n, _EXP)
         moved = [expm[j] for j in _perm_inv(GENERATORS[name].perm)]
     lower = _lu_unipotent_lower(moved)
-    logm = _mat_log_unipotent(lower)
+    logm = _nilpotent_series(
+        [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(lower)],
+        _LOG,
+    )
     m10, m21, m32 = logm[1][0], logm[2][1], logm[3][2]
     if m10 == 0 or m21 == 0 or m32 == 0:
         raise DegenerateSampleError("vanishing subdiagonal in the logarithm")

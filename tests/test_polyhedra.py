@@ -193,6 +193,13 @@ class TestCones:
         with pytest.raises(ValueError):
             intersect_cones(a, b)
 
+    def test_lp_rejects_generator_of_wrong_length(self):
+        # a longer generator used to be cut to the point's length, a shorter
+        # one to escape as an IndexError
+        for gens in ([(1, 0, 5)], [(1,)]):
+            with pytest.raises(ValueError, match="generator has wrong length"):
+                lp_in_cone(gens, (1, 0))
+
     def test_intersection_idempotent(self):
         c = Cone.from_rays(3, [(1, 0, 0), (1, 1, 0), (1, 1, 1)])
         assert intersect_cones(c, c) == c

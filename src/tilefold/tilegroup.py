@@ -6,6 +6,13 @@ coordinates x0..x3, by birational transformations of P^3.  The pointwise
 derivation pipeline (matrix exponential, LU factorization, matrix logarithm,
 torus gauge fixing, coordinate change) recomputes the generators from the
 nilpotent chart and is checked against the closed forms on random samples.
+
+Integer arithmetic wherever the mathematics allows: the maps are evaluated at
+the primitive integer representative of a point (their components are
+homogeneous of one degree), so polynomial evaluation, renormalization, the
+subvariety equations and the coordinate change run on plain ints.  Only the
+derivation itself is rational; its exponential and logarithm form the powers
+of a strictly lower triangular matrix from their subdiagonal terms alone.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlat import integer_kernel, mat_mul, scale_to_primitive_integer
+from .exactlat import integer_kernel, mat_vec, primitive_vector, scale_to_primitive_integer
 
 Perm = tuple[int, int, int, int]
 
@@ -163,8 +170,6 @@ def action_is_faithful() -> bool:
 # ---------------------------------------------------------------------------
 # rational maps in the x-coordinates
 
-Point = tuple[Fraction, ...]
-
 # monomial representation: tuple of (coefficient, exponent 4-tuple)
 Poly = tuple[tuple[int, tuple[int, int, int, int]], ...]
 
@@ -177,14 +182,13 @@ def _linear_poly(row) -> Poly:
     )
 
 
-def poly_eval(poly: Poly, p) -> Fraction:
-    total = Fraction(0)
+def poly_eval(poly: Poly, p):
+    total = 0
     for coeff, exps in poly:
-        term = Fraction(coeff)
         for x, e in zip(p, exps):
-            for _ in range(e):
-                term *= x
-        total += term
+            if e:
+                coeff *= x**e
+        total += coeff
     return total
 
 
@@ -194,6 +198,16 @@ class RationalMap:
 
     components: tuple[Poly, Poly, Poly, Poly]
     name: str = ""
+
+    def __post_init__(self):
+        # evaluate() rescales points, which needs one common degree
+        exps = [e for c in self.components for _, e in c]
+        if (
+            len(self.components) != 4
+            or any(len(e) != 4 for e in exps)
+            or len({sum(e) for e in exps}) != 1
+        ):
+            raise ValueError(f"map {self.name!r} needs four homogeneous components of one degree")
 
 
 R1_MATRIX = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
@@ -217,21 +231,23 @@ R2_COMPONENTS: tuple[Poly, ...] = (
 )
 
 
+_GENERATOR_MAPS = {
+    name: RationalMap(tuple(_linear_poly(r) for r in matrix), name)
+    for name, matrix in (("r1", R1_MATRIX), ("r3", R3_MATRIX), ("tau", TAU_MATRIX))
+}
+_GENERATOR_MAPS["r2"] = RationalMap(R2_COMPONENTS, "r2")
+
+
 def generator_map(name: str) -> RationalMap:
-    if name == "r1":
-        return RationalMap(tuple(_linear_poly(r) for r in R1_MATRIX), "r1")
-    if name == "r3":
-        return RationalMap(tuple(_linear_poly(r) for r in R3_MATRIX), "r3")
-    if name == "tau":
-        return RationalMap(tuple(_linear_poly(r) for r in TAU_MATRIX), "tau")
-    if name == "r2":
-        return RationalMap(R2_COMPONENTS, "r2")
-    raise KeyError(name)
+    return _GENERATOR_MAPS[name]
 
 
 def normalize_point(p) -> tuple[int, ...]:
     """Canonical projective representative: primitive, first nonzero positive."""
-    v = scale_to_primitive_integer(p)
+    if all(isinstance(x, int) for x in p):
+        v = primitive_vector(p)
+    else:
+        v = scale_to_primitive_integer(p)
     if not any(v):
         raise ValueError("zero vector is not a projective point")
     lead = next(x for x in v if x)
@@ -241,13 +257,15 @@ def normalize_point(p) -> tuple[int, ...]:
 
 
 def evaluate(m: RationalMap, p) -> tuple[int, ...]:
-    """Evaluate and renormalize; raises BasePointError when all components vanish."""
-    p = tuple(Fraction(x) for x in p)
-    if not any(p):
-        raise ValueError("zero vector is not a projective point")
+    """Evaluate and renormalize; raises BasePointError when all components vanish.
+
+    The components are homogeneous of one degree, so the map is evaluated at
+    the primitive integer representative of p, in integer arithmetic.
+    """
+    p = normalize_point(p)
     image = tuple(poly_eval(c, p) for c in m.components)
     if not any(image):
-        raise BasePointError(normalize_point(p))
+        raise BasePointError(p)
     return normalize_point(image)
 
 
@@ -291,29 +309,43 @@ _LOG = (0, 1, Fraction(-1, 2), Fraction(1, 3))
 
 
 def _nilpotent_series(n, coeffs):
-    """sum_k coeffs[k] n^k for a 4x4 matrix n with n^4 = 0."""
-    n2 = mat_mul(n, n)
-    n3 = mat_mul(n2, n)
+    """sum_k coeffs[k] n^k for a strictly lower triangular 4x4 matrix n.
+
+    Powers of n stay strictly lower triangular (so n^4 = 0), and
+    (ab)[i][j] is the sum of a[i][k] b[k][j] over j < k < i; only those
+    terms are formed, and only the subdiagonal entries are computed.
+    """
+    if any(n[i][j] for i in range(4) for j in range(i, 4)):
+        raise ValueError("nilpotent series needs a strictly lower triangular matrix")
+
+    def times_n(a):
+        return [[sum(a[i][k] * n[k][j] for k in range(j + 1, i)) for j in range(i)] for i in range(4)]
+
+    n2 = times_n(n)
+    n3 = times_n(n2)
     c0, c1, c2, c3 = coeffs
     return [
-        [(c0 if i == j else 0) + c1 * n[i][j] + c2 * n2[i][j] + c3 * n3[i][j] for j in range(4)]
+        [c1 * n[i][j] + c2 * n2[i][j] + c3 * n3[i][j] for j in range(i)] + [c0] + [0] * (3 - i)
         for i in range(4)
     ]
 
 
 def _lu_unipotent_lower(a):
-    """Doolittle LU; returns the unipotent lower factor or raises."""
-    q = Fraction
+    """Doolittle LU; returns the unipotent lower factor or raises.
+
+    Entries start as int zeros and ones; the quotients are Fractions even
+    when a holds ints.
+    """
     n = 4
-    lower = [[q(1) if i == j else q(0) for j in range(n)] for i in range(n)]
-    upper = [[q(0)] * n for _ in range(n)]
+    lower = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    upper = [[0] * n for _ in range(n)]
     for k in range(n):
         for j in range(k, n):
             upper[k][j] = a[k][j] - sum(lower[k][s] * upper[s][j] for s in range(k))
         if upper[k][k] == 0:
             raise DegenerateSampleError("vanishing leading principal minor")
         for i in range(k + 1, n):
-            lower[i][k] = (
+            lower[i][k] = Fraction(
                 a[i][k] - sum(lower[i][s] * upper[s][k] for s in range(k))
             ) / upper[k][k]
     return lower
@@ -356,12 +388,12 @@ def derive_generator_pointwise(name: str, y_coords) -> tuple[int, ...]:
 
 
 def chart_point_to_x(y_point) -> tuple[int, ...]:
-    """Apply the coordinate change from chart coordinates to x-coordinates."""
-    x = tuple(
-        sum(Fraction(c) * Fraction(v) for c, v in zip(row, y_point))
-        for row in COORD_CHANGE
-    )
-    return normalize_point(x)
+    """Apply the coordinate change from chart coordinates to x-coordinates.
+
+    The change is linear, so it is applied to the primitive integer vector
+    along y_point.
+    """
+    return normalize_point(mat_vec(COORD_CHANGE, scale_to_primitive_integer(y_point)))
 
 
 def _sample_until(samples: int, draw, skip) -> tuple[int, int]:
@@ -426,12 +458,11 @@ class Subvariety:
 
 
 def subvariety_equations_satisfied(sub: Subvariety, p) -> bool:
-    p = tuple(Fraction(x) for x in p)
     if sub.kind == "point":
         return normalize_point(p) == normalize_point(sub.data)
     if sub.kind == "quadric":
         return p[0] * p[3] - p[1] * p[2] == 0
-    return all(sum(Fraction(c) * x for c, x in zip(row, p)) == 0 for row in sub.data)
+    return all(sum(c * x for c, x in zip(row, p)) == 0 for row in sub.data)
 
 
 def sample_point(sub: Subvariety, rng: random.Random) -> tuple[int, ...]:

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tilefold.exactlat import mat_mul
 from tilefold.tilegroup import (
+    _EXP,
+    _LOG,
     GENERATORS,
     IDENTITY,
     LABELS,
@@ -15,6 +18,9 @@ from tilefold.tilegroup import (
     TABLE1,
     BasePointError,
     DegenerateSampleError,
+    RationalMap,
+    _linear_poly,
+    _nilpotent_series,
     act_on_label,
     action_is_faithful,
     boundary_image_table,
@@ -126,6 +132,11 @@ class TestRationalMaps:
     def test_r2_base_point(self):
         with pytest.raises(BasePointError):
             evaluate(generator_map("r2"), (1, 1, 1, 1))
+        # the error names the normalized point
+        for p, point in (((-2, -2, -2, -2), (1, 1, 1, 1)), ((0, 0, Fraction(-3, 2), 3), (0, 0, 1, -2))):
+            with pytest.raises(BasePointError) as exc:
+                evaluate(generator_map("r2"), p)
+            assert exc.value.point == point
 
     def test_r2_base_conic(self):
         rng = random.Random(0)
@@ -141,6 +152,56 @@ class TestRationalMaps:
     def test_normalize_point(self):
         assert normalize_point((Fraction(1, 2), Fraction(1, 3), 0, 0)) == (3, 2, 0, 0)
         assert normalize_point((-2, 4, 0, 0)) == (1, -2, 0, 0)
+        # the integer path and the Fraction path agree
+        assert normalize_point((Fraction(4), Fraction(-6), 0, 0)) == (2, -3, 0, 0)
+        assert normalize_point((4, -6, 0, 0)) == (2, -3, 0, 0)
+
+    def test_generator_maps_built_once(self):
+        for name in GENERATORS:
+            assert generator_map(name) is generator_map(name)
+            assert generator_map(name).name == name
+        with pytest.raises(KeyError):
+            generator_map("r4")
+
+    def test_map_needs_four_components_of_one_degree(self):
+        linear = tuple(_linear_poly(row) for row in (
+            (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+        ))
+        RationalMap(linear, "id")
+        quadric = ((1, (1, 0, 0, 1)), (-1, (0, 1, 1, 0)))
+        with pytest.raises(ValueError):
+            RationalMap((quadric,) + linear[1:], "mixed")
+        with pytest.raises(ValueError):
+            inhomogeneous = ((1, (2, 0, 0, 0)), (1, (0, 1, 0, 0)))
+            RationalMap((inhomogeneous,) + linear[1:], "inhomogeneous")
+        with pytest.raises(ValueError):
+            RationalMap(linear[:3], "three")
+
+    @pytest.mark.parametrize("name", ["r1", "r2", "r3", "tau"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(*[st.integers(-20, 20)] * 4).filter(any),
+        st.fractions(-30, 30, max_denominator=12).filter(bool),
+    )
+    def test_evaluate_is_projective(self, name, p, scale):
+        # evaluate works on the primitive representative of p, so every
+        # nonzero multiple of p, negative or fractional, gives the same result
+        m = generator_map(name)
+        scaled = tuple(scale * x for x in p)
+        try:
+            expected = evaluate(m, p)
+        except BasePointError as exc:
+            assert exc.point == normalize_point(p)
+            with pytest.raises(BasePointError) as again:
+                evaluate(m, scaled)
+            assert again.value.point == normalize_point(p)
+            return
+        assert evaluate(m, scaled) == expected
+
+    def test_evaluate_rejects_zero_vector(self):
+        for name in GENERATORS:
+            with pytest.raises(ValueError, match="zero vector"):
+                evaluate(generator_map(name), (0, Fraction(0), 0, 0))
 
     def test_relations_as_maps(self):
         rep = relations_hold_pointwise(samples=30, seed=0)
@@ -191,6 +252,49 @@ class TestDerivation:
         assert derived == expected
 
 
+def _series_reference(n, coeffs):
+    """sum_k coeffs[k] n^k through general 4x4 products."""
+    power = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    total = [[Fraction(0)] * 4 for _ in range(4)]
+    for c in coeffs:
+        total = [[t + c * x for t, x in zip(trow, prow)] for trow, prow in zip(total, power)]
+        power = mat_mul(power, n)
+    return total
+
+
+strictly_lower = st.lists(
+    st.fractions(-10, 10, max_denominator=9), min_size=6, max_size=6
+).map(
+    lambda v: [
+        [v[i * (i - 1) // 2 + j] if j < i else Fraction(0) for j in range(4)]
+        for i in range(4)
+    ]
+)
+
+
+class TestNilpotentSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(strictly_lower)
+    def test_matches_general_products(self, n):
+        for coeffs in (_EXP, _LOG):
+            assert _nilpotent_series(n, coeffs) == _series_reference(n, coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(strictly_lower)
+    def test_log_inverts_exp(self, n):
+        expm = _nilpotent_series(n, _EXP)
+        shifted = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(expm)]
+        assert _nilpotent_series(shifted, _LOG) == n
+
+    @pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(i, 4)])
+    def test_rejects_entry_on_or_above_diagonal(self, i, j):
+        n = [[Fraction(0)] * 4 for _ in range(4)]
+        n[3][0] = Fraction(2)
+        n[i][j] = Fraction(1, 3)
+        with pytest.raises(ValueError, match="strictly lower"):
+            _nilpotent_series(n, _EXP)
+
+
 class TestSubvarieties:
     def test_sampling_stays_on_variety(self):
         rng = random.Random(0)
@@ -235,8 +339,6 @@ class TestSubvarieties:
             )
 
     def test_identity_map_fixes_every_variety(self):
-        from tilefold.tilegroup import RationalMap, _linear_poly
-
         identity = RationalMap(
             tuple(_linear_poly(row) for row in (
                 (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),

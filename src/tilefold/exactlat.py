@@ -81,12 +81,11 @@ def primitive_vector(v) -> Vector:
 
 def scale_to_primitive_integer(v) -> Vector:
     """Primitive integer vector with the same direction as a rational vector."""
-    den = 1
-    for x in v:
-        f = Fraction(x)
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(Fraction(x) * den) for x in v]
-    return primitive_vector(ints)
+    if all(isinstance(x, int) for x in v):
+        return primitive_vector(v)
+    fracs = [Fraction(x) for x in v]
+    den = lcm(*[f.denominator for f in fracs])
+    return primitive_vector([f.numerator * (den // f.denominator) for f in fracs])
 
 
 def _swap_rows(m, i, j):

@@ -1,14 +1,20 @@
 """Exact rational polyhedral engine.
 
-Cones carry both descriptions (extremal rays and facet normals), computed by
-the double description method over arbitrary-precision integers.  Insertion
-order is lexicographic and every stored vector is canonical, so equal cones
-produced along different routes compare equal and golden-file tests are
-byte-stable.  Face lattices come from the ray-facet incidences alone, with
-dimensions read off the cover relation rather than ranked face by face, and
-can be walked up to a group of ray permutations that the incidence certifies.
-Fans are ray lists plus maximal cones with the face axioms checked exactly,
-never assumed.
+Cones carry both descriptions (extremal rays and facet normals).  Each
+constructor runs the double description (DD) method once, over
+arbitrary-precision integers, and reads the other description off the
+incidence of its input with the DD's output (Fukuda & Prodon, 1996).
+Insertion order is lexicographic and every stored vector is canonical:
+rays and facets are primitive and orthogonal to the lineality space or the
+span equations, which are stored as HNF bases of their saturated lattices.
+So equal cones produced along different routes compare equal and golden-file
+tests are byte-stable.  Face lattices come from the ray-facet incidences
+alone, walked over the fewer of rays and facets with dimensions read off the
+cover relation rather than ranked face by face, and can be walked up to a
+group of ray permutations that the incidence certifies.  Membership has a
+second, independent route: an all-integer simplex whose verdicts carry
+certificates.  Fans are ray lists plus maximal cones with the face axioms
+checked exactly, never assumed.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from operator import or_
 from .exactlat import (
     det,
     dot,
-    hnf_basis,
     integer_kernel,
     orthogonal_complement_projection,
     primitive_vector,
@@ -143,8 +148,11 @@ def _canonical_rays(rays, lineality) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
-def _canonical_lineality(lineality) -> tuple[Vec, ...]:
-    return tuple(hnf_basis(lineality)) if lineality else ()
+def _saturated_kernel(dim: int, rows) -> tuple[Vec, ...]:
+    """HNF basis of the saturated lattice Z^dim ∩ {x : r.x == 0 for r in rows}."""
+    if not rows:
+        return tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
+    return tuple(integer_kernel(rows))
 
 
 def _prepare_inequalities(ineqs) -> list[Vec]:
@@ -157,7 +165,11 @@ def _prepare_inequalities(ineqs) -> list[Vec]:
 
 
 def _solve_hrep(dim: int, ineqs, eqs) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """Canonical (rays, lineality) of an H-representation."""
+    """Canonical (rays, lineality) of an H-representation, by one DD run.
+
+    The lineality space is the kernel of all inequalities and equations, so
+    its saturated lattice is read off them rather than the DD's basis.
+    """
     eqs = [tuple(e) for e in eqs if any(e)]
     ineqs = _prepare_inequalities(ineqs)
     if eqs:
@@ -166,15 +178,44 @@ def _solve_hrep(dim: int, ineqs, eqs) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]
             return (), ()
         # Work in saturated kernel coordinates, then map back.
         sub = _prepare_inequalities([tuple(dot(a, k) for k in kernel) for a in ineqs])
-        rays_s, lin_s = _dd_inequalities(len(kernel), sub)
+        rays_s, lin = _dd_inequalities(len(kernel), sub)
         lift = lambda w: tuple(
             sum(w[i] * kernel[i][j] for i in range(len(kernel))) for j in range(dim)
         )
         rays = [lift(r) for r in rays_s]
-        lineality = [lift(l) for l in lin_s]
     else:
-        rays, lineality = _dd_inequalities(dim, ineqs)
-    return _canonical_rays(rays, lineality), _canonical_lineality(lineality)
+        rays, lin = _dd_inequalities(dim, ineqs)
+    lineality = _saturated_kernel(dim, ineqs + eqs) if lin else ()
+    return _canonical_rays(rays, lineality), lineality
+
+
+def _extremal(dim: int, vectors, normals, normal_eqs) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Canonical (extremal rays, lineality) of the cone the vectors generate.
+
+    `normals` and `normal_eqs` are the canonical facets and saturated
+    equations of that cone (or, read the other way round, its rays and
+    lineality when the vectors are valid inequalities).  The lineality is
+    the saturated kernel of normals and equations.  A vector spans an
+    extremal ray exactly when its set of tight normals is maximal among
+    the vectors' sets other than the full one, which only vectors in the
+    lineality have (Fukuda & Prodon, 1996).
+    """
+    lineality = _saturated_kernel(dim, list(normals) + list(normal_eqs))
+    full = (1 << len(normals)) - 1
+    tight: dict[int, Vec] = {}  # tight-normal mask -> one vector with it
+    for v in vectors:
+        mask = 0
+        for h, n in enumerate(normals):
+            if dot(n, v) == 0:
+                mask |= 1 << h
+        if mask != full:
+            tight.setdefault(mask, v)
+    maximal: list[int] = []  # supersets sort first
+    for m in sorted(tight, key=int.bit_count, reverse=True):
+        if all(m | kept != kept for kept in maximal):
+            maximal.append(m)
+    # Vectors with one maximal mask span one ray modulo the lineality.
+    return _canonical_rays([tight[m] for m in maximal], lineality), lineality
 
 
 @dataclass(frozen=True)
@@ -183,9 +224,9 @@ class Cone:
 
     rays:      extremal ray generators, primitive, orthogonal to the
                lineality space, lex-sorted
-    lineality: canonical (HNF) lattice basis of the lineality space
+    lineality: HNF basis of the integer points of the lineality space
     facets:    irredundant inward facet normals, canonical like rays
-    equations: canonical lattice basis of the annihilator of the span
+    equations: HNF basis of the integer points of the annihilator of the span
     """
 
     ambient_dim: int
@@ -198,6 +239,12 @@ class Cone:
 
     @staticmethod
     def from_rays(ambient_dim: int, generators) -> "Cone":
+        """The cone the integer generators span, by one DD run.
+
+        The DD gives the facets and span equations.  The lineality is the
+        saturated kernel of both, and the rays are the generators whose
+        tight-facet set is maximal among those short of all facets.
+        """
         generators = [tuple(int(x) for x in g) for g in generators]
         if ambient_dim == 0 and generators:
             raise ValueError("ambient dimension 0 admits no generators")
@@ -205,23 +252,26 @@ class Cone:
             if len(g) != ambient_dim:
                 raise ValueError("generator has wrong length")
         # Polar cone: its rays are our facet normals, its lineality our
-        # span equations.  A second pass recovers canonical extremal rays,
-        # which also strips non-extremal input generators.
+        # span equations.
         facets, equations = _solve_hrep(ambient_dim, generators, ())
-        rays, lineality = _solve_hrep(ambient_dim, facets, equations)
+        rays, lineality = _extremal(ambient_dim, generators, facets, equations)
         return Cone(ambient_dim, rays, lineality, facets, equations)
 
     @staticmethod
     def from_inequalities(ambient_dim: int, inequalities, equations=()) -> "Cone":
+        """{x : a.x >= 0, e.x == 0} for integer a and e, by one DD run.
+
+        The DD gives the rays and the lineality.  The span equations are the
+        saturated annihilator of both, and the facets are the inequalities
+        whose tight-ray set is maximal among those short of all rays.
+        """
         inequalities = [tuple(int(x) for x in a) for a in inequalities]
         equations = [tuple(int(x) for x in e) for e in equations]
         for a in list(inequalities) + list(equations):
             if len(a) != ambient_dim:
                 raise ValueError("inequality has wrong length")
         rays, lineality = _solve_hrep(ambient_dim, inequalities, equations)
-        facets, span_eqs = _solve_hrep(
-            ambient_dim, rays, lineality
-        )  # polar of the V-representation
+        facets, span_eqs = _extremal(ambient_dim, inequalities, rays, lineality)
         return Cone(ambient_dim, rays, lineality, facets, span_eqs)
 
     @staticmethod
@@ -329,18 +379,18 @@ def _images(ray_images, mask: int) -> list[int]:
     return images
 
 
-def _ray_images(ray_permutations, ray_facet_mask, nfacets: int) -> list:
+def _ray_images(ray_permutations, facet_rays, nrays: int) -> list:
     """The image bits of each ray under certified face-lattice automorphisms.
 
     Entry j holds `1 << p[j]` for each permutation p, and a last entry holds
     zeros.  Each permutation must be a bijection of range(nrays) sending the
-    ray set of every facet onto the ray set of a facet, and the set must be
-    closed under composition; otherwise RuntimeError.
+    ray set of every facet (the masks in `facet_rays`) onto the ray set of a
+    facet, and the set must be closed under composition; otherwise
+    RuntimeError.
     """
     perms = [tuple(p) for p in ray_permutations]
     if not perms:
         return []
-    nrays = len(ray_facet_mask)
     identity = list(range(nrays))
     for p in perms:
         if sorted(p) != identity:
@@ -349,11 +399,6 @@ def _ray_images(ray_permutations, ray_facet_mask, nfacets: int) -> list:
     if any(tuple(p[i] for i in q) not in perm_set for p in perms for q in perms):
         raise RuntimeError("ray permutations are not closed under composition")
     ray_images = [[1 << p[j] for p in perms] for j in range(nrays)] + [[0] * len(perms)]
-    facet_rays = [0] * nfacets
-    for j, mask in enumerate(ray_facet_mask):
-        for h in range(nfacets):
-            if mask >> h & 1:
-                facet_rays[h] |= 1 << j
     facet_set = set(facet_rays)
     for f in facet_rays:
         if not facet_set.issuperset(_images(ray_images, f)):
@@ -364,11 +409,15 @@ def _ray_images(ray_permutations, ray_facet_mask, nfacets: int) -> list:
 def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, int]:
     """All faces of a pointed cone as {ray bitmask: dimension}.
 
-    Faces come from the ray-facet incidence alone (Kaibel & Pfetsch, 2002).
-    For a face with tight-facet mask `tight`, each ray j outside it gives
+    Faces come from the ray-facet incidence alone (Kaibel & Pfetsch, 2002),
+    walked over whichever of rays and facets is fewer.  Over rays, for a
+    face with tight-facet mask `tight`, each ray j outside it gives
     `tight & ray_facet_mask[j]`; the maximal such masks are the covers of the
     face, one dimension up.  A depth-first walk over covers from the zero face
-    reaches every face; its height is checked against the rank of the rays.
+    reaches every face.  Over facets the same walk runs on the transposed
+    incidence from the cone itself down: a face's tight mask is then its ray
+    mask, and after k steps its dimension is c.dim - k.  Either way the walk's
+    height is checked against the cone's dimension and the rank of the rays.
 
     `ray_permutations` is a group of permutations of the ray indices, each
     a tuple whose entry i is the index of the image of ray i.  Before the
@@ -378,13 +427,13 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, int]:
     automorphisms, whatever code produced it, and any other input raises
     RuntimeError.  The walk then works up to symmetry (Bremner, Dutour
     Sikirić & Schürmann, 2009): a cover not yet seen enters together with all
-    its images, one dimension up, and only that cover is walked on.  The
+    its images, one dimension further, and only that cover is walked on.  The
     covers of g(F) are the images of the covers of F, so every face is still
     reached and each orbit is expanded once.  The result is the full dict.
     """
     if not c.is_pointed():
         raise ValueError("face enumeration requires a pointed cone")
-    nrays = len(c.rays)
+    nrays, nfacets = len(c.rays), len(c.facets)
     ray_facet_mask = []
     for r in c.rays:
         mask = 0
@@ -392,21 +441,34 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, int]:
             if dot(n, r) == 0:
                 mask |= 1 << h_idx
         ray_facet_mask.append(mask)
-    all_facets_mask = (1 << len(c.facets)) - 1
+    all_facets_mask = (1 << nfacets) - 1
     if any(m == all_facets_mask for m in ray_facet_mask):
         raise ValueError("cone is not pointed in incidence data")
-    ray_images = _ray_images(ray_permutations, ray_facet_mask, len(c.facets))
+    facet_rays = [0] * nfacets
+    for j, mask in enumerate(ray_facet_mask):
+        for h in range(nfacets):
+            if mask >> h & 1:
+                facet_rays[h] |= 1 << j
+    ray_images = _ray_images(ray_permutations, facet_rays, nrays)
 
-    faces: dict[int, int] = {0: 0}
+    by_facets = nfacets < nrays
+    if by_facets:
+        atoms = facet_rays
+        start = (1 << nrays) - 1  # the cone: every ray, no facet
+        faces: dict[int, int] = {start: c.dim}
+    else:
+        atoms = ray_facet_mask
+        start = all_facets_mask  # the zero face: every facet, no ray
+        faces = {0: 0}
     height = 0
-    stack = [(all_facets_mask, 0, 0)]  # (tight-facet mask, ray mask, dimension)
+    stack = [(start, 0, 0)]  # (tight mask, atom mask, steps from the start)
     while stack:
-        tight, face, dim = stack.pop()
-        height = max(height, dim)
-        joins: dict[int, int] = {}  # tight mask of face + ray j -> those rays j
-        for j in range(nrays):
-            if not face >> j & 1:
-                m = tight & ray_facet_mask[j]
+        tight, closed, steps = stack.pop()
+        height = max(height, steps)
+        joins: dict[int, int] = {}  # tight mask of face + atom j -> those atoms j
+        for j, atom in enumerate(atoms):
+            if not closed >> j & 1:
+                m = tight & atom
                 joins[m] = joins.get(m, 0) | 1 << j
         covers: list[int] = []  # maximal masks of joins; supersets sort first
         for m in sorted(joins, key=int.bit_count, reverse=True):
@@ -415,12 +477,14 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, int]:
                     break  # m lies below a cover
             else:
                 covers.append(m)
-                child = face | joins[m]
-                if child not in faces:
-                    faces[child] = dim + 1
+                child = closed | joins[m]
+                face = m if by_facets else child
+                if face not in faces:
+                    dim = c.dim - steps - 1 if by_facets else steps + 1
+                    faces[face] = dim
                     if ray_images:
-                        faces.update(dict.fromkeys(_images(ray_images, child), dim + 1))
-                    stack.append((m, child, dim + 1))
+                        faces.update(dict.fromkeys(_images(ray_images, face), dim))
+                    stack.append((m, child, steps + 1))
     rank = rational_rank(c.rays) if c.rays else 0
     if not height == c.dim == rank:
         raise RuntimeError(
@@ -533,64 +597,72 @@ def _eliminate(row, pivot_row, col: int, support) -> list[int]:
 
 
 def lp_in_cone(generators, point) -> bool:
-    """Phase-1 rational simplex: is point a nonnegative combination?
+    """Phase-1 simplex over Z: is point a nonnegative combination?
 
-    Bland's rule gives termination.  This is deliberately a second route,
+    Each generator and the point are scaled once to primitive integer
+    vectors; a positive scale changes neither the verdict nor the evidence,
+    and every later step is integer arithmetic.  Bland's rule gives
+    termination: the first column with a negative reduced cost enters, and
+    of the rows with the least ratio, compared by cross-multiplication, the
+    one whose basic column has the least index leaves.  A basis that comes
+    back raises RuntimeError.  This is deliberately a second route,
     independent of facet computations, for Farkas-style cross checks.  The
-    verdict carries exact evidence, re-checked before it is returned:
-    True comes with the basic solution lambda >= 0, and sum lambda_j g_j
-    must equal the point; False comes with the Farkas functional z read off
-    the objective row (z_i = -s_i (1 - rc[n+i]), rc the reduced costs and
-    s_i the sign that made row i's right-hand side nonnegative), and
-    z.g >= 0 for every generator g and z.point < 0 must hold.  A failed
-    check raises RuntimeError.
+    verdict carries exact evidence, re-checked before it is returned: True
+    comes with the basic solution lambda >= 0, and with D the lcm of the
+    basic entries, sum (lambda_j D) g_j must equal D b over Z; False comes
+    with the Farkas functional z read off the objective row
+    (z_i = -s_i (1 - rc[n+i]), rc the reduced costs and s_i the sign that
+    made row i's right-hand side nonnegative), and z.g >= 0 for every
+    generator g and z.b < 0 must hold.  A failed check raises RuntimeError.
     """
-    gens = [[Fraction(x) for x in g] for g in generators]
-    b = [Fraction(x) for x in point]
+    gens = [scale_to_primitive_integer(g) for g in generators]
+    b = scale_to_primitive_integer(point)
     m = len(b)
     if any(len(g) != m for g in gens):
         raise ValueError("generator has wrong length")
     if not gens:
-        return all(x == 0 for x in b)
+        return not any(b)
     n = len(gens)
     width = n + m  # structural then artificial columns; index width is the rhs
     signs = [-1 if x < 0 else 1 for x in b]
-    # Constraint row i: sum_j lambda_j s_i g_j[i] + artificial_i = s_i b_i,
-    # scaled to integers.  Its true values are the row over its basic entry.
+    # Constraint row i: sum_j lambda_j s_i g_j[i] + artificial_i = s_i b_i.
+    # Each row holds a positive multiple of its true values, which are the
+    # row over its basic entry.
     tableau = []
-    for i in range(m):
-        row = [signs[i] * g[i] for g in gens] + [Fraction(0)] * m + [signs[i] * b[i]]
-        row[n + i] = Fraction(1)
-        scale = lcm(*[x.denominator for x in row])
-        tableau.append([x.numerator * (scale // x.denominator) for x in row])
+    for i, s in enumerate(signs):
+        row = [s * g[i] for g in gens] + [0] * m + [s * b[i]]
+        row[n + i] = 1
+        tableau.append(row)
     basis = list(range(n, width))
     # Objective row of min sum(artificials), kept in the tableau and updated
     # by every pivot: minus the column sums of the constraint rows, 0 on the
     # artificial columns, then the rhs (minus the objective value) and last
     # the positive divisor that gives the true values.
-    scale = lcm(*[row[n + i] for i, row in enumerate(tableau)])
-    obj = [0] * (width + 2)
-    for i, row in enumerate(tableau):
-        f = scale // row[n + i]
-        for j in range(n):
-            obj[j] -= f * row[j]
-        obj[width] -= f * row[width]
-    obj[width + 1] = scale
+    obj = [-sum(row[j] for row in tableau) for j in range(n)] + [0] * m
+    obj += [-sum(row[width] for row in tableau), 1]
 
+    seen = set()  # Bland's rule never returns to a basis
     while True:
         enter = next((j for j in range(width) if obj[j] < 0), None)
         if enter is None:
             break
+        if tuple(basis) in seen:
+            raise RuntimeError("simplex: a basis came back, so the pivots cycle")
+        seen.add(tuple(basis))
         if enter in basis:
             raise RuntimeError("simplex: a basic column has a nonzero reduced cost")
-        ratios = [
-            (Fraction(row[width], row[enter]), basis[i], i)
-            for i, row in enumerate(tableau)
-            if row[enter] > 0
-        ]
-        if not ratios:
+        leave = None
+        for i, row in enumerate(tableau):
+            if row[enter] > 0:
+                if leave is not None:
+                    # sign of rhs_i / row_i - rhs_leave / row_leave in column enter
+                    best = tableau[leave]
+                    cross = row[width] * best[enter] - best[width] * row[enter]
+                    if cross > 0 or cross == 0 and basis[i] > basis[leave]:
+                        continue
+                leave = i
+        if leave is None:
             raise RuntimeError("simplex: the phase-1 objective is unbounded below")
-        leave = min(ratios)[2]
         pivot_row = tableau[leave]
         support = [j for j, x in enumerate(pivot_row) if x]
         for i, row in enumerate(tableau):
@@ -600,12 +672,14 @@ def lp_in_cone(generators, point) -> bool:
         basis[leave] = enter
 
     if obj[width] == 0:
-        lam = [Fraction(0)] * n
+        # lambda_j D = rhs * (D // den) for the row with basic entry den in column j
+        d = lcm(*[row[j] for row, j in zip(tableau, basis) if j < n])
+        lam = [0] * n
         for row, j in zip(tableau, basis):
             if j < n:
-                lam[j] = Fraction(row[width], row[j])
+                lam[j] = row[width] * (d // row[j])
         combo = [sum(l * g[i] for l, g in zip(lam, gens)) for i in range(m)]
-        if min(lam) < 0 or combo != b:
+        if min(lam) < 0 or combo != [d * x for x in b]:
             raise RuntimeError("simplex: the membership certificate does not give the point")
         return True
     # z scaled by the objective row's positive divisor

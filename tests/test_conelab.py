@@ -4,6 +4,7 @@ import dataclasses
 import pytest
 
 from tilefold import conelab
+from tilefold.cli import EXPECTED_MORI_FVECTOR
 from tilefold.conelab import (
     all_pair_functionals_report,
     classify_contractions,
@@ -22,11 +23,13 @@ from tilefold.conelab import (
 )
 from tilefold.divcalc import (
     LABELS,
+    act_on_class,
     act_on_curve,
     curve_class,
+    ray_permutations,
 )
 from tilefold.exactlat import primitive_vector
-from tilefold.polyhedra import Cone, dual_cone
+from tilefold.polyhedra import Cone, dual_cone, face_lattice_fvector
 
 
 class TestMoriCone:
@@ -78,6 +81,13 @@ class TestNefCone:
 
     def test_duality_pairings(self):
         assert nef_cone()["duality_check"]
+
+    def test_fvector_is_the_reversed_mori_fvector(self):
+        # 189 rays against 31 facets: the walk runs over the facets, up to
+        # the group's certified permutations of the nef rays
+        nef = nef_cone()["cone"]
+        perms = ray_permutations(nef.rays, act_on_class)
+        assert face_lattice_fvector(nef, perms) == tuple(reversed(EXPECTED_MORI_FVECTOR))
 
     def test_contraction_classification(self):
         counts = classify_contractions()["counts"]

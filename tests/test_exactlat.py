@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, prod
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tilefold.exactlat import (
@@ -15,6 +16,7 @@ from tilefold.exactlat import (
     mat_vec,
     primitive_vector,
     rational_rank,
+    scale_to_primitive_integer,
     smith_invariants,
     solve_left_integer,
     solve_rational,
@@ -313,6 +315,25 @@ class TestSolvers:
         x = solve_rational([[2, 0], [0, 4]], (1, 2))
         assert x is not None and [2 * x[0], 4 * x[1]] == [1, 2]
         assert solve_rational([[1, 1], [1, 1]], (0, 1)) is None
+
+    @pytest.mark.parametrize(
+        "v, expected",
+        [
+            ((4, -6, 0), (2, -3, 0)),
+            ((-3,), (-1,)),
+            ((Fraction(1, 2), Fraction(-1, 3), 0), (3, -2, 0)),
+            ((Fraction(4), Fraction(-6)), (2, -3)),
+            ((1, Fraction(-3, 4)), (4, -3)),
+            ((Fraction(-2, 6), Fraction(0)), (-1, 0)),
+            ((0, 0, 0), (0, 0, 0)),
+            ((Fraction(0), 0), (0, 0)),
+            ((), ()),
+        ],
+    )
+    def test_scale_to_primitive_integer(self, v, expected):
+        out = scale_to_primitive_integer(v)
+        assert out == expected and all(type(x) is int for x in out)
+        assert scale_to_primitive_integer(list(v)) == expected
 
     def test_hnf_basis_canonical(self):
         assert hnf_basis([(-1, 1)]) == [(1, -1)]

@@ -8,6 +8,7 @@ from tilefold.cli import EXPECTED_MORI_FVECTOR
 from tilefold.exactlat import dot, integer_kernel, primitive_vector, rational_rank
 from tilefold.polyhedra import (
     Cone,
+    _solve_hrep,
     check_fan,
     convex_hull,
     dual_cone,
@@ -156,6 +157,46 @@ def symmetric_cones(draw):
     return d, sorted(gens), group
 
 
+@st.composite
+def general_cones(draw, min_dim=4, max_dim=6):
+    """Generators in R^d, d = min_dim..max_dim, lower-dimensional or not pointed.
+
+    The generators are integer combinations of k <= d drawn vectors, so they
+    may span a proper subspace; with `flip` some come with their negatives.
+    """
+    d = draw(st.integers(min_dim, max_dim))
+    basis = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=d))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
+    gens = [
+        tuple(sum(c * v[i] for c, v in zip(cs, basis)) for i in range(d))
+        for cs in draw(st.lists(coeffs, min_size=0, max_size=d + 4))
+    ]
+    flip = draw(st.integers(0, 2))
+    return d, gens + [tuple(-x for x in g) for g in gens[:flip]]
+
+
+def two_dd_from_rays(d, gens) -> Cone:
+    """Reference constructor: a second DD run recovers the rays from the facets."""
+    facets, equations = _solve_hrep(d, gens, ())
+    rays, lineality = _solve_hrep(d, facets, equations)
+    return Cone(d, rays, lineality, facets, equations)
+
+
+def two_dd_from_inequalities(d, ineqs, eqs=()) -> Cone:
+    """Reference constructor: a second DD run recovers the facets from the rays."""
+    rays, lineality = _solve_hrep(d, ineqs, eqs)
+    facets, equations = _solve_hrep(d, rays, lineality)
+    return Cone(d, rays, lineality, facets, equations)
+
+
+def fields(c: Cone):
+    return c.ambient_dim, c.rays, c.lineality, c.facets, c.equations
+
+
+def scaled(v, num, den):
+    return tuple(Fraction(x * num, den) for x in v)
+
+
 # cone over the square with vertices (+-1, +-1); its rays sort as
 # (-1,-1), (-1,1), (1,-1), (1,1)
 SQUARE = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
@@ -265,6 +306,53 @@ class TestCones:
         point = data.draw(st.tuples(*[st.integers(-6, 6)] * d))
         assert lp_in_cone(gens, point) == c.contains(point) == lp_in_cone(c.rays, point)
 
+    def test_equal_cones_compare_equal(self):
+        # the plane 2x + 3y + 5z = 0 by four routes; (1, 6, -4) and (0, 10, -6)
+        # span only an index-2 sublattice of its integer points
+        routes = [
+            Cone.from_inequalities(3, [(2, 3, 5), (-2, -3, -5)]),
+            Cone.from_inequalities(3, [], [(2, 3, 5)]),
+            Cone.from_rays(3, [(1, 6, -4), (-1, -6, 4), (0, 10, -6), (0, -10, 6)]),
+            Cone.from_rays(3, [(1, 1, -1), (0, 5, -3), (-1, -6, 4)]),
+        ]
+        assert all(fields(c) == fields(routes[0]) for c in routes)
+        assert routes[0].lineality == tuple(integer_kernel([(2, 3, 5)])) == ((1, 1, -1), (0, 5, -3))
+        assert routes[0].equations == ((2, 3, 5),) and not routes[0].rays
+
+    @settings(max_examples=80, deadline=None)
+    @given(general_cones(), st.data())
+    def test_one_dd_matches_two_dd_reference(self, cone, data):
+        d, gens = cone
+        c = Cone.from_rays(d, gens)
+        assert fields(c) == fields(two_dd_from_rays(d, gens))
+        assert fields(Cone.from_inequalities(d, c.facets, c.equations)) == fields(c)
+        # a random H-representation: implicit equations and lineality arise
+        ineqs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=d + 3))
+        eqs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=2))
+        h = Cone.from_inequalities(d, ineqs + gens[:1], eqs)
+        assert fields(h) == fields(two_dd_from_inequalities(d, ineqs + gens[:1], eqs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(general_cones(), st.data())
+    def test_lp_with_fractions_agrees_with_contains(self, cone, data):
+        d, gens = cone
+        c = Cone.from_rays(d, gens)
+        positive = st.integers(1, 5)
+        frac_gens = [scaled(g, data.draw(positive), data.draw(positive)) for g in gens]
+        point = data.draw(st.tuples(*[st.integers(-4, 4)] * d))
+        frac_point = scaled(point, 1, data.draw(positive))
+        assert lp_in_cone(frac_gens, frac_point) == c.contains(frac_point)
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+        inside = tuple(sum(Fraction(w, 2) * g[i] for w, g in zip(weights, frac_gens)) for i in range(d))
+        assert lp_in_cone(frac_gens, inside) and c.contains(inside)
+
+    def test_simplex_does_not_cycle(self):
+        # degenerate pivots here cycle when ties leave by the largest basic index
+        gens = [(-2, 1, 2, -2), (-1, 2, 0, 1), (1, 1, -2, 2), (-2, -1, 0, 1), (1, 0, 2, 1),
+                (-1, -2, 1, 2), (-1, 2, 1, 1), (0, 1, 0, -2), (2, 1, 0, 2)]
+        point = (2, 0, 2, 1)
+        assert not lp_in_cone(gens, point) and not Cone.from_rays(4, gens).contains(point)
+
 
 class TestFaces:
     def test_zero_cone_is_face_of_pointed(self):
@@ -333,6 +421,23 @@ class TestFaceLattice:
         if c.dim == d:
             fv = face_lattice_fvector(c)
             assert face_lattice_fvector(dual_cone(c)) == tuple(reversed(fv))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pointed_cones(4, 6))
+    def test_dual_walk_is_the_transposed_walk(self, cone):
+        d, gens = cone
+        c = Cone.from_rays(d, gens)
+        if c.dim != d:
+            return  # the dual of a lower-dimensional cone is not pointed
+        tight = [[dot(n, r) == 0 for n in c.facets] for r in c.rays]
+        transposed = {}
+        for facet_mask, k in face_lattice_raysets(dual_cone(c)).items():
+            rays = 0
+            for j, row in enumerate(tight):
+                if all(row[h] for h in range(len(c.facets)) if facet_mask >> h & 1):
+                    rays |= 1 << j
+            transposed[rays] = d - k
+        assert transposed == face_lattice_raysets(c)
 
     @settings(max_examples=40, deadline=None)
     @given(symmetric_cones())

@@ -92,7 +92,6 @@ class RootData:
 class ProjectionData:
     weight_matrix: list
     cokernel_matrix: list
-    ray_labels: tuple[str, ...]
 
 
 def root_data() -> RootData:
@@ -113,11 +112,7 @@ def root_data() -> RootData:
 
 def source_data() -> tuple[RootData, ProjectionData, Fan]:
     rd = root_data()
-    pd = ProjectionData(
-        [list(r) for r in WEIGHT_MATRIX],
-        [list(r) for r in COKERNEL_MATRIX],
-        tuple(f"E{i}" for i in range(6)),
-    )
+    pd = ProjectionData([list(r) for r in WEIGHT_MATRIX], [list(r) for r in COKERNEL_MATRIX])
     # cokernel really annihilates the weight rows
     if any(any(row) for row in mat_mul(pd.cokernel_matrix, transpose(pd.weight_matrix))):
         raise RuntimeError("the cokernel matrix does not annihilate the weights")
@@ -132,11 +127,7 @@ def source_data() -> tuple[RootData, ProjectionData, Fan]:
         expected = tuple(1 if a <= k <= b else 0 for k in (1, 2, 3))
         if tuple(cols[idx]) != expected:
             raise RuntimeError(f"weight column {name} is not the root of its span")
-    orthant = make_fan(
-        6,
-        [tuple(1 if j == i else 0 for j in range(6)) for i in range(6)],
-        [frozenset(range(6))],
-    )
+    orthant = make_fan(6, [_unit6(i) for i in range(6)], [frozenset(range(6))])
     return rd, pd, orthant
 
 
@@ -203,6 +194,17 @@ def _checked_fan(dim: int, cones) -> Fan:
     return fan
 
 
+@lru_cache(maxsize=1)
+def _projected_faces(fan: Fan, proj: tuple) -> tuple[tuple[frozenset[int], Cone], ...]:
+    """Each face of the fan with its projection, smallest faces first.
+
+    Cached, so the chart's quotient fan and its relevance pairs share one
+    projection.
+    """
+    face_sets = sorted(fan_face_index_sets(fan), key=lambda s: (len(s), sorted(s)))
+    return tuple((s, _project_cone(proj, [fan.rays[i] for i in sorted(s)])) for s in face_sets)
+
+
 def quotient_fan(fan: Fan, proj) -> Fan:
     """Quotient fan: cones are the minimal intersections of projected cones.
 
@@ -217,13 +219,8 @@ def quotient_fan(fan: Fan, proj) -> Fan:
     if smith_invariants(proj) != [1] * rows:
         raise ValueError("projection must be surjective onto the target lattice")
 
-    face_sets = sorted(fan_face_index_sets(fan), key=lambda s: (len(s), sorted(s)))
-    projected: dict[frozenset[int], Cone] = {
-        s: _project_cone(proj, [fan.rays[i] for i in sorted(s)]) for s in face_sets
-    }
-    distinct = {}
-    for cone in projected.values():
-        distinct[cone.key()] = cone
+    projected = _projected_faces(fan, tuple(map(tuple, proj)))
+    distinct = {c.key(): c for _, c in projected}
     normals = _arrangement_normals(distinct.values())
 
     candidates: dict[tuple, Cone] = {}
@@ -272,33 +269,66 @@ def verify_quotient_fan(fan: Fan) -> dict:
 # relevance analysis
 
 
-def relevant_pairs(fan: Fan, proj) -> list[dict]:
-    """All face pairs whose projections meet in a non-face of the first.
+def _certify_refinement(cones, fan: Fan) -> None:
+    """Raise RuntimeError unless each cone is a union of cones of the fan.
 
-    Returns records with the ray index sets of both faces and the canonical
-    rays of the offending intersection.
+    The fan must be complete and each cone must meet each maximal cone of
+    the fan in a face of that maximal cone.
     """
-    face_sets = sorted(fan_face_index_sets(fan), key=lambda s: (len(s), sorted(s)))
-    projected = {s: _project_cone(proj, [fan.rays[i] for i in sorted(s)]) for s in face_sets}
-    meet_cache: dict[tuple, Cone] = {}
+    if not is_complete_fan(fan):
+        raise RuntimeError("the fan is not complete")
+    for s, sigma in zip(fan.maximal_cones, fan.cones()):
+        for c in cones:
+            if not is_face(intersect_cones(c, sigma), sigma):
+                raise RuntimeError(f"cone {c.rays} meets fan cone {sorted(s)} in a non-face")
+
+
+def relevant_pairs() -> list[dict]:
+    """All chart face pairs whose projections meet in a non-face of the first.
+
+    Returns records, in face order, with the ray index sets of both orthant
+    faces and the canonical rays of the offending intersection.
+
+    `_certify_refinement` checks that each projected cone is a union of
+    cones of the complete chart quotient fan.  So is each face of it and
+    each meet of two of them, as each piece is a face of one fan cone: each
+    such cone is spanned by the fan rays it holds, and is its ray mask.  A
+    pair meets in the mask m1 & m2.  The smallest face of the first cone
+    holding the meet is cut out by its facets vanishing on the meet; its
+    mask is m1 & each of their zero masks (Kaibel & Pfetsch, 2002).  The
+    pair is relevant iff this closure is not the meet.
+    """
+    _, pd, orthant = source_data()
+    fan = chart_quotient_fan()
+    faces = _projected_faces(orthant, tuple(map(tuple, pd.cokernel_matrix)))
+    distinct = {c.key(): c for _, c in faces}
+    _certify_refinement(distinct.values(), fan)
+
+    def mask(test) -> int:
+        return sum(1 << i for i, r in enumerate(fan.rays) if test(r))
+
+    # per distinct cone: its ray mask and the zero mask of each facet
+    masks = {
+        key: (mask(c.contains), [mask(lambda r: dot(n, r) == 0) for n in c.facets])
+        for key, c in distinct.items()
+    }
+    meet_rays: dict[int, tuple] = {}  # one DD per distinct relevant meet
     out = []
-    for s1 in face_sets:
-        c1 = projected[s1]
-        for s2 in face_sets:
-            c2 = projected[s2]
-            ckey = (c1.key(), c2.key())
-            meet = meet_cache.get(ckey)
-            if meet is None:
-                meet = intersect_cones(c1, c2)
-                meet_cache[ckey] = meet
-            if not is_face(meet, c1):
-                out.append(
-                    {
-                        "cone": tuple(sorted(s1)),
-                        "companion": tuple(sorted(s2)),
-                        "intersection_rays": meet.rays,
-                    }
-                )
+    for s1, c1 in faces:
+        m1, zeros = masks[c1.key()]
+        for s2, c2 in faces:
+            meet = m1 & masks[c2.key()][0]
+            closure = m1
+            for z in zeros:
+                if meet & z == meet:
+                    closure &= z
+            if closure == meet:
+                continue
+            if meet not in meet_rays:
+                gens = [r for i, r in enumerate(fan.rays) if meet >> i & 1]
+                meet_rays[meet] = Cone.from_rays(fan.ambient_dim, gens).rays
+            out.append({"cone": tuple(sorted(s1)), "companion": tuple(sorted(s2)),
+                        "intersection_rays": meet_rays[meet]})
     return out
 
 
@@ -381,14 +411,10 @@ def git_subfans() -> dict:
 
     faces = {name: _orthant_subfan(name) for name in ("plus", "minus", "zero")}
     bijective = {name: _projects_bijectively(proj, fs) for name, fs in faces.items()}
-    if not all(bijective.values()):
-        raise RuntimeError(f"subfan projection not bijective: {bijective}")
     fans = {name: _projected_subfan(proj, fs) for name, fs in faces.items()}
 
     refinement = common_refinement(fans["plus"], fans["minus"])
     same = _same_fan(refinement, quotient)
-    if not same:
-        raise RuntimeError("common refinement differs from the quotient fan")
 
     # exchanged maximal cones and the local flip structure
     plus_cones = {frozenset(c.rays) for c in fans["plus"].cones()}
@@ -530,48 +556,8 @@ def chart_ample_polytope() -> Polytope:
 
 
 # ---------------------------------------------------------------------------
-# ordered partitions and their chart faces
-
-
-@dataclass(frozen=True)
-class OrderedPartition:
-    """Ordered partition of {0,1,2,3} into disjoint nonempty blocks."""
-
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        union = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("empty block")
-            if union & b:
-                raise ValueError("blocks overlap")
-            union |= b
-        if union != {0, 1, 2, 3}:
-            raise ValueError("blocks must cover {0,1,2,3}")
-
-    def type_tag(self) -> str | None:
-        b = self.blocks
-        if len(b) == 2:
-            if len(b[0]) == 1:
-                return f"A{min(b[0])}"
-            if len(b[1]) == 1:
-                return f"B{min(b[1])}"
-            if len(b[0]) == 2:
-                i, j = sorted(b[0])
-                return f"C{i}{j}"
-        if len(b) == 3 and len(b[0]) == 1 and len(b[2]) == 1:
-            i = min(b[0])
-            j = min(b[2])
-            return f"D{i}{j}"
-        return None
-
-
-def partition(*blocks) -> OrderedPartition:
-    return OrderedPartition(tuple(frozenset(b) for b in blocks))
-
-
 # faces of the orthant attached to the fundamental partitions on this chart
+
 PARTITION_FACE = {
     "A1": (1, 4),
     "B1": (0,),
@@ -583,13 +569,3 @@ PARTITION_FACE = {
     "C12": (2, 4),
     "C03": (0, 3),
 }
-
-
-class PartitionOutsideChartError(KeyError):
-    pass
-
-
-def partition_cone_by_tag(tag: str) -> Cone:
-    if tag not in PARTITION_FACE:
-        raise PartitionOutsideChartError(tag)
-    return Cone.from_rays(6, [_unit6(i) for i in PARTITION_FACE[tag]])

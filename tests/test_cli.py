@@ -174,6 +174,34 @@ class TestGoldenComparison:
         assert "quartics/forced_mismatch" in err
         assert "still_fine" not in err
 
+    @pytest.mark.parametrize("command, name, patched, cached, failing", [
+        # every nef ray classified as it would be without a trivial square
+        ("cones nef", "_square_numerically_trivial", lambda ray: False,
+         ("classify_contractions", "contraction_orbit_report"), "cones_nef/contraction_counts"),
+        # a ray the group moves in place of the invariant X13 ray
+        ("cones flags", "FLAG_X13_RAY", ("A0",),
+         ("partial_flag_cones",), "cones_flags/flag_x13_ray_invariant"),
+    ])
+    def test_wrong_paper_value_fails_its_check(
+        self, tmp_path, monkeypatch, capsys, command, name, patched, cached, failing
+    ):
+        from tilefold import conelab
+
+        def clear():
+            for fn in cached:
+                getattr(conelab, fn).cache_clear()
+
+        monkeypatch.setattr(conelab, name, patched)
+        clear()
+        try:
+            code = cli.run(command.split() + ["--out", str(tmp_path / "r.json")])
+        finally:
+            monkeypatch.undo()
+            clear()
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert failing in err and "Traceback" not in err
+
     def test_internal_error_prints_traceback(self, tmp_path, monkeypatch, capsys):
         from tilefold import divcalc
 

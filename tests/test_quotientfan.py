@@ -6,12 +6,22 @@ import sys
 import pytest
 
 from tilefold.exactlat import mat_mul, mat_vec, primitive_vector, transpose
-from tilefold.polyhedra import lp_in_cone, make_fan
+from tilefold.polyhedra import (
+    Cone,
+    fan_face_index_sets,
+    intersect_cones,
+    is_face,
+    lp_in_cone,
+    make_fan,
+)
 from tilefold.quotientfan import (
     COKERNEL_MATRIX,
+    PARTITION_FACE,
     QUOTIENT_RAYS,
     WEIGHT_MATRIX,
-    PartitionOutsideChartError,
+    _certify_refinement,
+    _projected_faces,
+    _project_cone,
     chart_ample_polytope,
     chart_class_group_report,
     chart_quotient_fan,
@@ -19,8 +29,6 @@ from tilefold.quotientfan import (
     fixed_point_weights,
     git_subfans,
     non_projected_rays,
-    partition,
-    partition_cone_by_tag,
     principal_divisor_witness,
     quotient_fan,
     relevant_pairs,
@@ -154,8 +162,6 @@ class TestQuotientFan:
     def test_every_fan_cone_is_intersection_of_projections(self):
         # and every projected face is a union of quotient-fan pieces: we
         # check the first exactly, the second through interior witnesses
-        from tilefold.polyhedra import Cone
-
         _, pd, orthant = source_data()
         fan = chart_quotient_fan()
         faces = []
@@ -175,10 +181,57 @@ class TestQuotientFan:
             assert meet == cone
 
 
+def reference_relevant_pairs(fan, proj) -> list[dict]:
+    """Relevance by one DD per distinct pair of projected cones: the reference."""
+    face_sets = sorted(fan_face_index_sets(fan), key=lambda s: (len(s), sorted(s)))
+    projected = {s: _project_cone(proj, [fan.rays[i] for i in sorted(s)]) for s in face_sets}
+    meet_cache: dict[tuple, Cone] = {}
+    out = []
+    for s1 in face_sets:
+        c1 = projected[s1]
+        for s2 in face_sets:
+            c2 = projected[s2]
+            ckey = (c1.key(), c2.key())
+            meet = meet_cache.get(ckey)
+            if meet is None:
+                meet = intersect_cones(c1, c2)
+                meet_cache[ckey] = meet
+            if not is_face(meet, c1):
+                out.append(
+                    {
+                        "cone": tuple(sorted(s1)),
+                        "companion": tuple(sorted(s2)),
+                        "intersection_rays": meet.rays,
+                    }
+                )
+    return out
+
+
 class TestRelevance:
-    def test_required_pairs_present(self):
+    def test_mask_rule_matches_pairwise_intersections(self):
         _, pd, orthant = source_data()
-        pairs = relevant_pairs(orthant, pd.cokernel_matrix)
+        pairs = relevant_pairs()
+        assert len(pairs) == 1373
+        assert pairs == reference_relevant_pairs(orthant, pd.cokernel_matrix)
+
+    @staticmethod
+    def _projected_cones():
+        _, pd, orthant = source_data()
+        faces = _projected_faces(orthant, tuple(map(tuple, pd.cokernel_matrix)))
+        return list({c.key(): c for _, c in faces}.values())
+
+    def test_certificate_holds_on_the_quotient_fan(self):
+        cones = self._projected_cones()
+        assert len(cones) == 46
+        _certify_refinement(cones, chart_quotient_fan())
+
+    def test_certificate_rejects_a_coarser_fan(self):
+        # the plus subfan is complete, but projected cones cut its cones
+        with pytest.raises(RuntimeError, match="non-face"):
+            _certify_refinement(self._projected_cones(), git_subfans()["fans"]["plus"])
+
+    def test_required_pairs_present(self):
+        pairs = relevant_pairs()
         got = {(p["cone"], p["companion"]) for p in pairs}
         assert ((1, 4), (0,)) in got  # A1 with companion B1
         assert ((1, 3), (2,)) in got  # B2 with companion A2
@@ -187,16 +240,14 @@ class TestRelevance:
         assert ((1, 3, 4), (0, 3)) in got  # D12 with companion C03
 
     def test_c12_c03_meet_in_rho6(self):
-        _, pd, orthant = source_data()
-        pairs = relevant_pairs(orthant, pd.cokernel_matrix)
+        pairs = relevant_pairs()
         rec = next(
             p for p in pairs if p["cone"] == (2, 4) and p["companion"] == (0, 3)
         )
         assert rec["intersection_rays"] == ((0, 0, -1),)
 
     def test_a1_b1_meet_in_rho0(self):
-        _, pd, orthant = source_data()
-        pairs = relevant_pairs(orthant, pd.cokernel_matrix)
+        pairs = relevant_pairs()
         rec = next(
             p for p in pairs if p["cone"] == (1, 4) and p["companion"] == (0,)
         )
@@ -210,8 +261,7 @@ class TestRelevance:
     def test_reversed_containment_is_not_relevant(self):
         # the projection of B1's face lies inside A1's, so the reversed
         # pair is an (improper) face and must not be reported
-        _, pd, orthant = source_data()
-        pairs = relevant_pairs(orthant, pd.cokernel_matrix)
+        pairs = relevant_pairs()
         got = {(p["cone"], p["companion"]) for p in pairs}
         assert ((0,), (1, 4)) not in got
 
@@ -368,19 +418,6 @@ class TestFixedPointWeights:
 
 
 class TestPartitions:
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            partition({0, 1}, {1, 2, 3})
-        with pytest.raises(ValueError):
-            partition({0, 1}, {2})
-
-    def test_type_tags(self):
-        assert partition({1}, {0, 2, 3}).type_tag() == "A1"
-        assert partition({0, 2, 3}, {1}).type_tag() == "B1"
-        assert partition({0, 2}, {1, 3}).type_tag() == "C02"
-        assert partition({1}, {0, 3}, {2}).type_tag() == "D12"
-        assert partition({0}, {1}, {2}, {3}).type_tag() is None
-
     def test_partition_cones_project_as_published(self):
         _, pd, _ = source_data()
         expected = {
@@ -394,17 +431,11 @@ class TestPartitions:
             "C12": {2, 4},
             "C03": {0, 3},
         }
+        assert set(PARTITION_FACE) == set(expected)
         for tag, rhos in expected.items():
-            cone = partition_cone_by_tag(tag)
+            units = [tuple(int(j == i) for j in range(6)) for i in PARTITION_FACE[tag]]
+            cone = Cone.from_rays(6, units)
             img = {
                 primitive_vector(mat_vec(pd.cokernel_matrix, r)) for r in cone.rays
             }
             assert img == {QUOTIENT_RAYS[i] for i in rhos}, tag
-
-    def test_partition_cone_via_object(self):
-        cone = partition_cone_by_tag(partition({1}, {0, 2, 3}).type_tag())
-        assert len(cone.rays) == 2
-
-    def test_partition_outside_dictionary(self):
-        with pytest.raises(PartitionOutsideChartError):
-            partition_cone_by_tag(partition({0}, {1, 2, 3}).type_tag())  # A0 is not on this chart

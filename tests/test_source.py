@@ -1,7 +1,10 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import tilefold
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def test_no_assert_in_package():
@@ -11,3 +14,38 @@ def test_no_assert_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "assert statements in the package: " + ", ".join(found)
+
+
+def _names(tree) -> Counter:
+    """Each name the tree reads, as a bare name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_definition_is_used():
+    # every top-level function, class and method is named somewhere in the
+    # package outside its own definition; dunder methods are called by
+    # Python itself, and `fan_from_text` reads the `--export` text format
+    allowed = {"fan_from_text"}
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(Path(tilefold.__file__).parent.glob("*.py"))
+    }
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = []
+    for fname, tree in trees.items():
+        defs = [node for node in tree.body if isinstance(node, DEFINITIONS)]
+        defs += [
+            sub for node in defs if isinstance(node, ast.ClassDef)
+            for sub in node.body if isinstance(sub, DEFINITIONS)
+        ]
+        for node in defs:
+            name = node.name
+            if name in allowed or (name.startswith("__") and name.endswith("__")):
+                continue
+            if used[name] == _names(node)[name]:
+                unused.append(f"{fname}:{node.lineno} {name}")
+    assert not unused, "definitions nothing in the package names: " + ", ".join(unused)

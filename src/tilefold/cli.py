@@ -90,7 +90,7 @@ def section_fan_quotient() -> dict:
         )
     )
 
-    rd, pd, orthant = quotientfan.source_data()
+    pd, orthant = quotientfan.source_data()
     pairs = quotientfan.relevant_pairs()
     got = {(p["cone"], p["companion"]) for p in pairs}
     face = quotientfan.PARTITION_FACE

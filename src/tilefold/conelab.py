@@ -192,20 +192,24 @@ def classify_contractions() -> dict:
 # orbits
 
 
+def _permutes(vectors, action) -> bool:
+    """Whether the group maps the primitive `vectors` onto themselves."""
+    try:
+        ray_permutations(vectors, action)
+    except RuntimeError:
+        return False
+    return True
+
+
 def orbit_decomposition(vectors, action) -> list[list]:
     """Partition vectors into orbits; raises if an orbit leaves the vectors."""
-    vector_set = set(vectors)
-    seen: set = set()
-    orbits = []
-    for v in sorted(vector_set):
-        if v in seen:
-            continue
-        orb = orbit(v, action)
-        if not orb <= vector_set:
-            raise RuntimeError("group action does not permute the ray set")
-        seen |= orb
-        orbits.append(sorted(orb))
-    return sorted(orbits, key=lambda o: (len(o), o))
+    vectors = sorted(set(vectors))
+    try:
+        perms = ray_permutations(vectors, action)
+    except RuntimeError:
+        raise RuntimeError("group action does not permute the ray set") from None
+    orbits = {tuple(sorted({p[i] for p in perms})) for i in range(len(vectors))}
+    return sorted(([vectors[i] for i in o] for o in orbits), key=lambda o: (len(o), o))
 
 
 @lru_cache(maxsize=1)
@@ -449,13 +453,12 @@ def effective_cone_analysis() -> dict:
     # dual rays.
     dual = dual_cone(cone)
     cgens = moving_dual_cone()["generators"]
-    cgen_set = set(cgens)
-    if not all(orbit(c, act_on_curve) <= cgen_set for c in cgens):
+    if not _permutes(cgens, act_on_curve):
         raise RuntimeError("the group does not preserve the moving dual generators")
     reps = [o[0] for o in orbit_decomposition(dual.rays, act_on_curve)]
     inclusion = all(lp_in_cone(cgens, r) for r in reps)
 
-    preserved = all(orbit(v, act_on_class) <= prim_set for v in prim.values())
+    preserved = _permutes(sorted(prim_set), act_on_class)
 
     mori = mori_cone()
     ktriv = mori["k_trivial"]
@@ -510,11 +513,10 @@ def group_preserves_cones() -> dict:
     """The induced action maps each cone's generator set onto itself."""
     mori = mori_cone()
     nef = nef_cone()
-    mori_rays = set(mori["cone"].rays)
-    nef_rays = set(nef["cone"].rays)
-    mori_ok = all(orbit(r, act_on_curve) <= mori_rays for r in mori_rays)
-    nef_ok = all(orbit(r, act_on_class) <= nef_rays for r in nef_rays)
-    return {"mori_preserved": mori_ok, "nef_preserved": nef_ok}
+    return {
+        "mori_preserved": _permutes(mori["cone"].rays, act_on_curve),
+        "nef_preserved": _permutes(nef["cone"].rays, act_on_class),
+    }
 
 
 def multican_nonnegative_on_mori() -> dict:

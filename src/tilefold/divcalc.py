@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from .exactlat import (
     integer_kernel,
@@ -27,12 +28,16 @@ from .exactlat import (
     smith_invariants,
 )
 from .tilegroup import (
+    GENERATORS,
+    IDENTITY,
     GroupElement,
     LABELS,
     TABLE1,
     act_on_label,
+    compose,
     full_group,
     inverse,
+    schreier_tree,
 )
 
 N_LABELS = len(LABELS)
@@ -530,36 +535,42 @@ def picard_action() -> dict[GroupElement, tuple]:
 
     The action permutes the 20 boundary classes; qH is sent to the class of
     the permuted substitution row.  Every matrix is verified to map label
-    classes to the classes of the permuted labels.
+    classes to the classes of the permuted labels.  The label action is
+    verified to be an action, g*s acting as g after s for each generator s,
+    and the label classes to span the lattice; so the matrices form a
+    homomorphism, M(g*s) = M(g) M(s), and so do the curve matrices.
     """
     lc = picard_lattice()["label_class"]
     row = PLANE_ROWS[QH_SUBSTITUTION_ROW]
+    moved = {g: {lab: act_on_label(g, lab) for lab in LABELS} for g in full_group()}
+    for g, to in moved.items():
+        for s in GENERATORS.values():
+            if any(moved[compose(g, s)][lab] != to[moved[s][lab]] for lab in LABELS):
+                raise RuntimeError("the label action is not a group action")
+    if rational_rank([list(lc[lab]) for lab in LABELS]) != RANK:
+        raise RuntimeError("the boundary classes do not span the class lattice")
     out = {}
-    for g in full_group():
+    for g, to in moved.items():
         cols = []
         for sym in BASIS:
             if sym == "qH":
                 image = [0] * RANK
                 for lab in row:
-                    cls = lc[act_on_label(g, lab)]
-                    image = [x + y for x, y in zip(image, cls)]
+                    image = [x + y for x, y in zip(image, lc[to[lab]])]
             else:
-                image = list(lc[act_on_label(g, sym)])
+                image = list(lc[to[sym]])
             cols.append(image)
         mat = tuple(
             tuple(cols[j][i] for j in range(RANK)) for i in range(RANK)
         )
+        if any(_apply_matrix(mat, lc[lab]) != lc[to[lab]] for lab in LABELS):
+            raise RuntimeError("class action does not permute boundary classes")
         out[g] = mat
-    for g, mat in out.items():
-        for lab in LABELS:
-            img = _apply_matrix(mat, lc[lab])
-            if img != lc[act_on_label(g, lab)]:
-                raise RuntimeError("class action does not permute boundary classes")
     return out
 
 
 def _apply_matrix(mat, v) -> tuple[int, ...]:
-    return tuple(sum(mat[i][j] * v[j] for j in range(len(v))) for i in range(len(v)))
+    return tuple(sum(map(mul, row, v)) for row in mat)
 
 
 def act_on_class(g: GroupElement, v) -> tuple[int, ...]:
@@ -584,25 +595,41 @@ def act_on_curve(g: GroupElement, v) -> tuple[int, ...]:
 
 
 def orbit(vector, action) -> frozenset:
-    """The primitive images of primitive_vector(vector) under the 48 elements."""
-    v = primitive_vector(vector)
-    return frozenset(primitive_vector(action(g, v)) for g in full_group())
+    """The primitive images of primitive_vector(vector) under the 48 elements.
+
+    A breadth-first search under the four generators: |orbit| x 4 images.
+    """
+    queue = [primitive_vector(vector)]
+    seen = set(queue)
+    for v in queue:
+        for s in GENERATORS.values():
+            w = primitive_vector(action(s, v))
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(queue)
 
 
 def ray_permutations(vectors, action) -> tuple[tuple[int, ...], ...]:
     """One index permutation of the primitive `vectors` per element of full_group().
 
     Entry i of the permutation of g is the index of primitive_vector(action(g,
-    vectors[i])); raises RuntimeError when an image leaves `vectors`.
+    vectors[i])); raises RuntimeError when an image leaves `vectors`.  Only the
+    four generators are applied: the permutation of g*s along each edge of
+    schreier_tree() is that of g after that of s, as picard_action certifies
+    for act_on_class and act_on_curve.
     """
     index = {v: i for i, v in enumerate(vectors)}
-    perms = []
-    for g in full_group():
-        images = [index.get(primitive_vector(action(g, v))) for v in vectors]
+    step = {}
+    for s in GENERATORS.values():
+        images = tuple(index.get(primitive_vector(action(s, v))) for v in vectors)
         if None in images:
             raise RuntimeError("group action does not permute the vector set")
-        perms.append(tuple(images))
-    return tuple(perms)
+        step[s] = images
+    perms = {IDENTITY: tuple(range(len(vectors)))}
+    for g, s, h in schreier_tree():
+        perms[h] = tuple(map(perms[g].__getitem__, step[s]))
+    return tuple(perms[g] for g in full_group())
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,7 @@ def root_data() -> RootData:
     return RootData(simple, positive, weyl, w0, lam)
 
 
-def source_data() -> tuple[RootData, ProjectionData, Fan]:
-    rd = root_data()
+def source_data() -> tuple[ProjectionData, Fan]:
     pd = ProjectionData([list(r) for r in WEIGHT_MATRIX], [list(r) for r in COKERNEL_MATRIX])
     # cokernel really annihilates the weight rows
     if any(any(row) for row in mat_mul(pd.cokernel_matrix, transpose(pd.weight_matrix))):
@@ -128,19 +127,20 @@ def source_data() -> tuple[RootData, ProjectionData, Fan]:
         if tuple(cols[idx]) != expected:
             raise RuntimeError(f"weight column {name} is not the root of its span")
     orthant = make_fan(6, [_unit6(i) for i in range(6)], [frozenset(range(6))])
-    return rd, pd, orthant
+    return pd, orthant
 
 
 def fixed_point_weights() -> tuple[dict[tuple[int, ...], tuple[int, ...]], Polytope]:
     """Doubled ample-weight of each torus fixed point, and their hull.
 
-    The weight at the fixed point indexed by a permutation s has i-th
-    coordinate 3 - 2*s(i); the 24 weights are the coordinate permutations
-    of (3, 1, -1, -3) and their hull lives in the sum-zero hyperplane.
+    The weight at the fixed point indexed by a Weyl group element s has i-th
+    coordinate 3 - 2*s(i), entry s(i) of the doubled minimal weight; the 24
+    weights are the coordinate permutations of (3, 1, -1, -3) and their hull
+    lives in the sum-zero hyperplane.
     """
-    weights = {}
-    for sigma in permutations(range(4)):
-        weights[sigma] = tuple(3 - 2 * sigma[i] for i in range(4))
+    rd = root_data()
+    lam = rd.doubled_minimal_weight
+    weights = {sigma: tuple(lam[k] for k in sigma) for sigma in rd.weyl_group}
     hull = convex_hull(list(weights.values()))
     return weights, hull
 
@@ -246,7 +246,7 @@ def quotient_fan(fan: Fan, proj) -> Fan:
 
 @lru_cache(maxsize=1)
 def chart_quotient_fan() -> Fan:
-    _, pd, orthant = source_data()
+    pd, orthant = source_data()
     return quotient_fan(orthant, pd.cokernel_matrix)
 
 
@@ -279,7 +279,11 @@ def _certify_refinement(cones, fan: Fan) -> None:
         raise RuntimeError("the fan is not complete")
     for s, sigma in zip(fan.maximal_cones, fan.cones()):
         for c in cones:
-            if not is_face(intersect_cones(c, sigma), sigma):
+            # a nested pair meets in the smaller cone: no intersection DD
+            if c.contains_cone(sigma):
+                continue
+            meet = c if sigma.contains_cone(c) else intersect_cones(c, sigma)
+            if not is_face(meet, sigma):
                 raise RuntimeError(f"cone {c.rays} meets fan cone {sorted(s)} in a non-face")
 
 
@@ -298,7 +302,7 @@ def relevant_pairs() -> list[dict]:
     mask is m1 & each of their zero masks (Kaibel & Pfetsch, 2002).  The
     pair is relevant iff this closure is not the meet.
     """
-    _, pd, orthant = source_data()
+    pd, orthant = source_data()
     fan = chart_quotient_fan()
     faces = _projected_faces(orthant, tuple(map(tuple, pd.cokernel_matrix)))
     distinct = {c.key(): c for _, c in faces}
@@ -405,7 +409,7 @@ def git_subfans() -> dict:
     fan, and that the locus modified by the exchange is the divisor of the
     extra ray rho_6.
     """
-    _, pd, orthant = source_data()
+    pd, orthant = source_data()
     proj = pd.cokernel_matrix
     quotient = chart_quotient_fan()
 

@@ -93,20 +93,31 @@ def inverse(g: GroupElement) -> GroupElement:
 
 
 @lru_cache(maxsize=1)
+def schreier_tree() -> tuple[tuple[GroupElement, GroupElement, GroupElement], ...]:
+    """Edges (g, s, g*s) of a breadth-first search from IDENTITY over GENERATORS.
+
+    One edge per element other than IDENTITY, each g reached before its edge,
+    so a homomorphic image of the group is fixed by the images of the four
+    generators (Seress, Permutation Group Algorithms, 2003).
+    """
+    seen = {IDENTITY}
+    queue = [IDENTITY]
+    edges = []
+    for g in queue:
+        for s in GENERATORS.values():
+            h = compose(g, s)
+            if h not in seen:
+                seen.add(h)
+                queue.append(h)
+                edges.append((g, s, h))
+    return tuple(edges)
+
+
+@lru_cache(maxsize=1)
 def full_group() -> tuple[GroupElement, ...]:
     """All products of r1, r2, r3 and tau, in a deterministic order."""
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in GENERATORS.values():
-                h = compose(g, s)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda g: (g.flip, g.perm)))
+    elements = [IDENTITY] + [h for _, _, h in schreier_tree()]
+    return tuple(sorted(elements, key=lambda g: (g.flip, g.perm)))
 
 
 def word(*names: str) -> GroupElement:

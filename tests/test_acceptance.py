@@ -41,7 +41,7 @@ def test_criterion_01_quotient_fan():
 
 def test_criterion_02_relevance():
     t0 = time.monotonic()
-    _, pd, orthant = quotientfan.source_data()
+    pd, orthant = quotientfan.source_data()
     pairs = quotientfan.relevant_pairs()
     got = {(p["cone"], p["companion"]) for p in pairs}
     required = {

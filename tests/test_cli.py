@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -238,3 +239,35 @@ class TestDeterminism:
         ja = json.dumps({k: v for k, v in a.items() if k != "timings"}, sort_keys=True)
         jb = json.dumps({k: v for k, v in b.items() if k != "timings"}, sort_keys=True)
         assert ja == jb
+
+
+class TestWork:
+    def test_cones_sections_act_through_the_generators(self, monkeypatch):
+        # every class or curve image the four cones sections ask for; applying
+        # all 48 matrices to every ray took 18,404, the generators take 3,164
+        from tilefold import conelab, divcalc
+
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(divcalc, name)
+
+            def action(g, v):
+                calls[name] += 1
+                return real(g, v)
+
+            return action
+
+        for name in ("act_on_class", "act_on_curve"):
+            action = counted(name)
+            for mod in (divcalc, conelab):
+                monkeypatch.setattr(mod, name, action)
+
+        for mod in (divcalc, conelab):
+            for fn in vars(mod).values():
+                if getattr(fn, "__module__", None) == mod.__name__ and hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+        for builder in (cli.section_cones_mori, cli.section_cones_nef,
+                        cli.section_cones_eff, cli.section_cones_flags):
+            builder()
+        assert sum(calls.values()) < 4000, calls

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from tilefold import divcalc
-from tilefold.conelab import mori_cone
+from tilefold.conelab import effective_generators, gamma1, gamma2, mori_cone, moving_dual_cone, nef_cone
 from tilefold.divcalc import (
     LABELS,
     LABEL_INDEX,
@@ -35,7 +35,8 @@ from tilefold.divcalc import (
     triple_labels,
 )
 from tilefold.exactlat import primitive_vector
-from tilefold.tilegroup import act_on_label, full_group
+from tilefold.polyhedra import Cone, dual_cone
+from tilefold.tilegroup import TAU, act_on_label, full_group
 
 
 class TestPicardLattice:
@@ -437,3 +438,91 @@ class TestTransport:
         assert len(orbit(rays[0], act_on_curve)) > 1
         with pytest.raises(RuntimeError, match="does not permute"):
             ray_permutations(rays[1:], act_on_curve)
+
+
+def _reference_permutations(vectors, action):
+    """ray_permutations by applying each of the 48 elements to each vector."""
+    index = {v: i for i, v in enumerate(vectors)}
+    return tuple(
+        tuple(index[primitive_vector(action(g, v))] for v in vectors) for g in full_group()
+    )
+
+
+def _reference_orbit(vector, action):
+    """orbit by applying each of the 48 elements."""
+    v = primitive_vector(vector)
+    return frozenset(primitive_vector(action(g, v)) for g in full_group())
+
+
+def _ray_set(name):
+    if name == "mori":
+        return mori_cone()["cone"].rays, act_on_curve
+    if name == "nef":
+        return nef_cone()["cone"].rays, act_on_class
+    prim = {primitive_vector(v) for v in effective_generators().values()}
+    return dual_cone(Cone.from_rays(RANK, sorted(prim))).rays, act_on_curve
+
+
+def _moving_dual_seeds():
+    def plus(*pairs):
+        return tuple(map(sum, zip(*(curve_class(e, f) for e, f in pairs))))
+
+    return [
+        curve_class("A0", "C23"),
+        curve_class("A0", "D01"),
+        plus(("A0", "B1"), ("A0", "D01")),
+        plus(("A0", "B1"), ("A0", "C12")),
+        plus(("A0", "B0"), ("A0", "D01")),
+        gamma1(),
+        gamma2(),
+    ]
+
+
+class TestGeneratorAction:
+    """The group acts through its four generators; 48-element references."""
+
+    @pytest.mark.parametrize("name", ["mori", "nef", "effective_dual"])
+    def test_ray_permutations_equal_the_reference(self, name):
+        rays, action = _ray_set(name)
+        assert ray_permutations(rays, action) == _reference_permutations(rays, action)
+
+    def test_a_swapped_generator_image_changes_the_permutations(self):
+        # tau sends rays[0] where it should send rays[1] and the other way round
+        rays, action = _ray_set("mori")
+        swap = {rays[0]: rays[1], rays[1]: rays[0]}
+
+        def swapped(g, v):
+            return action(g, swap.get(v, v) if g == TAU else v)
+
+        assert ray_permutations(rays, swapped) != _reference_permutations(rays, action)
+
+    @pytest.mark.parametrize("name", ["mori", "nef"])
+    def test_orbit_of_each_ray_equals_the_reference(self, name):
+        rays, action = _ray_set(name)
+        for r in rays:
+            assert orbit(r, action) == _reference_orbit(r, action)
+
+    def test_orbit_of_each_moving_dual_seed_equals_the_reference(self):
+        seeds = _moving_dual_seeds()
+        orbits = [orbit(s, act_on_curve) for s in seeds]
+        assert orbits == [_reference_orbit(s, act_on_curve) for s in seeds]
+        assert frozenset().union(*orbits) == set(moving_dual_cone()["generators"])
+
+    def test_picard_action_needs_a_group_action_on_labels(self, monkeypatch):
+        # tau swaps the images of A0 and A1: tau*tau no longer fixes A0
+        real = divcalc.act_on_label
+
+        def not_an_action(g, lab):
+            if g == TAU and lab in ("A0", "A1"):
+                lab = "A1" if lab == "A0" else "A0"
+            return real(g, lab)
+
+        monkeypatch.setattr(divcalc, "act_on_label", not_an_action)
+        picard_action.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="not a group action"):
+                picard_action()
+        finally:
+            monkeypatch.undo()
+            picard_action.cache_clear()
+        assert len(picard_action()) == 48

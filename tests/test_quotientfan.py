@@ -65,7 +65,7 @@ class TestSourceData:
         assert len(rd.weyl_group) == 24
 
     def test_source_data_builds(self):
-        rd, pd, orthant = source_data()
+        pd, orthant = source_data()
         assert len(orthant.rays) == 6
         assert orthant.maximal_cones == (frozenset(range(6)),)
 
@@ -162,7 +162,7 @@ class TestQuotientFan:
     def test_every_fan_cone_is_intersection_of_projections(self):
         # and every projected face is a union of quotient-fan pieces: we
         # check the first exactly, the second through interior witnesses
-        _, pd, orthant = source_data()
+        pd, orthant = source_data()
         fan = chart_quotient_fan()
         faces = []
         for mask in range(64):
@@ -209,14 +209,14 @@ def reference_relevant_pairs(fan, proj) -> list[dict]:
 
 class TestRelevance:
     def test_mask_rule_matches_pairwise_intersections(self):
-        _, pd, orthant = source_data()
+        pd, orthant = source_data()
         pairs = relevant_pairs()
         assert len(pairs) == 1373
         assert pairs == reference_relevant_pairs(orthant, pd.cokernel_matrix)
 
     @staticmethod
     def _projected_cones():
-        _, pd, orthant = source_data()
+        pd, orthant = source_data()
         faces = _projected_faces(orthant, tuple(map(tuple, pd.cokernel_matrix)))
         return list({c.key(): c for _, c in faces}.values())
 
@@ -254,7 +254,7 @@ class TestRelevance:
         assert rec["intersection_rays"] == ((-1, 0, -1),)
 
     def test_rho6_unique_non_projected(self):
-        _, pd, orthant = source_data()
+        pd, orthant = source_data()
         fan = chart_quotient_fan()
         assert non_projected_rays(fan, pd.cokernel_matrix, orthant) == [(0, 0, -1)]
 
@@ -419,7 +419,7 @@ class TestFixedPointWeights:
 
 class TestPartitions:
     def test_partition_cones_project_as_published(self):
-        _, pd, _ = source_data()
+        pd, _ = source_data()
         expected = {
             "A1": {1, 4},
             "B1": {0},

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Vector = tuple[int, ...]
 Matrix = list[list[int]]
@@ -53,27 +54,20 @@ def mat_vec(m, v) -> Vector:
     rows, cols = matrix_shape(m)
     if len(v) != cols:
         raise ValueError("shape mismatch in mat_vec")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def dot(u, v) -> int:
     if len(u) != len(v):
         raise ValueError("length mismatch in dot")
-    return sum(x * y for x, y in zip(u, v))
-
-
-def gcd_vector(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            return 1
-    return g
+    return sum(map(mul, u, v))
 
 
 def primitive_vector(v) -> Vector:
     """Divide an integer vector by the gcd of its entries (direction kept)."""
-    g = gcd_vector(v)
+    g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         return tuple(0 for _ in v)
     return tuple(x // g for x in v)

@@ -7,20 +7,22 @@ derivation pipeline (matrix exponential, LU factorization, matrix logarithm,
 torus gauge fixing, coordinate change) recomputes the generators from the
 nilpotent chart and is checked against the closed forms on random samples.
 
-Integer arithmetic wherever the mathematics allows: the maps are evaluated at
-the primitive integer representative of a point (their components are
-homogeneous of one degree), so polynomial evaluation, renormalization, the
-subvariety equations and the coordinate change run on plain ints.  Only the
-derivation itself is rational; its exponential and logarithm form the powers
-of a strictly lower triangular matrix from their subdiagonal terms alone.
+Integer arithmetic throughout: the maps are evaluated at the primitive
+integer representative of a point (their components are homogeneous of one
+degree), so polynomial evaluation, renormalization, the subvariety equations
+and the coordinate change run on plain ints.  The derivation is
+fraction-free as well: it forms 6q^3 exp(n) for the chart matrix n scaled to
+integers by q, factors by Bareiss elimination into a lower factor I + N/D,
+and forms 6D^3 log(I + N/D); exponential and logarithm form the powers of a
+strictly lower triangular matrix from their subdiagonal terms alone.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exactlat import integer_kernel, mat_vec, primitive_vector, scale_to_primitive_integer
 
@@ -303,22 +305,6 @@ COORD_CHANGE = (
 )
 
 
-def chart_matrix(y1, y2, y3):
-    """Chart point as a normalized nilpotent lower triangular matrix."""
-    q = Fraction
-    return [
-        [q(0), q(0), q(0), q(0)],
-        [q(1), q(0), q(0), q(0)],
-        [q(y1), q(1), q(0), q(0)],
-        [q(y3), q(y2), q(1), q(0)],
-    ]
-
-
-# Coefficients of exp(n) and of log(I + n) for a 4x4 n with n^4 = 0.
-_EXP = (1, 1, Fraction(1, 2), Fraction(1, 6))
-_LOG = (0, 1, Fraction(-1, 2), Fraction(1, 3))
-
-
 def _nilpotent_series(n, coeffs):
     """sum_k coeffs[k] n^k for a strictly lower triangular 4x4 matrix n.
 
@@ -342,24 +328,31 @@ def _nilpotent_series(n, coeffs):
 
 
 def _lu_unipotent_lower(a):
-    """Doolittle LU; returns the unipotent lower factor or raises.
+    """Bareiss LU without pivoting of an integer 4x4 matrix; returns (N, D).
 
-    Entries start as int zeros and ones; the quotients are Fractions even
-    when a holds ints.
+    The unipotent lower factor of a is I + N/D, N strictly lower triangular
+    in ints and D = d1 d2 d3, dk the leading principal k x k minor.  Step k
+    sets each entry right of and below the pivot to (p*x - g*y) // prev, p
+    the pivot, g the row's entry under it, prev the previous pivot; the
+    division is exact and the pivot is d(k+1).  Column k's multipliers are
+    the entries under the pivot over d(k+1).  Raises if any dk vanishes,
+    d4 = det a included.
     """
-    n = 4
-    lower = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    upper = [[0] * n for _ in range(n)]
-    for k in range(n):
-        for j in range(k, n):
-            upper[k][j] = a[k][j] - sum(lower[k][s] * upper[s][j] for s in range(k))
-        if upper[k][k] == 0:
+    a = [list(row) for row in a]
+    prev = 1
+    for k in range(4):
+        pivot_row = a[k]
+        p = pivot_row[k]
+        if p == 0:
             raise DegenerateSampleError("vanishing leading principal minor")
-        for i in range(k + 1, n):
-            lower[i][k] = Fraction(
-                a[i][k] - sum(lower[i][s] * upper[s][k] for s in range(k))
-            ) / upper[k][k]
-    return lower
+        for row in a[k + 1:]:
+            g = row[k]
+            for j in range(k + 1, 4):
+                row[j] = (p * row[j] - g * pivot_row[j]) // prev
+        prev = p
+    d = a[0][0] * a[1][1] * a[2][2]
+    scales = [d // a[k][k] for k in range(3)]
+    return [[a[i][k] * scales[k] for k in range(i)] + [0] * (4 - i) for i in range(4)], d
 
 
 def derive_generator_pointwise(name: str, y_coords) -> tuple[int, ...]:
@@ -374,28 +367,35 @@ def derive_generator_pointwise(name: str, y_coords) -> tuple[int, ...]:
     A permutation p moves row j of exp(n) to row p(j).  For tau,
     w0 (exp n)^-T w0 = exp(-n') with n'[i][j] = n[3-j][3-i], since
     M -> w0 M^T w0 reverses products; n' is again lower nilpotent.
+
+    Every step is in ints (the y coordinates are ints or Fractions).  With
+    q the lcm of the y denominators, m = q n is integral and the series
+    gives 6q^3 exp(n), a multiple with the same unipotent lower factor
+    I + N/D.  The series in N gives L = s log(I + N/D), s = 6D^3.  The
+    gauge point (1, f1, f2, f3), f1 = s L20/(L10 L21), f2 = s L31/(L21 L32),
+    f3 = s^2 L30/(L10 L21 L32), times L10 L21 L32 is the integer vector
+    passed to the coordinate change.
     """
-    y1, y2, y3 = (Fraction(v) for v in y_coords)
-    n = chart_matrix(y1, y2, y3)
+    q = lcm(*(v.denominator for v in y_coords))
+    y1, y2, y3 = (v.numerator * (q // v.denominator) for v in y_coords)
+    m = [[0, 0, 0, 0], [q, 0, 0, 0], [y1, q, 0, 0], [y3, y2, q, 0]]
+    exp_coeffs = (6 * q**3, 6 * q**2, 3 * q, 1)
     if name == "tau":
         moved = _nilpotent_series(
-            [[-n[3 - j][3 - i] for j in range(4)] for i in range(4)], _EXP
+            [[-m[3 - j][3 - i] for j in range(4)] for i in range(4)], exp_coeffs
         )
     else:
-        expm = _nilpotent_series(n, _EXP)
+        expm = _nilpotent_series(m, exp_coeffs)
         moved = [expm[j] for j in _perm_inv(GENERATORS[name].perm)]
-    lower = _lu_unipotent_lower(moved)
-    logm = _nilpotent_series(
-        [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(lower)],
-        _LOG,
-    )
+    nil, d = _lu_unipotent_lower(moved)
+    logm = _nilpotent_series(nil, (0, 6 * d**2, -3 * d, 2))
     m10, m21, m32 = logm[1][0], logm[2][1], logm[3][2]
     if m10 == 0 or m21 == 0 or m32 == 0:
         raise DegenerateSampleError("vanishing subdiagonal in the logarithm")
-    f1 = logm[2][0] / (m10 * m21)
-    f2 = logm[3][1] / (m21 * m32)
-    f3 = logm[3][0] / (m10 * m21 * m32)
-    return chart_point_to_x((Fraction(1), f1, f2, f3))
+    s = 6 * d**3
+    return chart_point_to_x(
+        (m10 * m21 * m32, s * m32 * logm[2][0], s * m10 * logm[3][1], s * s * logm[3][0])
+    )
 
 
 def chart_point_to_x(y_point) -> tuple[int, ...]:

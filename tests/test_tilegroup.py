@@ -1,13 +1,12 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tilefold.exactlat import mat_mul
+from tilefold.exactlat import det, mat_mul
 from tilefold.tilegroup import (
-    _EXP,
-    _LOG,
     GENERATORS,
     IDENTITY,
     LABELS,
@@ -20,7 +19,9 @@ from tilefold.tilegroup import (
     DegenerateSampleError,
     RationalMap,
     _linear_poly,
+    _lu_unipotent_lower,
     _nilpotent_series,
+    _perm_inv,
     act_on_label,
     action_is_faithful,
     boundary_image_table,
@@ -221,16 +222,71 @@ class TestDerivation:
             derive_generator_pointwise("r1", (Fraction(1, 2), 0, 0))
 
     def test_vanishing_principal_minor_detected(self):
-        from tilefold.tilegroup import _lu_unipotent_lower
+        for a in (
+            # d1 = 0
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            # d1 = 1, d2 = 0
+            [[1, 2, 0, 0], [2, 4, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+            # d1, d2 != 0, d3 = 0
+            [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 1], [0, 0, 1, 0]],
+            # d1, d2, d3 != 0, d4 = det = 0
+            [[2, 1, 0, 1], [1, 1, 0, 0], [0, 0, 3, 0], [1, 0, 0, 1]],
+        ):
+            for lu in (_lu_unipotent_lower, _doolittle_lower):
+                with pytest.raises(DegenerateSampleError, match="vanishing leading principal minor"):
+                    lu(a)
 
-        singular_leading = [
-            [Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
-            [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
-        ]
-        with pytest.raises(DegenerateSampleError):
-            _lu_unipotent_lower(singular_leading)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=4, max_size=4))
+    def test_lu_matches_doolittle(self, a):
+        # the same factor as the Fraction LU and the same error; D is the
+        # product of the leading principal minors, which the exact division
+        # by the previous pivot keeps
+        try:
+            expected = _doolittle_lower(a)
+        except DegenerateSampleError as exc:
+            with pytest.raises(DegenerateSampleError) as again:
+                _lu_unipotent_lower(a)
+            assert str(again.value) == str(exc)
+            return
+        nil, d = _lu_unipotent_lower(a)
+        assert d == prod(det([row[:k] for row in a[:k]]) for k in (1, 2, 3))
+        assert all(isinstance(x, int) for row in nil for x in row)
+        assert [[(i == j) + Fraction(x, d) for j, x in enumerate(row)] for i, row in enumerate(nil)] == expected
+
+    @pytest.mark.parametrize("name", ["r1", "r2", "r3", "tau"])
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(*[st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=12))] * 3))
+    @example(y=(Fraction(1, 2), 0, 0))
+    @example(y=(Fraction(1, 2), -6, -6))
+    @example(y=(-6, Fraction(1, 2), -6))
+    @example(y=(-6, Fraction(-1, 2), -6))
+    @example(y=(0, 0, 0))
+    def test_matches_fraction_reference(self, name, y):
+        try:
+            expected = reference_derive(name, y)
+        except DegenerateSampleError as exc:
+            with pytest.raises(DegenerateSampleError) as again:
+                derive_generator_pointwise(name, y)
+            assert str(again.value) == str(exc)
+            return
+        assert derive_generator_pointwise(name, y) == expected
+
+    @pytest.mark.parametrize("name", ["r1", "r2", "r3", "tau"])
+    def test_integer_points_build_no_fraction(self, name, monkeypatch):
+        real = Fraction.__new__
+        made = []
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        assert Fraction(1, 3) + 1 == Fraction(4, 3) and made  # the count works
+        made.clear()
+        rep = derivation_agreement(name, samples=40)
+        assert rep["all_agree"]
+        assert made == []
 
     @pytest.mark.parametrize("name", ["r1", "r2", "r3", "tau"])
     @settings(max_examples=40, deadline=None)
@@ -250,6 +306,64 @@ class TestDerivation:
         derived = derive_generator_pointwise("r1", y)
         expected = evaluate(generator_map("r1"), chart_point_to_x((1,) + y))
         assert derived == expected
+
+
+# The Fraction derivation the integer one replaced, kept as its reference.
+_EXP = (1, 1, Fraction(1, 2), Fraction(1, 6))
+_LOG = (0, 1, Fraction(-1, 2), Fraction(1, 3))
+
+
+def chart_matrix(y1, y2, y3):
+    """Chart point as a normalized nilpotent lower triangular matrix."""
+    q = Fraction
+    return [
+        [q(0), q(0), q(0), q(0)],
+        [q(1), q(0), q(0), q(0)],
+        [q(y1), q(1), q(0), q(0)],
+        [q(y3), q(y2), q(1), q(0)],
+    ]
+
+
+def _doolittle_lower(a):
+    """Doolittle LU; returns the unipotent lower factor or raises."""
+    n = 4
+    lower = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    upper = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k, n):
+            upper[k][j] = a[k][j] - sum(lower[k][s] * upper[s][j] for s in range(k))
+        if upper[k][k] == 0:
+            raise DegenerateSampleError("vanishing leading principal minor")
+        for i in range(k + 1, n):
+            lower[i][k] = Fraction(
+                a[i][k] - sum(lower[i][s] * upper[s][k] for s in range(k))
+            ) / upper[k][k]
+    return lower
+
+
+def reference_derive(name, y_coords):
+    """derive_generator_pointwise through Fraction exp, Doolittle LU and log."""
+    y1, y2, y3 = (Fraction(v) for v in y_coords)
+    n = chart_matrix(y1, y2, y3)
+    if name == "tau":
+        moved = _nilpotent_series(
+            [[-n[3 - j][3 - i] for j in range(4)] for i in range(4)], _EXP
+        )
+    else:
+        expm = _nilpotent_series(n, _EXP)
+        moved = [expm[j] for j in _perm_inv(GENERATORS[name].perm)]
+    lower = _doolittle_lower(moved)
+    logm = _nilpotent_series(
+        [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(lower)],
+        _LOG,
+    )
+    m10, m21, m32 = logm[1][0], logm[2][1], logm[3][2]
+    if m10 == 0 or m21 == 0 or m32 == 0:
+        raise DegenerateSampleError("vanishing subdiagonal in the logarithm")
+    f1 = logm[2][0] / (m10 * m21)
+    f2 = logm[3][1] / (m21 * m32)
+    f3 = logm[3][0] / (m10 * m21 * m32)
+    return chart_point_to_x((Fraction(1), f1, f2, f3))
 
 
 def _series_reference(n, coeffs):

@@ -9,9 +9,11 @@ rays and facets are primitive and orthogonal to the lineality space or the
 span equations, which are stored as HNF bases of their saturated lattices.
 So equal cones produced along different routes compare equal and golden-file
 tests are byte-stable.  Face lattices come from the ray-facet incidences
-alone, walked over the fewer of rays and facets with dimensions read off the
-cover relation rather than ranked face by face, and can be walked up to a
-group of ray permutations that the incidence certifies.  Membership has a
+alone, walked one dimension at a time over the fewer of rays and facets,
+with dimensions read off the cover relation rather than ranked face by face.
+They can be walked up to a group of ray permutations that the incidence
+certifies; the walk then returns one face per orbit with the orbit's size
+and holds the faces of one dimension at a time.  Membership has a
 second, independent route: an all-integer simplex whose verdicts carry
 certificates.  Fans are ray lists plus maximal cones with the face axioms
 checked exactly, never assumed.
@@ -194,15 +196,17 @@ def _extremal(dim: int, vectors, normals, normal_eqs) -> tuple[tuple[Vec, ...], 
 
     `normals` and `normal_eqs` are the canonical facets and saturated
     equations of that cone (or, read the other way round, its rays and
-    lineality when the vectors are valid inequalities).  The lineality is
-    the saturated kernel of normals and equations.  A vector spans an
-    extremal ray exactly when its set of tight normals is maximal among
-    the vectors' sets other than the full one, which only vectors in the
-    lineality have (Fukuda & Prodon, 1996).
+    lineality when the vectors are valid inequalities and equations).  The
+    lineality is the saturated kernel of normals and equations.  A vector
+    spans an extremal ray exactly when its set of tight normals is maximal
+    among the vectors' sets other than the full one, which only vectors in
+    the lineality have (Fukuda & Prodon, 1996).  The lineality is the cone's
+    smallest face, spanned by the vectors lying in it, so when no vector has
+    the full set it is zero and the kernel is not computed.
     """
-    lineality = _saturated_kernel(dim, list(normals) + list(normal_eqs))
     full = (1 << len(normals)) - 1
     tight: dict[int, Vec] = {}  # tight-normal mask -> one vector with it
+    in_lineality = False
     for v in vectors:
         mask = 0
         for h, n in enumerate(normals):
@@ -210,6 +214,9 @@ def _extremal(dim: int, vectors, normals, normal_eqs) -> tuple[tuple[Vec, ...], 
                 mask |= 1 << h
         if mask != full:
             tight.setdefault(mask, v)
+        else:
+            in_lineality = True
+    lineality = _saturated_kernel(dim, list(normals) + list(normal_eqs)) if in_lineality else ()
     maximal: list[int] = []  # supersets sort first
     for m in sorted(tight, key=int.bit_count, reverse=True):
         if all(m | kept != kept for kept in maximal):
@@ -271,7 +278,7 @@ class Cone:
             if len(a) != ambient_dim:
                 raise ValueError("inequality has wrong length")
         rays, lineality = _solve_hrep(ambient_dim, inequalities, equations)
-        facets, span_eqs = _extremal(ambient_dim, inequalities, rays, lineality)
+        facets, span_eqs = _extremal(ambient_dim, inequalities + equations, rays, lineality)
         return Cone(ambient_dim, rays, lineality, facets, span_eqs)
 
     @staticmethod
@@ -406,18 +413,19 @@ def _ray_images(ray_permutations, facet_rays, nrays: int) -> list:
     return ray_images
 
 
-def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, int]:
-    """All faces of a pointed cone as {ray bitmask: dimension}.
+def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, int]]:
+    """One face of a pointed cone per orbit, as {ray bitmask: (dimension, orbit size)}.
 
     Faces come from the ray-facet incidence alone (Kaibel & Pfetsch, 2002),
     walked over whichever of rays and facets is fewer.  Over rays, for a
     face with tight-facet mask `tight`, each ray j outside it gives
     `tight & ray_facet_mask[j]`; the maximal such masks are the covers of the
-    face, one dimension up.  A depth-first walk over covers from the zero face
-    reaches every face.  Over facets the same walk runs on the transposed
-    incidence from the cone itself down: a face's tight mask is then its ray
-    mask, and after k steps its dimension is c.dim - k.  Either way the walk's
-    height is checked against the cone's dimension and the rank of the rays.
+    face, one dimension up.  The walk goes one level at a time from the zero
+    face, and the covers of one level's faces are the whole next level.  Over
+    facets the same walk runs on the transposed incidence from the cone
+    itself down: a face's tight mask is then its ray mask, and after k levels
+    its dimension is c.dim - k.  Either way the walk's height is checked
+    against the cone's dimension and the rank of the rays.
 
     `ray_permutations` is a group of permutations of the ray indices, each
     a tuple whose entry i is the index of the image of ray i.  Before the
@@ -426,10 +434,13 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, int]:
     composition; a group that passes acts on the face lattice by
     automorphisms, whatever code produced it, and any other input raises
     RuntimeError.  The walk then works up to symmetry (Bremner, Dutour
-    Sikirić & Schürmann, 2009): a cover not yet seen enters together with all
-    its images, one dimension further, and only that cover is walked on.  The
-    covers of g(F) are the images of the covers of F, so every face is still
-    reached and each orbit is expanded once.  The result is the full dict.
+    Sikirić & Schürmann, 2009): a cover not yet seen on its level enters the
+    level's seen-set together with all its images, and only that cover is
+    walked on.  The covers of g(F) are the images of the covers of F, so
+    every face is still reached and each orbit is expanded once; the orbit
+    size is how much the seen-set grew.  Only one level's seen-set is held
+    at a time.  Without permutations every face is its own representative
+    and every orbit size is 1.
     """
     if not c.is_pointed():
         raise ValueError("face enumeration requires a pointed cone")
@@ -455,36 +466,41 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, int]:
     if by_facets:
         atoms = facet_rays
         start = (1 << nrays) - 1  # the cone: every ray, no facet
-        faces: dict[int, int] = {start: c.dim}
+        faces = {start: (c.dim, 1)}
     else:
         atoms = ray_facet_mask
         start = all_facets_mask  # the zero face: every facet, no ray
-        faces = {0: 0}
-    height = 0
-    stack = [(start, 0, 0)]  # (tight mask, atom mask, steps from the start)
-    while stack:
-        tight, closed, steps = stack.pop()
-        height = max(height, steps)
-        joins: dict[int, int] = {}  # tight mask of face + atom j -> those atoms j
-        for j, atom in enumerate(atoms):
-            if not closed >> j & 1:
-                m = tight & atom
-                joins[m] = joins.get(m, 0) | 1 << j
-        covers: list[int] = []  # maximal masks of joins; supersets sort first
-        for m in sorted(joins, key=int.bit_count, reverse=True):
-            for kept in covers:
-                if m | kept == kept:
-                    break  # m lies below a cover
-            else:
-                covers.append(m)
-                child = closed | joins[m]
-                face = m if by_facets else child
-                if face not in faces:
-                    dim = c.dim - steps - 1 if by_facets else steps + 1
-                    faces[face] = dim
-                    if ray_images:
-                        faces.update(dict.fromkeys(_images(ray_images, face), dim))
-                    stack.append((m, child, steps + 1))
+        faces = {0: (0, 1)}
+    height = -1
+    level = [(start, 0)]  # (tight mask, atom mask) of each orbit's representative
+    while level:
+        height += 1
+        dim = c.dim - height - 1 if by_facets else height + 1
+        single = (dim, 1)  # one tuple for all one-face orbits: none per face without a group
+        seen: set[int] = set()  # every face of the next level met so far
+        next_level = []
+        for tight, closed in level:
+            joins: dict[int, int] = {}  # tight mask of face + atom j -> those atoms j
+            for j, atom in enumerate(atoms):
+                if not closed >> j & 1:
+                    m = tight & atom
+                    joins[m] = joins.get(m, 0) | 1 << j
+            covers: list[int] = []  # maximal masks of joins; supersets sort first
+            for m in sorted(joins, key=int.bit_count, reverse=True):
+                for kept in covers:
+                    if m | kept == kept:
+                        break  # m lies below a cover
+                else:
+                    covers.append(m)
+                    child = closed | joins[m]
+                    face = m if by_facets else child
+                    if face not in seen:
+                        before = len(seen)
+                        seen.update(_images(ray_images, face) if ray_images else (face,))
+                        size = len(seen) - before
+                        faces[face] = single if size == 1 else (dim, size)
+                        next_level.append((m, child))
+        level = next_level
     rank = rational_rank(c.rays) if c.rays else 0
     if not height == c.dim == rank:
         raise RuntimeError(
@@ -494,12 +510,11 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, int]:
 
 
 def face_lattice_fvector(c: Cone, ray_permutations=()) -> tuple[int, ...]:
-    """Face counts by dimension 1..dim-1 (rays through facets)."""
-    faces = face_lattice_raysets(c, ray_permutations)
+    """Face counts by dimension 1..dim-1 (rays through facets): orbit sizes summed."""
     top_dim = c.dim
     counts = [0] * (top_dim + 1)
-    for _, d in faces.items():
-        counts[d] += 1
+    for d, size in face_lattice_raysets(c, ray_permutations).values():
+        counts[d] += size
     if counts[top_dim] != 1:
         raise RuntimeError(f"{counts[top_dim]} faces of full dimension, expected the cone alone")
     return tuple(counts[1:top_dim])

@@ -275,7 +275,11 @@ def evaluate(m: RationalMap, p) -> tuple[int, ...]:
     The components are homogeneous of one degree, so the map is evaluated at
     the primitive integer representative of p, in integer arithmetic.
     """
-    p = normalize_point(p)
+    return _evaluate_normalized(m, normalize_point(p))
+
+
+def _evaluate_normalized(m: RationalMap, p: tuple[int, ...]) -> tuple[int, ...]:
+    """`evaluate` at a point that is already a normalize_point output."""
     image = tuple(poly_eval(c, p) for c in m.components)
     if not any(image):
         raise BasePointError(p)
@@ -290,7 +294,7 @@ def evaluate_word(names, p) -> tuple[int, ...]:
     """
     q = normalize_point(p)
     for name in reversed(names):
-        q = evaluate(generator_map(name), q)
+        q = _evaluate_normalized(generator_map(name), q)
     return q
 
 
@@ -438,7 +442,7 @@ def derivation_agreement(name: str, samples: int = 100, seed: int = 0) -> dict:
 
     def draw():
         y = tuple(rng.randint(-20, 20) for _ in range(3))
-        return lambda: derive_generator_pointwise(name, y) == evaluate(
+        return lambda: derive_generator_pointwise(name, y) == _evaluate_normalized(
             gen, chart_point_to_x((1,) + y)
         )
 

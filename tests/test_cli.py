@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -241,6 +242,16 @@ class TestDeterminism:
         assert ja == jb
 
 
+def clear_caches():
+    """Empty every lru_cache of divcalc and conelab, so work is done again."""
+    from tilefold import conelab, divcalc
+
+    for mod in (divcalc, conelab):
+        for fn in vars(mod).values():
+            if getattr(fn, "__module__", None) == mod.__name__ and hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
 class TestWork:
     def test_cones_sections_act_through_the_generators(self, monkeypatch):
         # every class or curve image the four cones sections ask for; applying
@@ -263,11 +274,23 @@ class TestWork:
             for mod in (divcalc, conelab):
                 monkeypatch.setattr(mod, name, action)
 
-        for mod in (divcalc, conelab):
-            for fn in vars(mod).values():
-                if getattr(fn, "__module__", None) == mod.__name__ and hasattr(fn, "cache_clear"):
-                    fn.cache_clear()
+        clear_caches()
         for builder in (cli.section_cones_mori, cli.section_cones_nef,
                         cli.section_cones_eff, cli.section_cones_flags):
             builder()
         assert sum(calls.values()) < 4000, calls
+
+    def test_mori_f_vector_holds_one_level_of_faces(self):
+        # the walk holds one level's faces and one face per orbit, about 5 MB;
+        # all 189,780 faces at once took 20 MB
+        from tilefold import conelab
+
+        clear_caches()
+        tracemalloc.start()
+        try:
+            fvector = conelab.mori_f_vector()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fvector == cli.EXPECTED_MORI_FVECTOR
+        assert peak < 8e6, f"{peak / 1e6:.1f} MB"

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from tilefold.cli import EXPECTED_MORI_FVECTOR
 from tilefold.exactlat import dot, integer_kernel, primitive_vector, rational_rank
 from tilefold.polyhedra import (
     Cone,
+    _saturated_kernel,
     _solve_hrep,
     check_fan,
     convex_hull,
@@ -138,10 +140,38 @@ def coordinate_group(d, sigma, full):
     return group
 
 
-def permuted_rays(c, group):
-    """The ray index permutations of `c` induced by coordinate permutations."""
+def permuted_rays(c, group, signs=(1,)):
+    """The ray index permutations of `c` induced by coordinate permutations.
+
+    Each coordinate permutation is taken once per sign in `signs`, the sign
+    multiplying the permuted coordinates 1..d-1.
+    """
     index = {r: i for i, r in enumerate(c.rays)}
-    return [tuple(index[tuple(r[g[k]] for k in range(len(r)))] for r in c.rays) for g in group]
+    return [
+        tuple(index[(r[g[0]],) + tuple(s * r[g[k]] for k in range(1, len(r)))] for r in c.rays)
+        for g in group
+        for s in signs
+    ]
+
+
+def plain(faces):
+    """{ray mask: dimension} of a walk without a group: every orbit is one face."""
+    assert all(size == 1 for _, size in faces.values())
+    return {mask: k for mask, (k, _) in faces.items()}
+
+
+def expand(faces, perms):
+    """{ray mask: dimension} of every image of the walk's representatives.
+
+    Checks that the orbits are disjoint and that each has the size the walk
+    gave it, so the sizes add up to the face counts.
+    """
+    out = {}
+    for mask, (k, size) in faces.items():
+        orbit = {sum(1 << p[j] for j in range(len(p)) if mask >> j & 1) for p in perms}
+        assert len(orbit) == size and not orbit & out.keys()
+        out.update(dict.fromkeys(orbit, k))
+    return out
 
 
 @st.composite
@@ -332,6 +362,26 @@ class TestCones:
         h = Cone.from_inequalities(d, ineqs + gens[:1], eqs)
         assert fields(h) == fields(two_dd_from_inequalities(d, ineqs + gens[:1], eqs))
 
+    @settings(max_examples=80, deadline=None)
+    @given(general_cones(3, 5), st.data())
+    def test_lineality_and_span_equations_are_the_saturated_kernels(self, cone, data):
+        # each constructor reads one of the two off its input's incidence and
+        # skips the kernel when no input vector is tight on every normal
+        d, gens = cone
+        gens = gens + data.draw(st.lists(st.just((0,) * d), max_size=1))
+        ineqs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=d + 3))
+        eqs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=2))
+        for c in (Cone.from_rays(d, gens), Cone.from_inequalities(d, ineqs, eqs)):
+            assert c.lineality == _saturated_kernel(d, c.facets + c.equations)
+            assert c.equations == _saturated_kernel(d, c.rays + c.lineality)
+
+    def test_span_equation_with_no_tight_inequality(self):
+        # {x1 >= 0, x3 == 0}: no inequality is tight on the whole cone, yet
+        # x3 == 0 is a span equation
+        c = Cone.from_inequalities(3, [(1, 0, 0)], [(0, 0, 1)])
+        assert c.rays == ((1, 0, 0),) and c.lineality == ((0, 1, 0),)
+        assert c.equations == ((0, 0, 1),) and c.facets == ((1, 0, 0),)
+
     @settings(max_examples=60, deadline=None)
     @given(general_cones(), st.data())
     def test_lp_with_fractions_agrees_with_contains(self, cone, data):
@@ -411,7 +461,7 @@ class TestFaceLattice:
     def test_matches_closure_reference(self, cone):
         d, gens = cone
         c = Cone.from_rays(d, gens)
-        faces = face_lattice_raysets(c)
+        faces = plain(face_lattice_raysets(c))
         assert faces == reference_face_lattice_raysets(c)
         counts = [0] * (c.dim + 1)
         for k in faces.values():
@@ -431,13 +481,13 @@ class TestFaceLattice:
             return  # the dual of a lower-dimensional cone is not pointed
         tight = [[dot(n, r) == 0 for n in c.facets] for r in c.rays]
         transposed = {}
-        for facet_mask, k in face_lattice_raysets(dual_cone(c)).items():
+        for facet_mask, k in plain(face_lattice_raysets(dual_cone(c))).items():
             rays = 0
             for j, row in enumerate(tight):
                 if all(row[h] for h in range(len(c.facets)) if facet_mask >> h & 1):
                     rays |= 1 << j
             transposed[rays] = d - k
-        assert transposed == face_lattice_raysets(c)
+        assert transposed == plain(face_lattice_raysets(c))
 
     @settings(max_examples=40, deadline=None)
     @given(symmetric_cones())
@@ -445,7 +495,22 @@ class TestFaceLattice:
         d, gens, group = cone
         c = Cone.from_rays(d, gens)
         perms = permuted_rays(c, group)
-        assert face_lattice_raysets(c, perms) == face_lattice_raysets(c)
+        faces = face_lattice_raysets(c, perms)
+        assert expand(faces, perms) == plain(face_lattice_raysets(c))
+        assert face_lattice_fvector(c, perms) == face_lattice_fvector(c)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 5), st.booleans(), st.booleans(), st.data())
+    def test_cube_and_cross_polytope_under_coordinate_groups(self, d, full, negate, data):
+        # the cone over the d-cube is walked over its 2d facets, its dual (the
+        # cone over the cross-polytope) over its 2d rays
+        group = coordinate_group(d + 1, data.draw(st.permutations(range(d))), full)
+        signs = (1, -1) if negate else (1,)
+        cube = Cone.from_rays(d + 1, [(1,) + v for v in itertools.product((-1, 1), repeat=d)])
+        cube_fvector = tuple(2 ** (d - k) * math.comb(d, k) for k in range(d))
+        for c, fvector in ((cube, cube_fvector), (dual_cone(cube), cube_fvector[::-1])):
+            perms = permuted_rays(c, group, signs)
+            assert face_lattice_fvector(c, perms) == face_lattice_fvector(c) == fvector
 
     def test_ray_permutation_must_be_a_bijection(self):
         square = Cone.from_rays(3, SQUARE)
@@ -459,7 +524,10 @@ class TestFaceLattice:
         with pytest.raises(RuntimeError, match="facets onto facets"):
             face_lattice_raysets(square, [(0, 1, 2, 3), (1, 0, 2, 3)])
         # the reflection x -> -x swaps 0 with 2 and 1 with 3: an automorphism
-        assert face_lattice_raysets(square, [(0, 1, 2, 3), (2, 3, 0, 1)]) == face_lattice_raysets(square)
+        reflection = [(0, 1, 2, 3), (2, 3, 0, 1)]
+        faces = face_lattice_raysets(square, reflection)
+        assert expand(faces, reflection) == plain(face_lattice_raysets(square))
+        assert len(faces) == 7  # the zero face, two orbits of rays, three of edges, the cone
 
     def test_ray_permutations_must_form_a_group(self):
         square = Cone.from_rays(3, SQUARE)
@@ -483,20 +551,20 @@ class TestFaceLattice:
     def test_zero_cone(self):
         zero = Cone.from_rays(3, [])
         assert zero.dim == 0
-        assert face_lattice_raysets(zero) == {0: 0}
+        assert face_lattice_raysets(zero) == {0: (0, 1)}
         assert face_lattice_fvector(zero) == ()
 
     def test_single_ray_in_plane(self):
         ray = Cone.from_rays(2, [(1, 2)])
         assert ray.dim == 1
-        assert face_lattice_raysets(ray) == {0: 0, 1: 1}
+        assert face_lattice_raysets(ray) == {0: (0, 1), 1: (1, 1)}
 
     def test_permutohedron_homogenisation(self):
         # a 4-dimensional pointed cone in R^5: the permutohedron lies in a hyperplane
         gens = [(1,) + p for p in itertools.permutations((1, 2, 3, 4))]
         c = Cone.from_rays(5, gens)
         assert c.dim == 4 and len(c.rays) == 24
-        assert face_lattice_raysets(c) == reference_face_lattice_raysets(c)
+        assert plain(face_lattice_raysets(c)) == reference_face_lattice_raysets(c)
         assert face_lattice_fvector(c) == (24, 36, 14)
 
 

@@ -40,12 +40,8 @@ options:
 
 
 def check(name: str, expected, computed) -> dict:
-    return {
-        "name": name,
-        "expected": _plain(expected),
-        "computed": _plain(computed),
-        "pass": _plain(expected) == _plain(computed),
-    }
+    expected, computed = _plain(expected), _plain(computed)
+    return {"name": name, "expected": expected, "computed": computed, "pass": expected == computed}
 
 
 def _plain(obj):

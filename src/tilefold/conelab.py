@@ -27,6 +27,7 @@ from .divcalc import (
     anticanonical,
     class_of_labels,
     curve_class,
+    intersect_classes,
     orbit,
     pair_class_curve,
     picard_lattice,
@@ -162,8 +163,7 @@ def nef_cone() -> dict:
 
 
 def _square_numerically_trivial(ray) -> bool:
-    basis_classes = [tuple(1 if i == j else 0 for j in range(RANK)) for i in range(RANK)]
-    return all(triple(ray, ray, b) == 0 for b in basis_classes)
+    return not any(intersect_classes(ray, ray))
 
 
 @lru_cache(maxsize=1)

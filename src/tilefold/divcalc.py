@@ -503,21 +503,21 @@ def basis_tensor(substitution_row: str | None = None) -> tuple:
     return tuple(tuple(tuple(row) for row in plane) for plane in t)
 
 
+def intersect_classes(e, f) -> tuple[int, ...]:
+    """The curve class e.f of two classes: the functional g -> e.f.g in dual coordinates."""
+    t = basis_tensor()
+    out = [0] * RANK
+    for i, ci in enumerate(e):
+        for j, cj in enumerate(f):
+            if ci and cj:
+                c = ci * cj
+                out = [o + c * x for o, x in zip(out, t[i][j])]
+    return tuple(out)
+
+
 def triple(e, f, g) -> int:
     """Trilinear intersection number of three classes in basis coordinates."""
-    t = basis_tensor()
-    total = 0
-    for i, ci in enumerate(e):
-        if not ci:
-            continue
-        for j, cj in enumerate(f):
-            if not cj:
-                continue
-            row = t[i][j]
-            for k, ck in enumerate(g):
-                if ck:
-                    total += ci * cj * ck * row[k]
-    return total
+    return pair_class_curve(g, intersect_classes(e, f))
 
 
 def triple_labels(a: str, b: str, c: str) -> int:
@@ -675,19 +675,9 @@ def anticanonical() -> dict:
 
 
 def curve_class(e: str, f: str) -> tuple[int, ...]:
-    """The functional g -> e.f.g in dual coordinates against the basis."""
+    """The curve class e.f of two labels."""
     lc = picard_lattice()["label_class"]
-    ce, cf = lc[e], lc[f]
-    t = basis_tensor()
-    return tuple(
-        sum(
-            ce[i] * cf[j] * t[i][j][k]
-            for i in range(RANK)
-            for j in range(RANK)
-            if ce[i] and cf[j]
-        )
-        for k in range(RANK)
-    )
+    return intersect_classes(lc[e], lc[f])
 
 
 def pair_class_curve(divisor_class, curve) -> int:

@@ -4,8 +4,10 @@ All matrices are lists (or tuples) of rows of Python ints, so every
 computation here is arbitrary precision by construction.  Rationals are
 `fractions.Fraction`.  Two elimination kernels back every other module:
 `hermite_normal_form` over Z gives normal forms, Smith invariants, kernels
-for subtorus inclusions and lattice membership; the Bareiss `_echelon`
-over Q gives rank, determinant and rational solve for membership tests.
+for subtorus inclusions and lattice membership; the Bareiss `echelon` over
+Q gives rank, determinant and rational solve for membership tests, and it
+leaves the LU multipliers in place, so it also gives the LU factorization
+that the generator derivation needs.
 """
 
 from __future__ import annotations
@@ -196,44 +198,48 @@ def integer_kernel(m) -> list[Vector]:
     return hnf_basis(raw)
 
 
-def _echelon(m) -> tuple[Matrix, list[int], int]:
-    """Bareiss fraction-free row echelon form: (rows, pivot columns, sign).
+def echelon(m) -> tuple[Matrix, list[int], int]:
+    """Bareiss fraction-free row echelon form: (rows, pivot columns, swaps).
 
-    Each pivot step sets every row below to (f*row - g*pivot_row) // prev,
-    f the pivot, g the row's entry under it, prev the previous pivot.  The
-    division is exact, and it needs all rows on one scale, so rows with
-    g == 0 are rescaled too.  Entries are minors of the row-swapped input:
-    the last pivot of a square nonsingular matrix is sign * determinant,
-    sign the parity of the row swaps.  Rows past the last pivot are zero.
+    Each pivot step sets the entries right of the pivot column in every row
+    below to (f*x - g*y) // prev, f the pivot, g the row's entry under it,
+    prev the previous pivot.  The division is exact, and it needs all rows
+    on one scale, so rows with g == 0 are rescaled too.  g stays in place;
+    g over the pivot of its column is an entry of the unit lower LU factor
+    of the row-swapped input.  Entries at and right of each pivot are minors
+    of that input, so the last pivot of a square nonsingular matrix is
+    (-1) ** swaps * determinant.
     """
     rows, cols = matrix_shape(m)
     a = copy_matrix(m)
     pivots = []
-    sign = 1
+    swaps = 0
     prev = 1
     row = 0
     for col in range(cols):
-        piv = next((i for i in range(row, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != row:
+        if a[row][col] == 0:
+            piv = next((i for i in range(row + 1, rows) if a[i][col] != 0), None)
+            if piv is None:
+                continue
             _swap_rows(a, row, piv)
-            sign = -sign
-        f = a[row][col]
-        for i in range(row + 1, rows):
-            g = a[i][col]
-            a[i] = [(f * x - g * y) // prev for x, y in zip(a[i], a[row])]
+            swaps += 1
+        pivot_row = a[row]
+        f = pivot_row[col]
+        for r in a[row + 1 :]:
+            g = r[col]
+            for j in range(col + 1, cols):
+                r[j] = (f * r[j] - g * pivot_row[j]) // prev
         pivots.append(col)
         prev = f
         row += 1
         if row == rows:
             break
-    return a, pivots, sign
+    return a, pivots, swaps
 
 
 def rational_rank(m) -> int:
     """Rank over Q by fraction-free Gaussian elimination (independent of HNF)."""
-    return len(_echelon(m)[1])
+    return len(echelon(m)[1])
 
 
 def det(m) -> int:
@@ -241,8 +247,8 @@ def det(m) -> int:
     n, cols = matrix_shape(m)
     if n != cols:
         raise ValueError("determinant of a non-square matrix")
-    a, pivots, sign = _echelon(m)
-    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
+    a, pivots, swaps = echelon(m)
+    return (-1) ** swaps * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
 def solve_left_integer(a, b):
@@ -278,7 +284,7 @@ def solve_rational(a, b):
     rows, cols = matrix_shape(a)
     if len(b) != rows:
         raise ValueError("shape mismatch in solve_rational")
-    ech, pivots, _ = _echelon([list(row) + [bb] for row, bb in zip(a, b)])
+    ech, pivots, _ = echelon([list(row) + [bb] for row, bb in zip(a, b)])
     if pivots and pivots[-1] == cols:
         return None  # a pivot in the right-hand side: inconsistent
     x = [Fraction(0)] * cols

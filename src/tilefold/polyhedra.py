@@ -14,7 +14,8 @@ with dimensions read off the cover relation rather than ranked face by face.
 They can be walked up to a group of ray permutations that the incidence
 certifies; the walk then returns one face per orbit with the orbit's size
 and holds the faces of one dimension at a time.  Membership has a
-second, independent route: an all-integer simplex whose verdicts carry
+second, independent route: an all-integer simplex, pivoting with one
+common denominator (Edmonds' integer pivoting), whose verdicts carry
 certificates.  Fans are ray lists plus maximal cones with the face axioms
 checked exactly, never assumed.
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from operator import or_
 
 from .exactlat import (
@@ -547,10 +547,6 @@ class Polytope:
     def is_lattice_polytope(self) -> bool:
         return all(x.denominator == 1 for v in self.vertices for x in v)
 
-    def contains(self, point) -> bool:
-        point = (Fraction(1),) + tuple(Fraction(x) for x in point)
-        return self._cone.contains(point)
-
 
 def _polytope_from_cone(ambient_dim: int, cone: Cone) -> Polytope:
     vertices = []
@@ -594,41 +590,28 @@ def polytope_from_inequalities(ambient_dim: int, rows) -> Polytope | None:
 # exact linear programming (membership oracle, kept independent of the DD)
 
 
-def _eliminate(row, pivot_row, col: int, support) -> list[int]:
-    """pivot_row[col] * row - row[col] * pivot_row, divided by its content.
-
-    Rows are integer lists holding a positive multiple of their true values;
-    pivot_row[col] > 0 keeps the multiple positive.  `support` lists the
-    nonzero positions of pivot_row.
-    """
-    p, f = pivot_row[col], row[col]
-    new = [p * x for x in row]
-    for j in support:
-        new[j] -= f * pivot_row[j]
-    g = 0
-    for x in new:  # not gcd(*new): its argument tuples raised peak RSS
-        g = gcd(g, x)
-    return [x // g for x in new] if g > 1 else new
-
-
 def lp_in_cone(generators, point) -> bool:
     """Phase-1 simplex over Z: is point a nonnegative combination?
 
     Each generator and the point are scaled once to primitive integer
-    vectors; a positive scale changes neither the verdict nor the evidence,
-    and every later step is integer arithmetic.  Bland's rule gives
-    termination: the first column with a negative reduced cost enters, and
-    of the rows with the least ratio, compared by cross-multiplication, the
-    one whose basic column has the least index leaves.  A basis that comes
-    back raises RuntimeError.  This is deliberately a second route,
-    independent of facet computations, for Farkas-style cross checks.  The
-    verdict carries exact evidence, re-checked before it is returned: True
-    comes with the basic solution lambda >= 0, and with D the lcm of the
-    basic entries, sum (lambda_j D) g_j must equal D b over Z; False comes
-    with the Farkas functional z read off the objective row
-    (z_i = -s_i (1 - rc[n+i]), rc the reduced costs and s_i the sign that
-    made row i's right-hand side nonnegative), and z.g >= 0 for every
-    generator g and z.b < 0 must hold.  A failed check raises RuntimeError.
+    vectors; a positive scale changes neither the verdict nor the evidence.
+    The pivots are Edmonds' integer pivoting, the Bareiss step of
+    `exactlat.echelon`: every row, the objective row included, holds d
+    times its true values, d the last pivot (1 at the start, and positive
+    because the ratio test pivots only on positive entries).  Pivot p sets
+    each other row to (p*row - f*pivot_row) // d, f its entry in the pivot
+    column, and the division is exact.  Bland's rule gives termination: the
+    first column with a negative reduced cost enters, and of the rows with
+    the least ratio, compared by cross-multiplication, the one whose basic
+    column has the least index leaves.  A basis that comes back raises
+    RuntimeError.  This is deliberately a second route, independent of
+    facet computations, for Farkas-style cross checks.  The verdict carries
+    exact evidence, re-checked before it is returned: True comes with the
+    basic solution lambda >= 0, and sum (lambda_j d) g_j must equal d b over
+    Z; False comes with the Farkas functional z read off the objective row
+    (z_i = -s_i (d - obj[n+i]), s_i the sign that made row i's right-hand
+    side nonnegative), and z.g >= 0 for every generator g and z.b < 0 must
+    hold.  A failed check raises RuntimeError.
     """
     gens = [scale_to_primitive_integer(g) for g in generators]
     b = scale_to_primitive_integer(point)
@@ -641,20 +624,18 @@ def lp_in_cone(generators, point) -> bool:
     width = n + m  # structural then artificial columns; index width is the rhs
     signs = [-1 if x < 0 else 1 for x in b]
     # Constraint row i: sum_j lambda_j s_i g_j[i] + artificial_i = s_i b_i.
-    # Each row holds a positive multiple of its true values, which are the
-    # row over its basic entry.
     tableau = []
     for i, s in enumerate(signs):
         row = [s * g[i] for g in gens] + [0] * m + [s * b[i]]
         row[n + i] = 1
         tableau.append(row)
     basis = list(range(n, width))
-    # Objective row of min sum(artificials), kept in the tableau and updated
-    # by every pivot: minus the column sums of the constraint rows, 0 on the
-    # artificial columns, then the rhs (minus the objective value) and last
-    # the positive divisor that gives the true values.
+    # Objective row of min sum(artificials), updated by every pivot: minus
+    # the column sums of the constraint rows, 0 on the artificial columns,
+    # then the rhs (minus the objective value).
     obj = [-sum(row[j] for row in tableau) for j in range(n)] + [0] * m
-    obj += [-sum(row[width] for row in tableau), 1]
+    obj.append(-sum(row[width] for row in tableau))
+    d = 1
 
     seen = set()  # Bland's rule never returns to a basis
     while True:
@@ -679,26 +660,27 @@ def lp_in_cone(generators, point) -> bool:
         if leave is None:
             raise RuntimeError("simplex: the phase-1 objective is unbounded below")
         pivot_row = tableau[leave]
-        support = [j for j, x in enumerate(pivot_row) if x]
-        for i, row in enumerate(tableau):
-            if i != leave and row[enter]:
-                tableau[i] = _eliminate(row, pivot_row, enter, support)
-        obj = _eliminate(obj, pivot_row, enter, support)
+        p = pivot_row[enter]
+        for row in tableau + [obj]:
+            if row is not pivot_row:
+                f = row[enter]
+                for j in range(width + 1):
+                    row[j] = (p * row[j] - f * pivot_row[j]) // d
+        d = p
         basis[leave] = enter
 
     if obj[width] == 0:
-        # lambda_j D = rhs * (D // den) for the row with basic entry den in column j
-        d = lcm(*[row[j] for row, j in zip(tableau, basis) if j < n])
+        # basic column j holds d in its row, so lambda_j d is that row's rhs
         lam = [0] * n
         for row, j in zip(tableau, basis):
             if j < n:
-                lam[j] = row[width] * (d // row[j])
+                lam[j] = row[width]
         combo = [sum(l * g[i] for l, g in zip(lam, gens)) for i in range(m)]
         if min(lam) < 0 or combo != [d * x for x in b]:
             raise RuntimeError("simplex: the membership certificate does not give the point")
         return True
-    # z scaled by the objective row's positive divisor
-    z = [-s * (obj[width + 1] - obj[n + i]) for i, s in enumerate(signs)]
+    # z scaled by d, as the objective row is
+    z = [-s * (d - obj[n + i]) for i, s in enumerate(signs)]
     if any(dot(z, g) < 0 for g in gens) or dot(z, b) >= 0:
         raise RuntimeError("simplex: the Farkas certificate does not separate the point")
     return False

@@ -12,8 +12,8 @@ integer representative of a point (their components are homogeneous of one
 degree), so polynomial evaluation, renormalization, the subvariety equations
 and the coordinate change run on plain ints.  The derivation is
 fraction-free as well: it forms 6q^3 exp(n) for the chart matrix n scaled to
-integers by q, factors by Bareiss elimination into a lower factor I + N/D,
-and forms 6D^3 log(I + N/D); exponential and logarithm form the powers of a
+integers by q, reads the lower factor I + N/D off `exactlat.echelon`, and
+forms 6D^3 log(I + N/D); exponential and logarithm form the powers of a
 strictly lower triangular matrix from their subdiagonal terms alone.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .exactlat import integer_kernel, mat_vec, primitive_vector, scale_to_primitive_integer
+from .exactlat import echelon, integer_kernel, mat_vec, scale_to_primitive_integer
 
 Perm = tuple[int, int, int, int]
 
@@ -257,10 +257,7 @@ def generator_map(name: str) -> RationalMap:
 
 def normalize_point(p) -> tuple[int, ...]:
     """Canonical projective representative: primitive, first nonzero positive."""
-    if all(isinstance(x, int) for x in p):
-        v = primitive_vector(p)
-    else:
-        v = scale_to_primitive_integer(p)
+    v = scale_to_primitive_integer(p)
     if not any(v):
         raise ValueError("zero vector is not a projective point")
     lead = next(x for x in v if x)
@@ -332,31 +329,20 @@ def _nilpotent_series(n, coeffs):
 
 
 def _lu_unipotent_lower(a):
-    """Bareiss LU without pivoting of an integer 4x4 matrix; returns (N, D).
+    """LU without pivoting of an integer 4x4 matrix; returns (N, D).
 
     The unipotent lower factor of a is I + N/D, N strictly lower triangular
-    in ints and D = d1 d2 d3, dk the leading principal k x k minor.  Step k
-    sets each entry right of and below the pivot to (p*x - g*y) // prev, p
-    the pivot, g the row's entry under it, prev the previous pivot; the
-    division is exact and the pivot is d(k+1).  Column k's multipliers are
-    the entries under the pivot over d(k+1).  Raises if any dk vanishes,
-    d4 = det a included.
+    in ints and D = d1 d2 d3, dk the leading principal k x k minor.  It is
+    read off `echelon(a)`: with no row swap and a pivot in every column, the
+    pivot of column k is d(k+1), and the entries left under it over d(k+1)
+    are column k of the factor.  Raises if any dk vanishes, d4 = det a too.
     """
-    a = [list(row) for row in a]
-    prev = 1
-    for k in range(4):
-        pivot_row = a[k]
-        p = pivot_row[k]
-        if p == 0:
-            raise DegenerateSampleError("vanishing leading principal minor")
-        for row in a[k + 1:]:
-            g = row[k]
-            for j in range(k + 1, 4):
-                row[j] = (p * row[j] - g * pivot_row[j]) // prev
-        prev = p
-    d = a[0][0] * a[1][1] * a[2][2]
-    scales = [d // a[k][k] for k in range(3)]
-    return [[a[i][k] * scales[k] for k in range(i)] + [0] * (4 - i) for i in range(4)], d
+    e, pivots, swaps = echelon(a)
+    if swaps or pivots != [0, 1, 2, 3]:
+        raise DegenerateSampleError("vanishing leading principal minor")
+    d = e[0][0] * e[1][1] * e[2][2]
+    scales = [d // e[k][k] for k in range(3)]
+    return [[e[i][k] * scales[k] for k in range(i)] + [0] * (4 - i) for i in range(4)], d
 
 
 def derive_generator_pointwise(name: str, y_coords) -> tuple[int, ...]:

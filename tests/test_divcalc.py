@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tilefold import divcalc
 from tilefold.conelab import effective_generators, gamma1, gamma2, mori_cone, moving_dual_cone, nef_cone
@@ -19,6 +20,7 @@ from tilefold.divcalc import (
     class_of_labels,
     curve_class,
     expr,
+    intersect_classes,
     label_relations_in_label_space,
     label_tensor,
     orbit,
@@ -34,7 +36,7 @@ from tilefold.divcalc import (
     triple,
     triple_labels,
 )
-from tilefold.exactlat import primitive_vector
+from tilefold.exactlat import identity_matrix, primitive_vector
 from tilefold.polyhedra import Cone, dual_cone
 from tilefold.tilegroup import TAU, act_on_label, full_group
 
@@ -268,6 +270,21 @@ class TestTrilinearForm:
                 for k in range(RANK):
                     assert t[i][j][k] == t[j][i][k] == t[i][k][j]
 
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-3, 3)] * RANK), min_size=3, max_size=3))
+    def test_triple_is_the_plain_contraction(self, classes):
+        # the two-class contraction paired with the third equals the 12^3 sum
+        e, f, g = classes
+        t = basis_tensor()
+        expected = sum(
+            e[i] * f[j] * g[k] * t[i][j][k]
+            for i in range(RANK)
+            for j in range(RANK)
+            for k in range(RANK)
+        )
+        assert triple(e, f, g) == expected
+        assert intersect_classes(e, f) == tuple(triple(e, f, b) for b in identity_matrix(RANK))
 
 class TestGroupActionOnClasses:
     def test_matrices_are_homomorphic(self):

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tilefold.exactlat import (
+    _swap_rows,
+    copy_matrix,
     det,
+    echelon,
     hermite_normal_form,
     hnf_basis,
     identity_matrix,
     integer_kernel,
     mat_mul,
     mat_vec,
+    matrix_shape,
     primitive_vector,
     rational_rank,
     scale_to_primitive_integer,
@@ -281,6 +285,54 @@ square_matrix = st.integers(1, 5).flatmap(
 )
 
 
+# The Bareiss echelon form as it was before it kept the LU multipliers:
+# every step updates whole rows, so the column under each pivot is cleared,
+# and the row swaps come back as their sign.
+def reference_echelon(m):
+    """Bareiss fraction-free row echelon form: (rows, pivot columns, sign).
+
+    Each pivot step sets every row below to (f*row - g*pivot_row) // prev,
+    f the pivot, g the row's entry under it, prev the previous pivot.  The
+    division is exact, and it needs all rows on one scale, so rows with
+    g == 0 are rescaled too.  Entries are minors of the row-swapped input:
+    the last pivot of a square nonsingular matrix is sign * determinant,
+    sign the parity of the row swaps.  Rows past the last pivot are zero.
+    """
+    rows, cols = matrix_shape(m)
+    a = copy_matrix(m)
+    pivots = []
+    sign = 1
+    prev = 1
+    row = 0
+    for col in range(cols):
+        piv = next((i for i in range(row, rows) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            _swap_rows(a, row, piv)
+            sign = -sign
+        f = a[row][col]
+        for i in range(row + 1, rows):
+            g = a[i][col]
+            a[i] = [(f * x - g * y) // prev for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+        prev = f
+        row += 1
+        if row == rows:
+            break
+    return a, pivots, sign
+
+
+# wide, tall and square; entries in [-3, 3] make zero pivots common
+rectangular_matrix = st.integers(1, 6).flatmap(
+    lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r
+        )
+    )
+)
+
+
 class TestSolvers:
     @settings(max_examples=400, deadline=None)
     @given(small_system)
@@ -303,6 +355,42 @@ class TestSolvers:
     @example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     def test_det_matches_leibniz(self, m):
         assert det(m) == leibniz_det(m)
+
+    @settings(max_examples=400, deadline=None)
+    @given(rectangular_matrix)
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 2, 3], [1, 1, 1], [2, 2, 2]])
+    @example([[1, 2, 3, 4], [2, 4, 6, 9]])
+    def test_echelon_matches_full_row_reference(self, m):
+        # the reference clears the column under each pivot; with those
+        # entries (the LU multipliers) set to zero the two forms are equal
+        e, pivots, swaps = echelon(m)
+        ref, ref_pivots, sign = reference_echelon(m)
+        assert pivots == ref_pivots and (-1) ** swaps == sign
+        below = {(i, col) for r, col in enumerate(pivots) for i in range(r + 1, len(m))}
+        assert [
+            [0 if (i, j) in below else x for j, x in enumerate(row)] for i, row in enumerate(e)
+        ] == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrix)
+    @example([[2, 1, 0], [4, 3, 1], [2, 5, 7]])
+    def test_echelon_gives_the_lu_factors(self, m):
+        # with no row swap and a pivot in every column, a = L U with the unit
+        # lower L[i][k] = e[i][k] / e[k][k] and U[k][j] = e[k][j] / e[k-1][k-1]
+        e, pivots, swaps = echelon(m)
+        n = len(m)
+        if swaps or pivots != list(range(n)):
+            return
+        lower = [
+            [Fraction(e[i][k], e[k][k]) if k < i else int(i == k) for k in range(n)]
+            for i in range(n)
+        ]
+        upper = [
+            [Fraction(e[k][j], e[k - 1][k - 1] if k else 1) if j >= k else 0 for j in range(n)]
+            for k in range(n)
+        ]
+        assert mat_mul(lower, upper) == m
 
     def test_solve_left(self):
         a = [[2, 0, 1], [0, 3, 1]]

@@ -1,12 +1,19 @@
 import itertools
 import math
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tilefold.cli import EXPECTED_MORI_FVECTOR
-from tilefold.exactlat import dot, integer_kernel, primitive_vector, rational_rank
+from tilefold.exactlat import (
+    dot,
+    integer_kernel,
+    primitive_vector,
+    rational_rank,
+    scale_to_primitive_integer,
+)
 from tilefold.polyhedra import (
     Cone,
     _saturated_kernel,
@@ -227,9 +234,157 @@ def scaled(v, num, den):
     return tuple(Fraction(x * num, den) for x in v)
 
 
+# The simplex as it was before its pivots shared one denominator: each row
+# keeps its own positive divisor and is divided by its content, and the
+# certificate needs an lcm.  Kept verbatim as the reference for lp_in_cone.
+
+
+def _eliminate(row, pivot_row, col: int, support) -> list[int]:
+    """pivot_row[col] * row - row[col] * pivot_row, divided by its content.
+
+    Rows are integer lists holding a positive multiple of their true values;
+    pivot_row[col] > 0 keeps the multiple positive.  `support` lists the
+    nonzero positions of pivot_row.
+    """
+    p, f = pivot_row[col], row[col]
+    new = [p * x for x in row]
+    for j in support:
+        new[j] -= f * pivot_row[j]
+    g = 0
+    for x in new:  # not gcd(*new): its argument tuples raised peak RSS
+        g = gcd(g, x)
+    return [x // g for x in new] if g > 1 else new
+
+
+def reference_lp_in_cone(generators, point) -> bool:
+    """Phase-1 simplex over Z: is point a nonnegative combination?
+
+    Each generator and the point are scaled once to primitive integer
+    vectors; a positive scale changes neither the verdict nor the evidence,
+    and every later step is integer arithmetic.  Bland's rule gives
+    termination: the first column with a negative reduced cost enters, and
+    of the rows with the least ratio, compared by cross-multiplication, the
+    one whose basic column has the least index leaves.  A basis that comes
+    back raises RuntimeError.  This is deliberately a second route,
+    independent of facet computations, for Farkas-style cross checks.  The
+    verdict carries exact evidence, re-checked before it is returned: True
+    comes with the basic solution lambda >= 0, and with D the lcm of the
+    basic entries, sum (lambda_j D) g_j must equal D b over Z; False comes
+    with the Farkas functional z read off the objective row
+    (z_i = -s_i (1 - rc[n+i]), rc the reduced costs and s_i the sign that
+    made row i's right-hand side nonnegative), and z.g >= 0 for every
+    generator g and z.b < 0 must hold.  A failed check raises RuntimeError.
+    """
+    gens = [scale_to_primitive_integer(g) for g in generators]
+    b = scale_to_primitive_integer(point)
+    m = len(b)
+    if any(len(g) != m for g in gens):
+        raise ValueError("generator has wrong length")
+    if not gens:
+        return not any(b)
+    n = len(gens)
+    width = n + m  # structural then artificial columns; index width is the rhs
+    signs = [-1 if x < 0 else 1 for x in b]
+    # Constraint row i: sum_j lambda_j s_i g_j[i] + artificial_i = s_i b_i.
+    # Each row holds a positive multiple of its true values, which are the
+    # row over its basic entry.
+    tableau = []
+    for i, s in enumerate(signs):
+        row = [s * g[i] for g in gens] + [0] * m + [s * b[i]]
+        row[n + i] = 1
+        tableau.append(row)
+    basis = list(range(n, width))
+    # Objective row of min sum(artificials), kept in the tableau and updated
+    # by every pivot: minus the column sums of the constraint rows, 0 on the
+    # artificial columns, then the rhs (minus the objective value) and last
+    # the positive divisor that gives the true values.
+    obj = [-sum(row[j] for row in tableau) for j in range(n)] + [0] * m
+    obj += [-sum(row[width] for row in tableau), 1]
+
+    seen = set()  # Bland's rule never returns to a basis
+    while True:
+        enter = next((j for j in range(width) if obj[j] < 0), None)
+        if enter is None:
+            break
+        if tuple(basis) in seen:
+            raise RuntimeError("simplex: a basis came back, so the pivots cycle")
+        seen.add(tuple(basis))
+        if enter in basis:
+            raise RuntimeError("simplex: a basic column has a nonzero reduced cost")
+        leave = None
+        for i, row in enumerate(tableau):
+            if row[enter] > 0:
+                if leave is not None:
+                    # sign of rhs_i / row_i - rhs_leave / row_leave in column enter
+                    best = tableau[leave]
+                    cross = row[width] * best[enter] - best[width] * row[enter]
+                    if cross > 0 or cross == 0 and basis[i] > basis[leave]:
+                        continue
+                leave = i
+        if leave is None:
+            raise RuntimeError("simplex: the phase-1 objective is unbounded below")
+        pivot_row = tableau[leave]
+        support = [j for j, x in enumerate(pivot_row) if x]
+        for i, row in enumerate(tableau):
+            if i != leave and row[enter]:
+                tableau[i] = _eliminate(row, pivot_row, enter, support)
+        obj = _eliminate(obj, pivot_row, enter, support)
+        basis[leave] = enter
+
+    if obj[width] == 0:
+        # lambda_j D = rhs * (D // den) for the row with basic entry den in column j
+        d = lcm(*[row[j] for row, j in zip(tableau, basis) if j < n])
+        lam = [0] * n
+        for row, j in zip(tableau, basis):
+            if j < n:
+                lam[j] = row[width] * (d // row[j])
+        combo = [sum(l * g[i] for l, g in zip(lam, gens)) for i in range(m)]
+        if min(lam) < 0 or combo != [d * x for x in b]:
+            raise RuntimeError("simplex: the membership certificate does not give the point")
+        return True
+    # z scaled by the objective row's positive divisor
+    z = [-s * (obj[width + 1] - obj[n + i]) for i, s in enumerate(signs)]
+    if any(dot(z, g) < 0 for g in gens) or dot(z, b) >= 0:
+        raise RuntimeError("simplex: the Farkas certificate does not separate the point")
+    return False
+
+
+@st.composite
+def lp_inputs(draw):
+    """Generators and a point for the simplex.
+
+    d = 1..7, up to d + 6 generators with entries in [-4, 4].  The point is
+    random, zero, or a nonnegative combination (its negative half the time);
+    half the inputs give every vector a positive Fraction scale.
+    """
+    d = draw(st.integers(1, 7))
+    entries = st.tuples(*[st.integers(-4, 4)] * d)
+    gens = draw(st.lists(entries, max_size=d + 6))
+    kind = draw(st.sampled_from(["random", "zero", "combination"]))
+    if kind == "random":
+        point = draw(entries)
+    elif kind == "zero":
+        point = (0,) * d
+    else:
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+        sign = draw(st.sampled_from([1, -1]))
+        point = tuple(sign * sum(w * g[i] for w, g in zip(weights, gens)) for i in range(d))
+    if draw(st.booleans()):
+        positive = st.integers(1, 5)
+        gens = [scaled(g, draw(positive), draw(positive)) for g in gens]
+        point = scaled(point, draw(positive), draw(positive))
+    return gens, point
+
+
 # cone over the square with vertices (+-1, +-1); its rays sort as
 # (-1,-1), (-1,1), (1,-1), (1,1)
 SQUARE = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
+
+CYCLING_LP = (
+    [(-2, 1, 2, -2), (-1, 2, 0, 1), (1, 1, -2, 2), (-2, -1, 0, 1), (1, 0, 2, 1),
+     (-1, -2, 1, 2), (-1, 2, 1, 1), (0, 1, 0, -2), (2, 1, 0, 2)],
+    (2, 0, 2, 1),
+)
 
 vectors3 = st.lists(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
@@ -398,10 +553,19 @@ class TestCones:
 
     def test_simplex_does_not_cycle(self):
         # degenerate pivots here cycle when ties leave by the largest basic index
-        gens = [(-2, 1, 2, -2), (-1, 2, 0, 1), (1, 1, -2, 2), (-2, -1, 0, 1), (1, 0, 2, 1),
-                (-1, -2, 1, 2), (-1, 2, 1, 1), (0, 1, 0, -2), (2, 1, 0, 2)]
-        point = (2, 0, 2, 1)
+        gens, point = CYCLING_LP
         assert not lp_in_cone(gens, point) and not Cone.from_rays(4, gens).contains(point)
+
+    @settings(max_examples=400, deadline=None)
+    @given(lp_inputs())
+    @example(inputs=CYCLING_LP)
+    @example(inputs=([], (0, 0, 0)))
+    @example(inputs=([], (0, 1, 0)))
+    @example(inputs=([(1, 2), (Fraction(-1, 3), 0)], (0, 0)))
+    def test_lp_matches_reference_simplex(self, inputs):
+        # one common denominator gives the verdicts of per-row divisors
+        gens, point = inputs
+        assert lp_in_cone(gens, point) == reference_lp_in_cone(gens, point)
 
 
 class TestFaces:

@@ -2,18 +2,18 @@
 
 Reports are JSON with sorted keys; for a fixed command, seed and sample
 count the output is byte-stable except for the timings block, which golden
-comparison ignores.  Exit codes: 0 all checks pass, 1 at least one
-expected/computed mismatch, 2 invalid invocation or internal failure.
+comparison ignores; it holds the self time of each section and stage run.
+Exit codes: 0 all checks pass, 1 at least one expected/computed mismatch, 2
+invalid invocation or internal failure (its stage and section on stderr).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-import time
 
 from . import __version__
-from . import conelab, divcalc, quotientfan, tilegroup
+from . import conelab, divcalc, quotientfan, stages, tilegroup
 from .polyhedra import fan_to_text
 
 USAGE = """usage: tilefold COMMAND [options]
@@ -240,14 +240,11 @@ def section_intersection() -> dict:
     )
     checks.append(check("tensor_descent_on_relations", True, descent))
 
-    group = tilegroup.full_group()
-    perm_of = {
-        g: [idx[tilegroup.act_on_label(g, lab)] for lab in divcalc.LABELS]
-        for g in group
-    }
+    # picard_action certifies a homomorphism, so the generators cover all 48
+    divcalc.picard_action()
     equivariant = True
-    for g in group:
-        p = perm_of[g]
+    for s in tilegroup.GENERATORS.values():
+        p = [idx[tilegroup.act_on_label(s, lab)] for lab in divcalc.LABELS]
         for i in range(n):
             for j in range(n):
                 row, prow = t[i][j], t[p[i]][p[j]]
@@ -278,7 +275,7 @@ def section_intersection() -> dict:
     checks.append(check("entry_A0_C23_C23", -1, divcalc.triple_labels("A0", "C23", "C23")))
 
     sub_independent = all(
-        divcalc.basis_tensor(row) == divcalc.basis_tensor()
+        divcalc.substituted_tensor(row) == divcalc.basis_tensor()
         for row in divcalc.PLANE_ROWS
     )
     checks.append(check("tensor_substitution_row_independent", True, sub_independent))
@@ -469,14 +466,12 @@ CRITERIA_INDEX = {
 
 def build_report(command: str, samples: int, seed: int) -> dict:
     sections: dict = {}
-    timings: dict = {}
+    stages.self_times.clear()
     # `report all` runs every section in SECTION_BUILDERS order
     commands = list(SECTION_BUILDERS) if command == "report all" else [command]
     for cmd in commands:
         key, builder = SECTION_BUILDERS[cmd]
-        t0 = time.monotonic()
-        sections[key] = builder(samples, seed)
-        timings[cmd] = round(time.monotonic() - t0, 3)
+        sections[key] = stages.timed(cmd, builder, samples, seed)
     all_pass = all(c["pass"] for s in sections.values() for c in s["checks"])
     report = {
         "command": command,
@@ -493,7 +488,7 @@ def build_report(command: str, samples: int, seed: int) -> dict:
             "the seed above, so equal seeds give byte-identical reports "
             "outside the timings block"
         )
-    report["timings"] = timings
+    report["timings"] = {name: round(t, 4) for name, t in stages.self_times.items()}
     return report
 
 
@@ -626,10 +621,12 @@ def run(argv: list[str]) -> int:
 
     try:
         report = build_report(command, opts["samples"], opts["seed"])
-    except Exception:  # internal consistency failure
+    except Exception as exc:  # internal consistency failure
         import traceback  # only on this path: it loads linecache and tokenize
 
-        sys.stderr.write("internal error:\n" + traceback.format_exc())
+        path = getattr(exc, "stage_path", ())  # the section, then the stages it ran
+        where = f" in stage {path[-1]} (section {path[0]})" if path else ""
+        sys.stderr.write(f"internal error{where}:\n" + traceback.format_exc())
         return 2
 
     writes = []  # (path, text)

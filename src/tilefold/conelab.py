@@ -8,7 +8,6 @@ action on the class lattice and its dual.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 from .exactlat import integer_kernel, primitive_vector, rational_rank
@@ -36,12 +35,13 @@ from .divcalc import (
     triple,
 )
 from .tilegroup import TAU
+from .stages import stage
 
 # ---------------------------------------------------------------------------
 # curve class generators
 
 
-@lru_cache(maxsize=1)
+@stage
 def mori_generators() -> dict:
     """The 31 curve classes generating the cone of curves, by family.
 
@@ -74,7 +74,7 @@ def mori_generators() -> dict:
     return prim
 
 
-@lru_cache(maxsize=1)
+@stage
 def mori_cone() -> dict:
     """The cone of curves: 31 extremal rays, 189 facets, K-degree split."""
     gens = mori_generators()
@@ -102,7 +102,7 @@ def mori_cone() -> dict:
     }
 
 
-@lru_cache(maxsize=1)
+@stage
 def mori_f_vector() -> tuple[int, ...]:
     """Full face-count vector of the cone of curves (dimensions 1..11)."""
     cone = mori_cone()["cone"]
@@ -132,17 +132,17 @@ def all_pair_functionals_report() -> dict:
 # nef cone and contractions
 
 
-@lru_cache(maxsize=1)
+@stage
 def nef_cone() -> dict:
     """Dual of the cone of curves, with top self-intersection histogram."""
     mori = mori_cone()
     cone = dual_cone(mori["cone"])
     rays = cone.rays
     histogram: dict[int, int] = {}
-    cubes = {}
+    squares, cubes = {}, {}
     for r in rays:
-        c = triple(r, r, r)
-        cubes[r] = c
+        squares[r] = intersect_classes(r, r)
+        c = cubes[r] = pair_class_curve(r, squares[r])
         histogram[c] = histogram.get(c, 0) + 1
     k = anticanonical()["class"]
     k_pairings = [pair_class_curve(k, g) for g in mori["cone"].rays]
@@ -154,6 +154,7 @@ def nef_cone() -> dict:
     return {
         "cone": cone,
         "ray_count": len(rays),
+        "square_by_ray": squares,
         "cube_by_ray": cubes,
         "histogram": histogram,
         "anticanonical_nef": all(x >= 0 for x in k_pairings),
@@ -162,18 +163,18 @@ def nef_cone() -> dict:
     }
 
 
-def _square_numerically_trivial(ray) -> bool:
-    return not any(intersect_classes(ray, ray))
+def _square_numerically_trivial(square) -> bool:
+    return not any(square)
 
 
-@lru_cache(maxsize=1)
+@stage
 def classify_contractions() -> dict:
     """Sort the 189 supporting divisors into curve, surface and birational."""
     nef = nef_cone()
     records = []
     for ray in nef["cone"].rays:
         cube = nef["cube_by_ray"][ray]
-        if _square_numerically_trivial(ray):
+        if _square_numerically_trivial(nef["square_by_ray"][ray]):
             kind = "to-curve"
         elif cube == 0:
             kind = "to-surface"
@@ -212,7 +213,7 @@ def orbit_decomposition(vectors, action) -> list[list]:
     return sorted(([vectors[i] for i in o] for o in orbits), key=lambda o: (len(o), o))
 
 
-@lru_cache(maxsize=1)
+@stage
 def contraction_orbit_report() -> dict:
     """Orbit structure of the fiber-type contractions and K-trivial rays."""
     cls = classify_contractions()
@@ -306,7 +307,7 @@ def _span_section_of_nef(generator_classes) -> Cone:
     return Cone.from_inequalities(RANK, mori.rays, normal_directions)
 
 
-@lru_cache(maxsize=1)
+@stage
 def partial_flag_cones() -> dict:
     """The two five-dimensional nef sections and their pentachoron shape."""
     m1 = [class_of_labels(g) for g in FLAG_M1_GENERATORS]
@@ -388,7 +389,7 @@ def _signed_class(plus, minus) -> tuple[int, ...]:
     return tuple(v)
 
 
-@lru_cache(maxsize=1)
+@stage
 def effective_generators() -> dict[str, tuple[int, ...]]:
     """The 24 classes: 20 boundary divisors, three H planes and the cubic S."""
     lc = picard_lattice()["label_class"]
@@ -421,7 +422,7 @@ def gamma2() -> tuple[int, ...]:
     return _sum_curves(CURVE_FAMILY_GAMMA2_PLUS, CURVE_FAMILY_GAMMA2_MINUS)
 
 
-@lru_cache(maxsize=1)
+@stage
 def moving_dual_cone() -> dict:
     """The certified subcone of curve classes moving in codimension one."""
     seeds = [
@@ -437,7 +438,7 @@ def moving_dual_cone() -> dict:
     return {"generators": sorted(gens), "seed_count": len(seeds)}
 
 
-@lru_cache(maxsize=1)
+@stage
 def effective_cone_analysis() -> dict:
     """Extremality of the 24 generators and the dual inclusion check."""
     gens = effective_generators()
@@ -478,7 +479,7 @@ def effective_cone_analysis() -> dict:
     }
 
 
-@lru_cache(maxsize=1)
+@stage
 def pairing_checks() -> dict:
     """Degrees of the two exceptional-cover curve classes on key divisors."""
     g1 = gamma1()

@@ -17,7 +17,6 @@ and zero on the relation lattice.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
 
@@ -39,6 +38,7 @@ from .tilegroup import (
     inverse,
     schreier_tree,
 )
+from .stages import stage
 
 N_LABELS = len(LABELS)
 LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
@@ -104,7 +104,7 @@ def relation_vectors() -> list[tuple[int, ...]]:
     return rels
 
 
-@lru_cache(maxsize=1)
+@stage
 def picard_lattice() -> dict:
     """Construct the class lattice and the basis expression of every label."""
     rels = relation_vectors()
@@ -258,7 +258,7 @@ def _transport(base: str, move) -> dict:
     return out
 
 
-@lru_cache(maxsize=1)
+@stage
 def _transported_tables() -> dict[str, dict]:
     """Rule tables for every C and D label, transported from C23 and D01."""
     tables: dict[str, dict] = {}
@@ -389,7 +389,7 @@ def _descent_slice_holds(triple_value) -> bool:
     return True
 
 
-@lru_cache(maxsize=1)
+@stage
 def solve_petersen() -> dict:
     """Determine the A0 incidence graph by exact constraint solving.
 
@@ -454,7 +454,7 @@ def solve_petersen() -> dict:
 # the trilinear form
 
 
-@lru_cache(maxsize=1)
+@stage
 def label_tensor() -> dict:
     """The full 20x20x20 label-level intersection table, with hard checks."""
     pet = solve_petersen()
@@ -473,22 +473,11 @@ def label_tensor() -> dict:
     return {"tensor": t, "edges": pet["edges"]}
 
 
-def _basis_label_expansions(substitution_row: str | None = None) -> list[list[tuple[int, int]]]:
-    row = PLANE_ROWS[substitution_row or QH_SUBSTITUTION_ROW]
-    out = []
-    for sym in BASIS:
-        if sym == "qH":
-            out.append([(LABEL_INDEX[lab], 1) for lab in row])
-        else:
-            out.append([(LABEL_INDEX[sym], 1)])
-    return out
-
-
-@lru_cache(maxsize=4)
-def basis_tensor(substitution_row: str | None = None) -> tuple:
-    """Symmetric 12x12x12 intersection tensor on the canonical basis."""
+def substituted_tensor(qh_row: str) -> tuple:
+    """12x12x12 intersection tensor on the canonical basis, qH read as PLANE_ROWS[qh_row]."""
     t20 = label_tensor()["tensor"]
-    expansions = _basis_label_expansions(substitution_row)
+    qh = [(LABEL_INDEX[lab], 1) for lab in PLANE_ROWS[qh_row]]
+    expansions = [qh if sym == "qH" else [(LABEL_INDEX[sym], 1)] for sym in BASIS]
     t = [[[0] * RANK for _ in range(RANK)] for _ in range(RANK)]
     for i in range(RANK):
         for j in range(RANK):
@@ -501,6 +490,12 @@ def basis_tensor(substitution_row: str | None = None) -> tuple:
                             total += ca * cb * cc * row[c]
                 t[i][j][k] = total
     return tuple(tuple(tuple(row) for row in plane) for plane in t)
+
+
+@stage
+def basis_tensor() -> tuple:
+    """The intersection tensor on the canonical basis, qH read as QH_SUBSTITUTION_ROW."""
+    return substituted_tensor(QH_SUBSTITUTION_ROW)
 
 
 def intersect_classes(e, f) -> tuple[int, ...]:
@@ -529,7 +524,7 @@ def triple_labels(a: str, b: str, c: str) -> int:
 # induced group action on the class lattice
 
 
-@lru_cache(maxsize=1)
+@stage
 def picard_action() -> dict[GroupElement, tuple]:
     """Integer 12x12 matrix of each group element on the class lattice.
 
@@ -577,7 +572,7 @@ def act_on_class(g: GroupElement, v) -> tuple[int, ...]:
     return _apply_matrix(picard_action()[g], v)
 
 
-@lru_cache(maxsize=1)
+@stage
 def curve_action() -> dict[GroupElement, tuple]:
     """Dual action on curve classes: transpose of the inverse class matrix."""
     pic = picard_action()
@@ -658,7 +653,7 @@ MULTICAN_LABEL_SETS = (
 )
 
 
-@lru_cache(maxsize=1)
+@stage
 def anticanonical() -> dict:
     """The anticanonical class with its twelve boundary expressions checked."""
     k = class_of(ANTICANONICAL_EXPR)
@@ -733,7 +728,7 @@ def _binary_restriction_rows(lab: str, monomials) -> list[list[int]]:
     return rows
 
 
-@lru_cache(maxsize=1)
+@stage
 def quartic_system() -> dict:
     """Exact dimension of the quartics through the six boundary lines.
 

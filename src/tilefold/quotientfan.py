@@ -11,7 +11,6 @@ rho_6 = (0,0,-1) the one extra quotient ray).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 
 from .exactlat import (
@@ -39,6 +38,7 @@ from .polyhedra import (
     make_fan,
     polytope_from_inequalities,
 )
+from .stages import stage
 
 # ---------------------------------------------------------------------------
 # source data
@@ -194,13 +194,8 @@ def _checked_fan(dim: int, cones) -> Fan:
     return fan
 
 
-@lru_cache(maxsize=1)
-def _projected_faces(fan: Fan, proj: tuple) -> tuple[tuple[frozenset[int], Cone], ...]:
-    """Each face of the fan with its projection, smallest faces first.
-
-    Cached, so the chart's quotient fan and its relevance pairs share one
-    projection.
-    """
+def _projected_faces(fan: Fan, proj) -> tuple[tuple[frozenset[int], Cone], ...]:
+    """Each face of the fan with its projection, smallest faces first."""
     face_sets = sorted(fan_face_index_sets(fan), key=lambda s: (len(s), sorted(s)))
     return tuple((s, _project_cone(proj, [fan.rays[i] for i in sorted(s)])) for s in face_sets)
 
@@ -219,7 +214,7 @@ def quotient_fan(fan: Fan, proj) -> Fan:
     if smith_invariants(proj) != [1] * rows:
         raise ValueError("projection must be surjective onto the target lattice")
 
-    projected = _projected_faces(fan, tuple(map(tuple, proj)))
+    projected = _projected_faces(fan, proj)
     distinct = {c.key(): c for _, c in projected}
     normals = _arrangement_normals(distinct.values())
 
@@ -244,7 +239,7 @@ def quotient_fan(fan: Fan, proj) -> Fan:
     return _checked_fan(rows, candidates.values())
 
 
-@lru_cache(maxsize=1)
+@stage
 def chart_quotient_fan() -> Fan:
     pd, orthant = source_data()
     return quotient_fan(orthant, pd.cokernel_matrix)
@@ -304,7 +299,7 @@ def relevant_pairs() -> list[dict]:
     """
     pd, orthant = source_data()
     fan = chart_quotient_fan()
-    faces = _projected_faces(orthant, tuple(map(tuple, pd.cokernel_matrix)))
+    faces = _projected_faces(orthant, pd.cokernel_matrix)
     distinct = {c.key(): c for _, c in faces}
     _certify_refinement(distinct.values(), fan)
 

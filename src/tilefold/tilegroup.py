@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 
 from .exactlat import echelon, integer_kernel, mat_vec, scale_to_primitive_integer
+from .stages import stage
 
 Perm = tuple[int, int, int, int]
 
@@ -94,7 +94,7 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(pinv, False)
 
 
-@lru_cache(maxsize=1)
+@stage
 def schreier_tree() -> tuple[tuple[GroupElement, GroupElement, GroupElement], ...]:
     """Edges (g, s, g*s) of a breadth-first search from IDENTITY over GENERATORS.
 
@@ -115,7 +115,7 @@ def schreier_tree() -> tuple[tuple[GroupElement, GroupElement, GroupElement], ..
     return tuple(edges)
 
 
-@lru_cache(maxsize=1)
+@stage
 def full_group() -> tuple[GroupElement, ...]:
     """All products of r1, r2, r3 and tau, in a deterministic order."""
     elements = [IDENTITY] + [h for _, _, h in schreier_tree()]

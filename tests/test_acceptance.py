@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they pass.
 All equality checks are exact; the stated wall-clock budgets are asserted on
-the work done inside each criterion (caches shared downstream of it).
+the work done inside each criterion (stage results shared downstream of it).
 """
 
 import json

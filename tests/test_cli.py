@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from tilefold import cli
+from tilefold import cli, stages
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "..", "goldens", "report_all.json")
 
@@ -189,17 +189,14 @@ class TestGoldenComparison:
     ):
         from tilefold import conelab
 
-        def clear():
-            for fn in cached:
-                getattr(conelab, fn).cache_clear()
-
+        cached = [getattr(conelab, fn) for fn in cached]
         monkeypatch.setattr(conelab, name, patched)
-        clear()
+        stages.clear(*cached)
         try:
             code = cli.run(command.split() + ["--out", str(tmp_path / "r.json")])
         finally:
             monkeypatch.undo()
-            clear()
+            stages.clear(*cached)
         err = capsys.readouterr().err
         assert code == 1, err
         assert failing in err and "Traceback" not in err
@@ -219,12 +216,32 @@ class TestGoldenComparison:
         assert "RuntimeError: invariant broken" in err
         assert not out.exists()
 
+    def test_internal_error_names_its_stage_and_section(self, tmp_path, monkeypatch, capsys):
+        from tilefold import divcalc
+
+        def broken_rank(rows):
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(divcalc, "rational_rank", broken_rank)
+        stages.clear(divcalc.quartic_system)
+        assert cli.run(["quartics", "rank", "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "internal error in stage divcalc.quartic_system (section quartics rank):\n"
+        ), err
+        assert "broken_rank" in err
+
     def test_shipped_golden_matches_fresh_run(self):
         assert os.path.exists(GOLDEN_PATH), "golden report must ship with the repo"
         with open(GOLDEN_PATH, "r", encoding="utf-8") as fh:
             golden = json.load(fh)
+        stages.clear()
         fresh = cli.build_report("report all", samples=100, seed=0)
         assert cli.compare_golden(fresh, golden) == []
+        # a self time for each section and for each stage, as every stage ran
+        ran = set(stages._results)
+        assert "conelab.nef_cone" in ran
+        assert set(fresh["timings"]) == set(cli.SECTION_BUILDERS) | ran
 
 
 class TestDeterminism:
@@ -240,16 +257,6 @@ class TestDeterminism:
         ja = json.dumps({k: v for k, v in a.items() if k != "timings"}, sort_keys=True)
         jb = json.dumps({k: v for k, v in b.items() if k != "timings"}, sort_keys=True)
         assert ja == jb
-
-
-def clear_caches():
-    """Empty every lru_cache of divcalc and conelab, so work is done again."""
-    from tilefold import conelab, divcalc
-
-    for mod in (divcalc, conelab):
-        for fn in vars(mod).values():
-            if getattr(fn, "__module__", None) == mod.__name__ and hasattr(fn, "cache_clear"):
-                fn.cache_clear()
 
 
 class TestWork:
@@ -274,7 +281,7 @@ class TestWork:
             for mod in (divcalc, conelab):
                 monkeypatch.setattr(mod, name, action)
 
-        clear_caches()
+        stages.clear()
         for builder in (cli.section_cones_mori, cli.section_cones_nef,
                         cli.section_cones_eff, cli.section_cones_flags):
             builder()
@@ -285,7 +292,7 @@ class TestWork:
         # all 189,780 faces at once took 20 MB
         from tilefold import conelab
 
-        clear_caches()
+        stages.clear(conelab.mori_f_vector)
         tracemalloc.start()
         try:
             fvector = conelab.mori_f_vector()

@@ -3,7 +3,7 @@ import dataclasses
 
 import pytest
 
-from tilefold import conelab
+from tilefold import conelab, stages
 from tilefold.cli import EXPECTED_MORI_FVECTOR
 from tilefold.conelab import (
     all_pair_functionals_report,
@@ -185,12 +185,12 @@ class TestEffectiveCone:
     def _recompute_with(self, monkeypatch, name, patched):
         """effective_cone_analysis with conelab.<name> replaced; cache restored."""
         monkeypatch.setattr(conelab, name, patched)
-        effective_cone_analysis.cache_clear()
+        stages.clear(effective_cone_analysis)
         try:
             return effective_cone_analysis()
         finally:
             monkeypatch.undo()
-            effective_cone_analysis.cache_clear()
+            stages.clear(effective_cone_analysis)
             effective_cone_analysis()
 
     def test_orbit_reduction_needs_invariant_moving_dual(self, monkeypatch):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tilefold import divcalc
+from tilefold import divcalc, stages
 from tilefold.conelab import effective_generators, gamma1, gamma2, mori_cone, moving_dual_cone, nef_cone
 from tilefold.divcalc import (
     LABELS,
@@ -32,6 +32,7 @@ from tilefold.divcalc import (
     quartic_system,
     ray_permutations,
     solve_petersen,
+    substituted_tensor,
     surface_graphs,
     triple,
     triple_labels,
@@ -261,7 +262,7 @@ class TestTrilinearForm:
     def test_substitution_row_independence(self):
         base = basis_tensor()
         for row in PLANE_ROWS:
-            assert basis_tensor(row) == base
+            assert substituted_tensor(row) == base
 
     def test_tensor_is_integer_symmetric(self):
         t = basis_tensor()
@@ -415,13 +416,13 @@ class TestTransport:
         broken = dict(divcalc.RULE_C_BASE)
         del broken[("A0", "B2")]
         monkeypatch.setattr(divcalc, "RULE_C_BASE", broken)
-        divcalc._transported_tables.cache_clear()
+        stages.clear(divcalc._transported_tables)
         try:
             with pytest.raises(RuleConsistencyError, match="C23"):
                 divcalc._transported_tables()
         finally:
             monkeypatch.undo()
-            divcalc._transported_tables.cache_clear()
+            stages.clear(divcalc._transported_tables)
 
     def test_surface_graphs(self):
         edges = solve_petersen()["edges"]
@@ -535,11 +536,11 @@ class TestGeneratorAction:
             return real(g, lab)
 
         monkeypatch.setattr(divcalc, "act_on_label", not_an_action)
-        picard_action.cache_clear()
+        stages.clear(picard_action)
         try:
             with pytest.raises(RuntimeError, match="not a group action"):
                 picard_action()
         finally:
             monkeypatch.undo()
-            picard_action.cache_clear()
+            stages.clear(picard_action)
         assert len(picard_action()) == 48

@@ -1,28 +1,32 @@
 """Exact rational polyhedral engine.
 
-Cones carry both descriptions (extremal rays and facet normals).  Each
-constructor runs the double description (DD) method once, over
-arbitrary-precision integers, and reads the other description off the
-incidence of its input with the DD's output (Fukuda & Prodon, 1996).
+Cones carry both descriptions (extremal rays and facet normals) and the
+ray-facet incidence between them.  Each constructor runs the double
+description (DD) method once, over arbitrary-precision integers.  The DD
+tracks the zero set of every ray it keeps, so the incidence of its input
+with its output comes with the output; the constructor reads the other
+description off it (Fukuda & Prodon, 1996) and keeps the incidence of the
+result, with no inner product taken again.
 Insertion order is lexicographic and every stored vector is canonical:
 rays and facets are primitive and orthogonal to the lineality space or the
 span equations, which are stored as HNF bases of their saturated lattices.
 So equal cones produced along different routes compare equal and golden-file
-tests are byte-stable.  Face lattices come from the ray-facet incidences
-alone, walked one dimension at a time over the fewer of rays and facets,
+tests are byte-stable.  Face lattices come from the kept incidence alone,
+walked one dimension at a time over the fewer of rays and facets,
 with dimensions read off the cover relation rather than ranked face by face.
 They can be walked up to a group of ray permutations that the incidence
 certifies; the walk then returns one face per orbit with the orbit's size
-and holds the faces of one dimension at a time.  Membership has a
-second, independent route: an all-integer simplex, pivoting with one
-common denominator (Edmonds' integer pivoting), whose verdicts carry
-certificates.  Fans are ray lists plus maximal cones with the face axioms
-checked exactly, never assumed.
+and holds the faces of one dimension at a time.  Face counts must satisfy
+the Euler relation.  Membership has a second, independent route: an
+all-integer simplex, pivoting with one common denominator (Edmonds' integer
+pivoting) by Dantzig's rule, and by Bland's after a degenerate pivot, whose
+verdicts carry certificates.  Fans are ray lists plus maximal cones with the
+face axioms checked exactly, never assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import or_
 
@@ -43,12 +47,17 @@ Vec = tuple[int, ...]
 # double description core
 
 
-def _dd_inequalities(dim: int, ineqs: list[Vec]) -> tuple[list[Vec], list[Vec]]:
+def _dd_inequalities(dim: int, ineqs: list[Vec]) -> tuple[list[list], list[Vec]]:
     """Rays and lineality basis of {x in R^dim : a.x >= 0 for a in ineqs}.
 
     Incremental double description with the combinatorial adjacency test,
     all arithmetic over Z.  `ineqs` must already be in the fixed processing
-    order; rays are returned un-normalized (use _canonical_rays).
+    order.  Each ray comes as a pair [vector, zero set], the vector
+    un-normalized (use _canonical_rays) and the zero set the bitmask of the inequalities tight at it, bit i for ineqs[i].
+    The set is exact, as every step keeps it so: a projection along the
+    lineality leaves the products with earlier inequalities unchanged up to a
+    positive factor, and a positive combination of two rays is tight exactly
+    where both are.
     """
     lineality: list[Vec] = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays: list[list] = []  # entries [vector, zeroset bitmask over processed ineqs]
@@ -133,21 +142,28 @@ def _dd_inequalities(dim: int, ineqs: list[Vec]) -> tuple[list[Vec], list[Vec]]:
                 new_rays.append([primitive_vector(comb), (zmeet | bit)])
         rays = survivors + new_rays
 
-    return [tuple(entry[0]) for entry in rays], lineality
+    return rays, lineality
 
 
-def _canonical_rays(rays, lineality) -> tuple[Vec, ...]:
-    """Canonical ray representatives: primitive orthogonal-to-lineality parts."""
+def _canonical_rays(rays, lineality) -> tuple[tuple[Vec, ...], list[int]]:
+    """Canonical ray representatives, sorted, each with the mask it came with.
+
+    `rays` holds (vector, mask) pairs.  A representative is the primitive
+    orthogonal-to-lineality part of its vector.  The masks are tight sets,
+    which neither a positive scale nor a move along the lineality changes,
+    so vectors with one representative carry one mask.
+    """
     lin = [tuple(l) for l in lineality]
-    out = set()
-    for r in rays:
+    out: dict[Vec, int] = {}
+    for r, mask in rays:
         if lin:
             r = scale_to_primitive_integer(orthogonal_complement_projection(r, lin))
         else:
             r = primitive_vector(r)
         if any(r):
-            out.add(tuple(r))
-    return tuple(sorted(out))
+            out[tuple(r)] = mask
+    order = sorted(out)
+    return tuple(order), [out[r] for r in order]
 
 
 def _saturated_kernel(dim: int, rows) -> tuple[Vec, ...]:
@@ -157,72 +173,96 @@ def _saturated_kernel(dim: int, rows) -> tuple[Vec, ...]:
     return tuple(integer_kernel(rows))
 
 
-def _prepare_inequalities(ineqs) -> list[Vec]:
-    seen = set()
-    for a in ineqs:
-        a = primitive_vector(a)
-        if any(a):
-            seen.add(tuple(a))
-    return sorted(seen)
+def _prepare_inequalities(ineqs) -> tuple[list[Vec], list[int]]:
+    """The distinct primitive nonzero inequalities, sorted, and where each input went.
+
+    Entry i of the second list is the index of input i's primitive vector in
+    the first, or -1 for a zero input, which is tight everywhere.
+    """
+    prims = [primitive_vector(a) for a in ineqs]
+    rows = sorted({a for a in prims if any(a)})
+    index = {a: k for k, a in enumerate(rows)}
+    return rows, [index.get(a, -1) for a in prims]
 
 
-def _solve_hrep(dim: int, ineqs, eqs) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """Canonical (rays, lineality) of an H-representation, by one DD run.
+def _transpose(masks, width: int) -> list[int]:
+    """Bit j of entry h of the result is bit h of masks[j], for h < width."""
+    out = [0] * width
+    for j, mask in enumerate(masks):
+        bit = 1 << j
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
+    return out
 
-    The lineality space is the kernel of all inequalities and equations, so
-    its saturated lattice is read off them rather than the DD's basis.
+
+def _solve_hrep(dim: int, ineqs, eqs) -> tuple[tuple[Vec, ...], tuple[Vec, ...], list[int]]:
+    """Canonical (rays, lineality, tight) of an H-representation, by one DD run.
+
+    `tight[i]` is the bitmask of the rays on which ineqs[i] is tight, bit k
+    for rays[k], read off the DD's zero sets; a zero inequality is tight on
+    every ray.  The lineality space is the kernel of all inequalities and
+    equations, so its saturated lattice is read off them rather than the
+    DD's basis.
     """
     eqs = [tuple(e) for e in eqs if any(e)]
-    ineqs = _prepare_inequalities(ineqs)
+    rows, index = _prepare_inequalities(ineqs)
     if eqs:
         kernel = integer_kernel(eqs)
         if not kernel:
-            return (), ()
-        # Work in saturated kernel coordinates, then map back.
-        sub = _prepare_inequalities([tuple(dot(a, k) for k in kernel) for a in ineqs])
-        rays_s, lin = _dd_inequalities(len(kernel), sub)
+            return (), (), [0] * len(index)
+        # Work in saturated kernel coordinates, then map back.  A row's
+        # product with a lifted ray is its kernel row's with the coordinates.
+        sub, sub_index = _prepare_inequalities([tuple(dot(a, k) for k in kernel) for a in rows])
+        found, lin = _dd_inequalities(len(kernel), sub)
         lift = lambda w: tuple(
             sum(w[i] * kernel[i][j] for i in range(len(kernel))) for j in range(dim)
         )
-        rays = [lift(r) for r in rays_s]
+        found = [(lift(r), zeros) for r, zeros in found]
+        index = [sub_index[k] if k >= 0 else -1 for k in index]
     else:
-        rays, lin = _dd_inequalities(dim, ineqs)
-    lineality = _saturated_kernel(dim, ineqs + eqs) if lin else ()
-    return _canonical_rays(rays, lineality), lineality
+        found, lin = _dd_inequalities(dim, rows)
+        sub = rows
+    lineality = _saturated_kernel(dim, rows + eqs) if lin else ()
+    rays, zero_sets = _canonical_rays(found, lineality)
+    by_row = _transpose(zero_sets, len(sub))
+    every_ray = (1 << len(rays)) - 1
+    return rays, lineality, [by_row[k] if k >= 0 else every_ray for k in index]
 
 
-def _extremal(dim: int, vectors, normals, normal_eqs) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """Canonical (extremal rays, lineality) of the cone the vectors generate.
+def _extremal(dim: int, vectors, tight, normals, normal_eqs):
+    """Canonical (extremal rays, lineality, incidence) of the cone the vectors generate.
 
     `normals` and `normal_eqs` are the canonical facets and saturated
     equations of that cone (or, read the other way round, its rays and
-    lineality when the vectors are valid inequalities and equations).  The
-    lineality is the saturated kernel of normals and equations.  A vector
-    spans an extremal ray exactly when its set of tight normals is maximal
-    among the vectors' sets other than the full one, which only vectors in
-    the lineality have (Fukuda & Prodon, 1996).  The lineality is the cone's
-    smallest face, spanned by the vectors lying in it, so when no vector has
-    the full set it is zero and the kernel is not computed.
+    lineality when the vectors are valid inequalities and equations), and
+    `tight[i]` is the bitmask of the normals tight at vectors[i], as
+    `_solve_hrep` gives it.  The lineality is the saturated kernel of
+    normals and equations.  A vector spans an extremal ray exactly when its
+    set of tight normals is maximal among the vectors' sets other than the
+    full one, which only vectors in the lineality have (Fukuda & Prodon,
+    1996); that maximal set is the ray's entry of the incidence.  The
+    lineality is the cone's smallest face, spanned by the vectors lying in
+    it, so when no vector has the full set it is zero and the kernel is not
+    computed.
     """
     full = (1 << len(normals)) - 1
-    tight: dict[int, Vec] = {}  # tight-normal mask -> one vector with it
+    first: dict[int, Vec] = {}  # tight-normal mask -> one vector with it
     in_lineality = False
-    for v in vectors:
-        mask = 0
-        for h, n in enumerate(normals):
-            if dot(n, v) == 0:
-                mask |= 1 << h
+    for v, mask in zip(vectors, tight):
         if mask != full:
-            tight.setdefault(mask, v)
+            first.setdefault(mask, v)
         else:
             in_lineality = True
     lineality = _saturated_kernel(dim, list(normals) + list(normal_eqs)) if in_lineality else ()
     maximal: list[int] = []  # supersets sort first
-    for m in sorted(tight, key=int.bit_count, reverse=True):
+    for m in sorted(first, key=int.bit_count, reverse=True):
         if all(m | kept != kept for kept in maximal):
             maximal.append(m)
     # Vectors with one maximal mask span one ray modulo the lineality.
-    return _canonical_rays([tight[m] for m in maximal], lineality), lineality
+    rays, incidence = _canonical_rays([(first[m], m) for m in maximal], lineality)
+    return rays, lineality, tuple(incidence)
 
 
 @dataclass(frozen=True)
@@ -234,6 +274,9 @@ class Cone:
     lineality: HNF basis of the integer points of the lineality space
     facets:    irredundant inward facet normals, canonical like rays
     equations: HNF basis of the integer points of the annihilator of the span
+    incidence: entry j is the bitmask of the facets tight at rays[j], bit h
+               for facets[h]; the constructors read it off their DD run, and
+               a cone built directly from its four descriptions computes it
     """
 
     ambient_dim: int
@@ -241,6 +284,15 @@ class Cone:
     lineality: tuple[Vec, ...]
     facets: tuple[Vec, ...]
     equations: tuple[Vec, ...]
+    incidence: tuple[int, ...] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.incidence is None:
+            incidence = tuple(
+                sum(1 << h for h, n in enumerate(self.facets) if dot(n, r) == 0)
+                for r in self.rays
+            )
+            object.__setattr__(self, "incidence", incidence)
 
     # -- constructors -------------------------------------------------------
 
@@ -248,9 +300,10 @@ class Cone:
     def from_rays(ambient_dim: int, generators) -> "Cone":
         """The cone the integer generators span, by one DD run.
 
-        The DD gives the facets and span equations.  The lineality is the
-        saturated kernel of both, and the rays are the generators whose
-        tight-facet set is maximal among those short of all facets.
+        The DD gives the facets and span equations, and its zero sets give
+        each generator's tight-facet set.  The lineality is the saturated
+        kernel of both, and the rays are the generators whose tight-facet
+        set is maximal among those short of all facets.
         """
         generators = [tuple(int(x) for x in g) for g in generators]
         if ambient_dim == 0 and generators:
@@ -260,26 +313,32 @@ class Cone:
                 raise ValueError("generator has wrong length")
         # Polar cone: its rays are our facet normals, its lineality our
         # span equations.
-        facets, equations = _solve_hrep(ambient_dim, generators, ())
-        rays, lineality = _extremal(ambient_dim, generators, facets, equations)
-        return Cone(ambient_dim, rays, lineality, facets, equations)
+        facets, equations, tight = _solve_hrep(ambient_dim, generators, ())
+        rays, lineality, incidence = _extremal(ambient_dim, generators, tight, facets, equations)
+        return Cone(ambient_dim, rays, lineality, facets, equations, incidence)
 
     @staticmethod
     def from_inequalities(ambient_dim: int, inequalities, equations=()) -> "Cone":
         """{x : a.x >= 0, e.x == 0} for integer a and e, by one DD run.
 
-        The DD gives the rays and the lineality.  The span equations are the
-        saturated annihilator of both, and the facets are the inequalities
-        whose tight-ray set is maximal among those short of all rays.
+        The DD gives the rays and the lineality, and its zero sets give each
+        inequality's tight-ray set (an equation is tight on every ray).  The
+        span equations are the saturated annihilator of both, and the facets
+        are the inequalities whose tight-ray set is maximal among those short
+        of all rays.
         """
         inequalities = [tuple(int(x) for x in a) for a in inequalities]
         equations = [tuple(int(x) for x in e) for e in equations]
         for a in list(inequalities) + list(equations):
             if len(a) != ambient_dim:
                 raise ValueError("inequality has wrong length")
-        rays, lineality = _solve_hrep(ambient_dim, inequalities, equations)
-        facets, span_eqs = _extremal(ambient_dim, inequalities + equations, rays, lineality)
-        return Cone(ambient_dim, rays, lineality, facets, span_eqs)
+        rays, lineality, tight = _solve_hrep(ambient_dim, inequalities, equations)
+        tight += [(1 << len(rays)) - 1] * len(equations)
+        facets, span_eqs, facet_rays = _extremal(
+            ambient_dim, inequalities + equations, tight, rays, lineality
+        )
+        incidence = tuple(_transpose(facet_rays, len(rays)))
+        return Cone(ambient_dim, rays, lineality, facets, span_eqs, incidence)
 
     @staticmethod
     def full_space(ambient_dim: int) -> "Cone":
@@ -345,8 +404,9 @@ class Cone:
 
 
 def dual_cone(c: Cone) -> Cone:
-    """Swap the ray and facet descriptions; an exact involution."""
-    return Cone(c.ambient_dim, c.facets, c.equations, c.rays, c.lineality)
+    """Swap the ray and facet descriptions and transpose the incidence; an exact involution."""
+    incidence = tuple(_transpose(c.incidence, len(c.facets)))
+    return Cone(c.ambient_dim, c.facets, c.equations, c.rays, c.lineality, incidence)
 
 
 def intersect_cones(a: Cone, b: Cone) -> Cone:
@@ -365,10 +425,8 @@ def is_face(f: Cone, c: Cone) -> bool:
     """
     if not c.contains_cone(f):
         raise ValueError("first cone is not contained in the second")
-    tight = [n for n in c.facets if all(dot(n, r) == 0 for r in f.rays)]
-    generated_rays = tuple(
-        sorted(r for r in c.rays if all(dot(n, r) == 0 for n in tight))
-    )
+    tight = sum(1 << h for h, n in enumerate(c.facets) if all(dot(n, r) == 0 for r in f.rays))
+    generated_rays = tuple(r for r, m in zip(c.rays, c.incidence) if m & tight == tight)
     return generated_rays == f.rays and f.lineality == c.lineality
 
 
@@ -376,26 +434,30 @@ def is_face(f: Cone, c: Cone) -> bool:
 # face lattice enumeration
 
 
-def _images(ray_images, mask: int) -> list[int]:
-    """The images of a ray mask under each permutation behind `ray_images`."""
-    images = ray_images[-1]  # zeros, the images of the empty mask
+def _images(tables, mask: int) -> list[int]:
+    """The images of a ray mask under each permutation, read four rays at a time."""
+    images = tables[0][mask & 15]
+    mask >>= 4
+    q = 1
     while mask:
-        low = mask & -mask
-        images = list(map(or_, images, ray_images[low.bit_length() - 1]))
-        mask ^= low
+        nibble = mask & 15
+        if nibble:
+            images = list(map(or_, images, tables[q][nibble]))
+        mask >>= 4
+        q += 1
     return images
 
 
-def _ray_images(ray_permutations, facet_rays, nrays: int) -> list:
-    """The image bits of each ray under certified face-lattice automorphisms.
+def _image_tables(perms, facet_rays, nrays: int) -> list:
+    """Image tables of certified face-lattice automorphisms, four rays to a table.
 
-    Entry j holds `1 << p[j]` for each permutation p, and a last entry holds
-    zeros.  Each permutation must be a bijection of range(nrays) sending the
-    ray set of every facet (the masks in `facet_rays`) onto the ray set of a
-    facet, and the set must be closed under composition; otherwise
-    RuntimeError.
+    Entry v of table q lists the image of the ray mask v << 4q under each
+    permutation in `perms`, so a mask's images take one `map` per nonzero
+    group of four rays.  Each permutation must be a bijection of
+    range(nrays) sending the ray set of every facet (the masks in
+    `facet_rays`) onto the ray set of a facet, and the set must be closed
+    under composition; otherwise RuntimeError.  No permutations, no tables.
     """
-    perms = [tuple(p) for p in ray_permutations]
     if not perms:
         return []
     identity = list(range(nrays))
@@ -405,27 +467,34 @@ def _ray_images(ray_permutations, facet_rays, nrays: int) -> list:
     perm_set = set(perms)
     if any(tuple(p[i] for i in q) not in perm_set for p in perms for q in perms):
         raise RuntimeError("ray permutations are not closed under composition")
-    ray_images = [[1 << p[j] for p in perms] for j in range(nrays)] + [[0] * len(perms)]
+    tables = []
+    for low in range(0, max(nrays, 1), 4):
+        table = [[0] * len(perms)]
+        for j in range(low, min(low + 4, nrays)):
+            single = [1 << p[j] for p in perms]
+            table += [list(map(or_, images, single)) for images in table]
+        tables.append(table)
     facet_set = set(facet_rays)
     for f in facet_rays:
-        if not facet_set.issuperset(_images(ray_images, f)):
+        if not facet_set.issuperset(_images(tables, f)):
             raise RuntimeError("a ray permutation does not map facets onto facets")
-    return ray_images
+    return tables
 
 
 def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, int]]:
     """One face of a pointed cone per orbit, as {ray bitmask: (dimension, orbit size)}.
 
-    Faces come from the ray-facet incidence alone (Kaibel & Pfetsch, 2002),
-    walked over whichever of rays and facets is fewer.  Over rays, for a
-    face with tight-facet mask `tight`, each ray j outside it gives
-    `tight & ray_facet_mask[j]`; the maximal such masks are the covers of the
-    face, one dimension up.  The walk goes one level at a time from the zero
-    face, and the covers of one level's faces are the whole next level.  Over
-    facets the same walk runs on the transposed incidence from the cone
-    itself down: a face's tight mask is then its ray mask, and after k levels
-    its dimension is c.dim - k.  Either way the walk's height is checked
-    against the cone's dimension and the rank of the rays.
+    Faces come from the cone's ray-facet incidence alone (Kaibel & Pfetsch,
+    2002), walked over whichever of rays and facets is fewer.  Over rays, a
+    face is held by its tight-facet mask `tight`, and each ray j gives the
+    join `tight & c.incidence[j]`, which is `tight` itself for the rays of
+    the face; the maximal other joins are the covers of the face, one
+    dimension up.  The walk goes one level at a time from the zero face, and
+    the covers of one level's faces are the whole next level.  Over facets
+    the same walk runs on the transposed incidence from the cone itself
+    down: a face's tight mask is then its ray mask, and after k levels its
+    dimension is c.dim - k.  Either way the walk's height is checked against
+    the cone's dimension and the rank of the rays.
 
     `ray_permutations` is a group of permutations of the ray indices, each
     a tuple whose entry i is the index of the image of ray i.  Before the
@@ -434,72 +503,84 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
     composition; a group that passes acts on the face lattice by
     automorphisms, whatever code produced it, and any other input raises
     RuntimeError.  The walk then works up to symmetry (Bremner, Dutour
-    Sikirić & Schürmann, 2009): a cover not yet seen on its level enters the
-    level's seen-set together with all its images, and only that cover is
-    walked on.  The covers of g(F) are the images of the covers of F, so
-    every face is still reached and each orbit is expanded once; the orbit
-    size is how much the seen-set grew.  Only one level's seen-set is held
-    at a time.  Without permutations every face is its own representative
-    and every orbit size is 1.
+    Sikirić & Schürmann, 2009): a cover whose ray mask is not yet seen on
+    its level enters the level's seen-set together with all its images, and
+    only that cover is walked on.  The covers of g(F) are the images of the
+    covers of F, so every face is still reached and each orbit is expanded
+    once; the orbit size is how much the seen-set grew.  Only one level's
+    seen-set is held at a time.  Without permutations every face is its own
+    representative, the seen-set holds tight masks, every orbit size is 1,
+    and a face's ray mask is formed once, when the level is done.
     """
     if not c.is_pointed():
         raise ValueError("face enumeration requires a pointed cone")
+    perms = [tuple(p) for p in ray_permutations]
     nrays, nfacets = len(c.rays), len(c.facets)
-    ray_facet_mask = []
-    for r in c.rays:
-        mask = 0
-        for h_idx, n in enumerate(c.facets):
-            if dot(n, r) == 0:
-                mask |= 1 << h_idx
-        ray_facet_mask.append(mask)
     all_facets_mask = (1 << nfacets) - 1
-    if any(m == all_facets_mask for m in ray_facet_mask):
+    if all_facets_mask in c.incidence:
         raise ValueError("cone is not pointed in incidence data")
-    facet_rays = [0] * nfacets
-    for j, mask in enumerate(ray_facet_mask):
-        for h in range(nfacets):
-            if mask >> h & 1:
-                facet_rays[h] |= 1 << j
-    ray_images = _ray_images(ray_permutations, facet_rays, nrays)
-
     by_facets = nfacets < nrays
+    facet_rays = _transpose(c.incidence, nfacets) if by_facets or perms else []
+    tables = _image_tables(perms, facet_rays, nrays)
+
     if by_facets:
         atoms = facet_rays
         start = (1 << nrays) - 1  # the cone: every ray, no facet
         faces = {start: (c.dim, 1)}
     else:
-        atoms = ray_facet_mask
+        atoms = c.incidence
         start = all_facets_mask  # the zero face: every facet, no ray
         faces = {0: (0, 1)}
+    bits = [1 << j for j in range(len(atoms))]
+    # A group's seen-set holds ray masks, so over rays each cover needs its
+    # ray mask before the seen-set can be asked.  One pass over the atoms
+    # then collects, for each join, the atoms that give it; the atoms that
+    # give `tight` itself are the face's own.
+    track_rays = bool(tables) and not by_facets
+
     height = -1
-    level = [(start, 0)]  # (tight mask, atom mask) of each orbit's representative
+    level = [start]  # the tight mask of each orbit's representative
     while level:
         height += 1
         dim = c.dim - height - 1 if by_facets else height + 1
         single = (dim, 1)  # one tuple for all one-face orbits: none per face without a group
-        seen: set[int] = set()  # every face of the next level met so far
+        seen: set[int] = set()  # the next level met so far
         next_level = []
-        for tight, closed in level:
-            joins: dict[int, int] = {}  # tight mask of face + atom j -> those atoms j
-            for j, atom in enumerate(atoms):
-                if not closed >> j & 1:
+        for tight in level:
+            if track_rays:
+                joins = {}  # join -> the atoms that give it
+                for bit, atom in zip(bits, atoms):
                     m = tight & atom
-                    joins[m] = joins.get(m, 0) | 1 << j
-            covers: list[int] = []  # maximal masks of joins; supersets sort first
+                    joins[m] = joins.get(m, 0) | bit
+                inside = joins.pop(tight, 0)
+            else:
+                joins = {tight & atom for atom in atoms}
+                joins.discard(tight)
+            covers: list[int] = []  # maximal joins; supersets sort first
             for m in sorted(joins, key=int.bit_count, reverse=True):
                 for kept in covers:
                     if m | kept == kept:
                         break  # m lies below a cover
                 else:
                     covers.append(m)
-                    child = closed | joins[m]
-                    face = m if by_facets else child
-                    if face not in seen:
-                        before = len(seen)
-                        seen.update(_images(ray_images, face) if ray_images else (face,))
-                        size = len(seen) - before
-                        faces[face] = single if size == 1 else (dim, size)
-                        next_level.append((m, child))
+            if not tables:
+                seen.update(covers)
+                continue
+            for m in covers:
+                face = inside | joins[m] if track_rays else m
+                if face not in seen:
+                    before = len(seen)
+                    seen.update(_images(tables, face))
+                    size = len(seen) - before
+                    faces[face] = single if size == 1 else (dim, size)
+                    next_level.append(m)
+        if not tables:
+            # Without a group every face is new once: form its ray mask then.
+            next_level = list(seen)
+            ray_masks = next_level if by_facets else [
+                sum([bit for bit, atom in zip(bits, atoms) if atom & m == m]) for m in next_level
+            ]
+            faces.update(dict.fromkeys(ray_masks, single))
         level = next_level
     rank = rational_rank(c.rays) if c.rays else 0
     if not height == c.dim == rank:
@@ -510,13 +591,22 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
 
 
 def face_lattice_fvector(c: Cone, ray_permutations=()) -> tuple[int, ...]:
-    """Face counts by dimension 1..dim-1 (rays through facets): orbit sizes summed."""
+    """Face counts by dimension 1..dim-1 (rays through facets): orbit sizes summed.
+
+    RuntimeError unless the cone is the one face of its dimension and, for a
+    cone of dimension 1 or more, the face counts from the zero face up to the
+    cone satisfy the Euler relation (their alternating sum is 0).  Both are
+    necessary conditions on the incidence, not a proof that the facet list
+    is complete: a dropped facet can still pass them.
+    """
     top_dim = c.dim
     counts = [0] * (top_dim + 1)
     for d, size in face_lattice_raysets(c, ray_permutations).values():
         counts[d] += size
     if counts[top_dim] != 1:
         raise RuntimeError(f"{counts[top_dim]} faces of full dimension, expected the cone alone")
+    if top_dim >= 1 and sum((-1) ** k * f for k, f in enumerate(counts)):
+        raise RuntimeError(f"face counts {counts} by dimension break the Euler relation")
     return tuple(counts[1:top_dim])
 
 
@@ -600,11 +690,18 @@ def lp_in_cone(generators, point) -> bool:
     times its true values, d the last pivot (1 at the start, and positive
     because the ratio test pivots only on positive entries).  Pivot p sets
     each other row to (p*row - f*pivot_row) // d, f its entry in the pivot
-    column, and the division is exact.  Bland's rule gives termination: the
-    first column with a negative reduced cost enters, and of the rows with
-    the least ratio, compared by cross-multiplication, the one whose basic
-    column has the least index leaves.  A basis that comes back raises
-    RuntimeError.  This is deliberately a second route, independent of
+    column, and the division is exact.  As every row is scaled by the same
+    d, reduced costs compare as they stand.  The column with the most
+    negative reduced cost enters (Dantzig's rule; the least index among
+    ties), except right after a degenerate pivot, one whose leaving row had
+    right-hand side 0: then the first column with a negative reduced cost
+    enters (Bland's rule).  Of the rows with the least ratio, compared by
+    cross-multiplication, the one whose basic column has the least index
+    leaves, as Bland's rule asks.  The pivots terminate: the objective
+    never rises, so a cycle would be made of degenerate pivots only, and
+    every pivot in it would follow Bland's rule, which never cycles.  A
+    basis that comes back under the same rule raises RuntimeError all the
+    same.  This is deliberately a second route, independent of
     facet computations, for Farkas-style cross checks.  The verdict carries
     exact evidence, re-checked before it is returned: True comes with the
     basic solution lambda >= 0, and sum (lambda_j d) g_j must equal d b over
@@ -637,14 +734,21 @@ def lp_in_cone(generators, point) -> bool:
     obj.append(-sum(row[width] for row in tableau))
     d = 1
 
-    seen = set()  # Bland's rule never returns to a basis
+    seen = set()  # (basis, rule) pairs; the pivots never return to one
+    degenerate = False  # the last pivot left the objective value as it was
     while True:
-        enter = next((j for j in range(width) if obj[j] < 0), None)
-        if enter is None:
+        costs = obj[:width]
+        least = min(costs)
+        if least >= 0:
             break
-        if tuple(basis) in seen:
+        if degenerate:
+            enter = next(j for j, v in enumerate(costs) if v < 0)
+        else:
+            enter = costs.index(least)
+        state = (tuple(basis), degenerate)
+        if state in seen:
             raise RuntimeError("simplex: a basis came back, so the pivots cycle")
-        seen.add(tuple(basis))
+        seen.add(state)
         if enter in basis:
             raise RuntimeError("simplex: a basic column has a nonzero reduced cost")
         leave = None
@@ -661,11 +765,11 @@ def lp_in_cone(generators, point) -> bool:
             raise RuntimeError("simplex: the phase-1 objective is unbounded below")
         pivot_row = tableau[leave]
         p = pivot_row[enter]
+        degenerate = pivot_row[width] == 0
         for row in tableau + [obj]:
             if row is not pivot_row:
                 f = row[enter]
-                for j in range(width + 1):
-                    row[j] = (p * row[j] - f * pivot_row[j]) // d
+                row[:] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
         d = p
         basis[leave] = enter
 
@@ -773,8 +877,8 @@ def is_complete_fan(fan: Fan) -> bool:
         return False
     wall_count: dict[tuple, int] = {}
     for ci in cones:
-        for n in ci.facets:
-            wall_rays = tuple(sorted(r for r in ci.rays if dot(n, r) == 0))
+        for h in range(len(ci.facets)):
+            wall_rays = tuple(r for r, tight in zip(ci.rays, ci.incidence) if tight >> h & 1)
             wall_count[wall_rays] = wall_count.get(wall_rays, 0) + 1
     return all(v == 2 for v in wall_count.values())
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .exactlat import echelon, integer_kernel, mat_vec, scale_to_primitive_integer
 from .stages import stage
@@ -256,14 +256,22 @@ def generator_map(name: str) -> RationalMap:
 
 
 def normalize_point(p) -> tuple[int, ...]:
-    """Canonical projective representative: primitive, first nonzero positive."""
-    v = scale_to_primitive_integer(p)
-    if not any(v):
+    """Canonical projective representative: primitive, first nonzero positive.
+
+    Integer points, the images `_evaluate_normalized` passes on every word
+    step, are divided by their gcd with the sign of their first nonzero
+    entry; other points are scaled to primitive integers first.
+    """
+    try:
+        g = gcd(*p)
+    except TypeError:  # a Fraction (or other rational) entry
+        p = scale_to_primitive_integer(p)
+        g = gcd(*p)
+    if not g:
         raise ValueError("zero vector is not a projective point")
-    lead = next(x for x in v if x)
-    if lead < 0:
-        v = tuple(-x for x in v)
-    return v
+    if next(filter(None, p)) < 0:
+        g = -g
+    return tuple([x // g for x in p])
 
 
 def evaluate(m: RationalMap, p) -> tuple[int, ...]:

@@ -16,6 +16,8 @@ from tilefold.exactlat import (
 )
 from tilefold.polyhedra import (
     Cone,
+    _image_tables,
+    _images,
     _saturated_kernel,
     _solve_hrep,
     check_fan,
@@ -214,15 +216,15 @@ def general_cones(draw, min_dim=4, max_dim=6):
 
 def two_dd_from_rays(d, gens) -> Cone:
     """Reference constructor: a second DD run recovers the rays from the facets."""
-    facets, equations = _solve_hrep(d, gens, ())
-    rays, lineality = _solve_hrep(d, facets, equations)
+    facets, equations, _ = _solve_hrep(d, gens, ())
+    rays, lineality, _ = _solve_hrep(d, facets, equations)
     return Cone(d, rays, lineality, facets, equations)
 
 
 def two_dd_from_inequalities(d, ineqs, eqs=()) -> Cone:
     """Reference constructor: a second DD run recovers the facets from the rays."""
-    rays, lineality = _solve_hrep(d, ineqs, eqs)
-    facets, equations = _solve_hrep(d, rays, lineality)
+    rays, lineality, _ = _solve_hrep(d, ineqs, eqs)
+    facets, equations, _ = _solve_hrep(d, rays, lineality)
     return Cone(d, rays, lineality, facets, equations)
 
 
@@ -374,6 +376,35 @@ def lp_inputs(draw):
         gens = [scaled(g, draw(positive), draw(positive)) for g in gens]
         point = scaled(point, draw(positive), draw(positive))
     return gens, point
+
+
+@st.composite
+def degenerate_lps(draw):
+    """Many generators through one face of a cone, and a point on that face.
+
+    In R^d, d = 3..6, at least d generators lie in the face x_0 = 0 and one
+    to three have x_0 >= 1, so x_0 >= 0 supports the cone.  The point is a
+    nonnegative combination of one or two face generators, or any point with
+    x_0 = 0.  Sparse entries in {-1, 0, 1} leave several right-hand sides 0,
+    so the simplex starts and goes on degenerate.
+    """
+    d = draw(st.integers(3, 6))
+    sparse = st.sampled_from([0, 0, 0, 1, -1])
+    face = draw(st.lists(st.tuples(st.just(0), *[sparse] * (d - 1)), min_size=d, max_size=2 * d + 2))
+    off = draw(st.lists(st.tuples(st.integers(1, 2), *[sparse] * (d - 1)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        support = draw(st.lists(st.sampled_from(face), min_size=1, max_size=2))
+        point = tuple(sum(g[i] for g in support) for i in range(d))
+    else:
+        point = (0,) + draw(st.tuples(*[sparse] * (d - 1)))
+    return draw(st.permutations(face + off)), point
+
+
+def tight_sets(c: Cone) -> tuple[int, ...]:
+    """The ray-facet incidence recomputed: entry j masks the facets tight at ray j."""
+    return tuple(
+        sum(1 << h for h, n in enumerate(c.facets) if dot(n, r) == 0) for r in c.rays
+    )
 
 
 # cone over the square with vertices (+-1, +-1); its rays sort as
@@ -530,6 +561,32 @@ class TestCones:
             assert c.lineality == _saturated_kernel(d, c.facets + c.equations)
             assert c.equations == _saturated_kernel(d, c.rays + c.lineality)
 
+    @settings(max_examples=80, deadline=None)
+    @given(general_cones(3, 5), st.data())
+    def test_kept_incidence_is_the_tight_sets(self, cone, data):
+        # the DD's zero sets must survive the deduplication of duplicate and
+        # scaled inputs, zero inputs (tight everywhere), the kernel
+        # coordinates of equations and the lineality projection
+        d, gens = cone
+        again = data.draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else []
+        gens = gens + again + [tuple(3 * x for x in g) for g in again] + [(0,) * d]
+        ineqs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=d + 3))
+        ineqs = ineqs + [tuple(2 * x for x in a) for a in ineqs[:2]] + [(0,) * d]
+        eqs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=2))
+        for vectors, equations in ((gens, ()), (ineqs, eqs), (ineqs, ())):
+            rays, _, tight = _solve_hrep(d, vectors, equations)
+            assert tight == [
+                sum(1 << k for k, r in enumerate(rays) if dot(a, r) == 0) for a in vectors
+            ]
+        for c in (
+            Cone.from_rays(d, gens),
+            Cone.from_inequalities(d, ineqs, eqs),
+            Cone.from_inequalities(d, ineqs),
+        ):
+            for k in (c, dual_cone(c), dual_cone(dual_cone(c))):
+                assert k.incidence == tight_sets(k)
+                assert Cone(*fields(k)).incidence == k.incidence
+
     def test_span_equation_with_no_tight_inequality(self):
         # {x1 >= 0, x3 == 0}: no inequality is tight on the whole cone, yet
         # x3 == 0 is a span equation
@@ -555,6 +612,16 @@ class TestCones:
         # degenerate pivots here cycle when ties leave by the largest basic index
         gens, point = CYCLING_LP
         assert not lp_in_cone(gens, point) and not Cone.from_rays(4, gens).contains(point)
+
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_lps())
+    def test_degenerate_lps_end_with_checked_certificates(self, inputs):
+        # lp_in_cone re-checks its certificate before answering, so each
+        # verdict here has passed that check; it must also be the right one
+        gens, point = inputs
+        verdict = lp_in_cone(gens, point)
+        assert verdict == Cone.from_rays(len(point), gens).contains(point)
+        assert verdict == reference_lp_in_cone(gens, point)
 
     @settings(max_examples=400, deadline=None)
     @given(lp_inputs())
@@ -697,6 +764,35 @@ class TestFaceLattice:
         square = Cone.from_rays(3, SQUARE)
         with pytest.raises(RuntimeError, match="closed under composition"):
             face_lattice_raysets(square, [(2, 3, 0, 1)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 13), st.booleans(), st.data())
+    def test_image_tables_match_per_ray_images(self, nrays, full, data):
+        # the cyclic group of a random permutation, or for up to four rays
+        # the whole symmetric group
+        if full and nrays <= 4:
+            group = list(itertools.permutations(range(nrays)))
+        else:
+            sigma = data.draw(st.permutations(range(nrays)))
+            group = [tuple(range(nrays))]
+            while (power := tuple(sigma[i] for i in group[-1])) != group[0]:
+                group.append(power)
+        tables = _image_tables(group, [], nrays)
+        masks = data.draw(st.lists(st.integers(0, (1 << nrays) - 1), min_size=1, max_size=8))
+        for mask in masks:
+            by_ray = [sum(1 << p[j] for j in range(nrays) if mask >> j & 1) for p in group]
+            assert _images(tables, mask) == by_ray
+
+    def test_a_dropped_facet_breaks_the_euler_relation(self):
+        # the cones over the 3-cube and over the octahedron, each rebuilt
+        # without one facet: the walk still runs, but its counts are wrong
+        cube = Cone.from_rays(4, [(1,) + v for v in itertools.product((-1, 1), repeat=3)])
+        for c, fvector in ((cube, (8, 12, 6)), (dual_cone(cube), (6, 12, 8))):
+            assert face_lattice_fvector(c) == fvector
+            for k in range(len(c.facets)):
+                dropped = Cone(4, c.rays, (), c.facets[:k] + c.facets[k + 1 :], ())
+                with pytest.raises(RuntimeError, match="Euler relation"):
+                    face_lattice_fvector(dropped)
 
     def test_expected_mori_fvector_satisfies_euler(self):
         # an 11-dimensional polytope section: f_0 - f_1 + ... + f_10 = 2

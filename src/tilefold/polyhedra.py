@@ -20,8 +20,8 @@ and holds the faces of one dimension at a time.  Face counts must satisfy
 the Euler relation.  Membership has a second, independent route: an
 all-integer simplex, pivoting with one common denominator (Edmonds' integer
 pivoting) by Dantzig's rule, and by Bland's after a degenerate pivot, whose
-verdicts carry certificates.  Fans are ray lists plus maximal cones with the
-face axioms checked exactly, never assumed.
+verdicts carry certificates.  A fan keeps the cone of each maximal cone, and
+the fan axioms are checked exactly, once, when it is made.
 """
 
 from __future__ import annotations
@@ -298,24 +298,14 @@ class Cone:
 
     @staticmethod
     def from_rays(ambient_dim: int, generators) -> "Cone":
-        """The cone the integer generators span, by one DD run.
-
-        The DD gives the facets and span equations, and its zero sets give
-        each generator's tight-facet set.  The lineality is the saturated
-        kernel of both, and the rays are the generators whose tight-facet
-        set is maximal among those short of all facets.
-        """
+        """The cone the integer generators span: the dual of {x : g.x >= 0 for each g}."""
         generators = [tuple(int(x) for x in g) for g in generators]
         if ambient_dim == 0 and generators:
             raise ValueError("ambient dimension 0 admits no generators")
         for g in generators:
             if len(g) != ambient_dim:
                 raise ValueError("generator has wrong length")
-        # Polar cone: its rays are our facet normals, its lineality our
-        # span equations.
-        facets, equations, tight = _solve_hrep(ambient_dim, generators, ())
-        rays, lineality, incidence = _extremal(ambient_dim, generators, tight, facets, equations)
-        return Cone(ambient_dim, rays, lineality, facets, equations, incidence)
+        return dual_cone(Cone.from_inequalities(ambient_dim, generators))
 
     @staticmethod
     def from_inequalities(ambient_dim: int, inequalities, equations=()) -> "Cone":
@@ -798,22 +788,19 @@ def lp_in_cone(generators, point) -> bool:
 class Fan:
     """Fan given by a global primitive ray list and maximal cones.
 
-    maximal_cones are frozensets of ray indices.  Use check_fan to verify
-    the axioms exactly; nothing here assumes them.
+    maximal_cones are frozensets of ray indices, and cones[i] is the cone
+    of maximal_cones[i].  make_fan builds each cone once and checks the fan
+    axioms exactly, so a Fan it returns has passed them.
     """
 
     ambient_dim: int
     rays: tuple[Vec, ...]
     maximal_cones: tuple[frozenset[int], ...]
-
-    def cone_of(self, indices) -> Cone:
-        return Cone.from_rays(self.ambient_dim, [self.rays[i] for i in indices])
-
-    def cones(self) -> list[Cone]:
-        return [self.cone_of(s) for s in self.maximal_cones]
+    cones: tuple[Cone, ...] = field(repr=False, compare=False)
 
 
 def make_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
+    """The fan of the given rays and maximal cones; ValueError unless it is one."""
     rays = tuple(tuple(int(x) for x in r) for r in rays)
     for r in rays:
         if len(r) != ambient_dim:
@@ -829,16 +816,18 @@ def make_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
             raise ValueError("cone index out of range")
         maximal.append(s)
     maximal = tuple(sorted(set(maximal), key=sorted))
-    return Fan(ambient_dim, rays, maximal)
+    cones = tuple(Cone.from_rays(ambient_dim, [rays[i] for i in s]) for s in maximal)
+    fan = Fan(ambient_dim, rays, maximal, cones)
+    check_fan(fan)
+    return fan
 
 
 def check_fan(fan: Fan) -> None:
     """Exact fan axioms: listed cones meet in common faces, none redundant."""
-    cones = fan.cones()
-    for i, ci in enumerate(cones):
-        expected = tuple(sorted(fan.rays[k] for k in fan.maximal_cones[i]))
-        if ci.rays != expected:
-            raise ValueError(f"cone {sorted(fan.maximal_cones[i])} has non-extremal generators")
+    cones = fan.cones
+    for s, c in zip(fan.maximal_cones, cones):
+        if c.rays != tuple(sorted(fan.rays[k] for k in s)):
+            raise ValueError(f"cone {sorted(s)} has non-extremal generators")
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             if fan.maximal_cones[i] <= fan.maximal_cones[j] or fan.maximal_cones[
@@ -855,14 +844,13 @@ def check_fan(fan: Fan) -> None:
 
 def fan_face_index_sets(fan: Fan) -> set[frozenset[int]]:
     """All faces of all maximal cones, as global ray index sets."""
+    index = {r: i for i, r in enumerate(fan.rays)}
     out: set[frozenset[int]] = set()
-    for s in fan.maximal_cones:
-        idx = sorted(s)
-        cone = fan.cone_of(idx)
-        if not cone.is_pointed():
-            raise ValueError("fan cones must be pointed")
+    for cone in fan.cones:
+        # bit i of a face mask is cone.rays[i]; the cones are pointed, as
+        # check_fan found every generator extremal
         for mask in face_lattice_raysets(cone):
-            out.add(frozenset(idx[i] for i in range(len(idx)) if mask & (1 << i)))
+            out.add(frozenset(index[r] for i, r in enumerate(cone.rays) if mask >> i & 1))
     return out
 
 
@@ -872,7 +860,7 @@ def is_complete_fan(fan: Fan) -> bool:
     A pure full-dimensional fan covers R^n exactly when every codimension-one
     face of a maximal cone is shared by exactly two maximal cones.
     """
-    cones = fan.cones()
+    cones = fan.cones
     if not cones or any(c.dim != fan.ambient_dim for c in cones):
         return False
     wall_count: dict[tuple, int] = {}

@@ -28,7 +28,6 @@ from .polyhedra import (
     Cone,
     Fan,
     Polytope,
-    check_fan,
     convex_hull,
     fan_face_index_sets,
     fan_is_smooth,
@@ -130,6 +129,7 @@ def source_data() -> tuple[ProjectionData, Fan]:
     return pd, orthant
 
 
+@stage
 def fixed_point_weights() -> tuple[dict[tuple[int, ...], tuple[int, ...]], Polytope]:
     """Doubled ample-weight of each torus fixed point, and their hull.
 
@@ -185,69 +185,78 @@ def _chambers(dim: int, normals) -> list[Cone]:
     return [cone for _, cone in chambers]
 
 
-def _checked_fan(dim: int, cones) -> Fan:
-    """The fan on the rays of the given cones, with the fan axioms checked."""
+def _fan_of(dim: int, cones) -> Fan:
+    """The fan on the rays of the given cones; make_fan checks its axioms."""
     rays = sorted({r for c in cones for r in c.rays})
     index = {r: i for i, r in enumerate(rays)}
-    fan = make_fan(dim, rays, [frozenset(index[r] for r in c.rays) for c in cones])
-    check_fan(fan)  # fails loudly on an algorithm bug
-    return fan
+    return make_fan(dim, rays, [frozenset(index[r] for r in c.rays) for c in cones])
 
 
 def _projected_faces(fan: Fan, proj) -> tuple[tuple[frozenset[int], Cone], ...]:
-    """Each face of the fan with its projection, smallest faces first."""
-    face_sets = sorted(fan_face_index_sets(fan), key=lambda s: (len(s), sorted(s)))
-    return tuple((s, _project_cone(proj, [fan.rays[i] for i in sorted(s)])) for s in face_sets)
+    """Each face of the fan with its projection, smallest faces first.
 
-
-def quotient_fan(fan: Fan, proj) -> Fan:
-    """Quotient fan: cones are the minimal intersections of projected cones.
-
-    Algorithm: project every face of the input fan, refine the target space
-    by the arrangement of all projected facet and span hyperplanes, pick an
-    interior witness per chamber, intersect all projected cones containing
-    the witness, deduplicate, then verify the fan axioms exactly.
+    The projection must be a surjective lattice map from the fan's space.
     """
     rows, cols = matrix_shape(proj)
     if cols != fan.ambient_dim:
         raise ValueError("projection does not match fan ambient dimension")
     if smith_invariants(proj) != [1] * rows:
         raise ValueError("projection must be surjective onto the target lattice")
+    face_sets = sorted(fan_face_index_sets(fan), key=lambda s: (len(s), sorted(s)))
+    return tuple((s, _project_cone(proj, [fan.rays[i] for i in sorted(s)])) for s in face_sets)
 
-    projected = _projected_faces(fan, proj)
-    distinct = {c.key(): c for _, c in projected}
-    normals = _arrangement_normals(distinct.values())
 
-    candidates: dict[tuple, Cone] = {}
-    for chamber in _chambers(rows, normals):
+def _chamber_fan(dim: int, projected) -> Fan:
+    """The fan whose cones are the minimal intersections of the projected cones.
+
+    Algorithm: refine the target space by the arrangement of all projected
+    facet and span hyperplanes, pick an interior witness per chamber, and
+    collect the set of projected cones containing it.  Each distinct set is
+    intersected once; make_fan then checks the fan axioms exactly.
+    """
+    distinct = list({c.key(): c for _, c in projected}.values())
+    normals = _arrangement_normals(distinct)
+
+    containing_sets = set()
+    for chamber in _chambers(dim, normals):
         if not chamber.is_pointed():
             raise RuntimeError("arrangement normals do not span")
         witness = chamber.interior_point()
         if any(dot(n, witness) == 0 for n in normals):
             raise RuntimeError(f"chamber witness {witness} lies on a wall")
-        containing = [c for c in distinct.values() if c.contains(witness)]
-        if not containing:
-            continue
-        ineqs: list = []
-        eqs: list = []
-        for c in containing:
-            ineqs.extend(c.facets)
-            eqs.extend(c.equations)
-        minimal = Cone.from_inequalities(rows, ineqs, eqs)
-        candidates[minimal.key()] = minimal
+        containing = tuple(k for k, c in enumerate(distinct) if c.contains(witness))
+        if containing:
+            containing_sets.add(containing)
 
-    return _checked_fan(rows, candidates.values())
+    candidates: dict[tuple, Cone] = {}
+    for containing in containing_sets:
+        ineqs = [n for k in containing for n in distinct[k].facets]
+        eqs = [e for k in containing for e in distinct[k].equations]
+        minimal = Cone.from_inequalities(dim, ineqs, eqs)
+        candidates[minimal.key()] = minimal
+    return _fan_of(dim, candidates.values())
+
+
+def quotient_fan(fan: Fan, proj) -> Fan:
+    """Quotient fan: cones are the minimal intersections of projected cones."""
+    return _chamber_fan(len(proj), _projected_faces(fan, proj))
+
+
+@stage
+def chart_projected_faces() -> tuple[tuple[frozenset[int], Cone], ...]:
+    """The 64 orthant faces of the chart with their projections."""
+    pd, orthant = source_data()
+    return _projected_faces(orthant, pd.cokernel_matrix)
 
 
 @stage
 def chart_quotient_fan() -> Fan:
-    pd, orthant = source_data()
-    return quotient_fan(orthant, pd.cokernel_matrix)
+    """The quotient fan of the chart orthant under the cokernel projection."""
+    return _chamber_fan(len(COKERNEL_MATRIX), chart_projected_faces())
 
 
 def verify_quotient_fan(fan: Fan) -> dict:
     """Smoothness, completeness and Picard number of a quotient fan."""
-    check_fan(fan)
     smooth = fan_is_smooth(fan)
     complete = is_complete_fan(fan)
     picard = len(fan.rays) - fan.ambient_dim
@@ -272,7 +281,7 @@ def _certify_refinement(cones, fan: Fan) -> None:
     """
     if not is_complete_fan(fan):
         raise RuntimeError("the fan is not complete")
-    for s, sigma in zip(fan.maximal_cones, fan.cones()):
+    for s, sigma in zip(fan.maximal_cones, fan.cones):
         for c in cones:
             # a nested pair meets in the smaller cone: no intersection DD
             if c.contains_cone(sigma):
@@ -282,6 +291,7 @@ def _certify_refinement(cones, fan: Fan) -> None:
                 raise RuntimeError(f"cone {c.rays} meets fan cone {sorted(s)} in a non-face")
 
 
+@stage
 def relevant_pairs() -> list[dict]:
     """All chart face pairs whose projections meet in a non-face of the first.
 
@@ -297,9 +307,8 @@ def relevant_pairs() -> list[dict]:
     mask is m1 & each of their zero masks (Kaibel & Pfetsch, 2002).  The
     pair is relevant iff this closure is not the meet.
     """
-    pd, orthant = source_data()
     fan = chart_quotient_fan()
-    faces = _projected_faces(orthant, pd.cokernel_matrix)
+    faces = chart_projected_faces()
     distinct = {c.key(): c for _, c in faces}
     _certify_refinement(distinct.values(), fan)
 
@@ -312,11 +321,12 @@ def relevant_pairs() -> list[dict]:
         for key, c in distinct.items()
     }
     meet_rays: dict[int, tuple] = {}  # one DD per distinct relevant meet
+    # the records are kept, so they share one index tuple per face
+    rows = [(tuple(sorted(s)),) + masks[c.key()] for s, c in faces]
     out = []
-    for s1, c1 in faces:
-        m1, zeros = masks[c1.key()]
-        for s2, c2 in faces:
-            meet = m1 & masks[c2.key()][0]
+    for s1, m1, zeros in rows:
+        for s2, m2, _ in rows:
+            meet = m1 & m2
             closure = m1
             for z in zeros:
                 if meet & z == meet:
@@ -326,8 +336,7 @@ def relevant_pairs() -> list[dict]:
             if meet not in meet_rays:
                 gens = [r for i, r in enumerate(fan.rays) if meet >> i & 1]
                 meet_rays[meet] = Cone.from_rays(fan.ambient_dim, gens).rays
-            out.append({"cone": tuple(sorted(s1)), "companion": tuple(sorted(s2)),
-                        "intersection_rays": meet_rays[meet]})
+            out.append({"cone": s1, "companion": s2, "intersection_rays": meet_rays[meet]})
     return out
 
 
@@ -366,9 +375,7 @@ def _orthant_subfan(name: str) -> list[frozenset[int]]:
 
 
 def _projected_subfan(proj, faces) -> Fan:
-    return _checked_fan(
-        3, [_project_cone(proj, [_unit6(i) for i in sorted(s)]) for s in faces]
-    )
+    return _fan_of(3, [_project_cone(proj, [_unit6(i) for i in sorted(s)]) for s in faces])
 
 
 def _unit6(i: int) -> tuple[int, ...]:
@@ -388,14 +395,15 @@ def common_refinement(fan_a: Fan, fan_b: Fan) -> Fan:
     if fan_a.ambient_dim != fan_b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     pieces: dict[tuple, Cone] = {}
-    for ca in fan_a.cones():
-        for cb in fan_b.cones():
+    for ca in fan_a.cones:
+        for cb in fan_b.cones:
             meet = intersect_cones(ca, cb)
             if meet.dim == fan_a.ambient_dim:
                 pieces[meet.key()] = meet
-    return _checked_fan(fan_a.ambient_dim, pieces.values())
+    return _fan_of(fan_a.ambient_dim, pieces.values())
 
 
+@stage
 def git_subfans() -> dict:
     """The three GIT subfans of the orthant fan and the flip structure.
 
@@ -404,7 +412,7 @@ def git_subfans() -> dict:
     fan, and that the locus modified by the exchange is the divisor of the
     extra ray rho_6.
     """
-    pd, orthant = source_data()
+    pd, _ = source_data()
     proj = pd.cokernel_matrix
     quotient = chart_quotient_fan()
 
@@ -413,62 +421,41 @@ def git_subfans() -> dict:
     fans = {name: _projected_subfan(proj, fs) for name, fs in faces.items()}
 
     refinement = common_refinement(fans["plus"], fans["minus"])
-    same = _same_fan(refinement, quotient)
 
     # exchanged maximal cones and the local flip structure
-    plus_cones = {frozenset(c.rays) for c in fans["plus"].cones()}
-    minus_cones = {frozenset(c.rays) for c in fans["minus"].cones()}
-    only_plus = sorted(sorted(c) for c in plus_cones - minus_cones)
-    only_minus = sorted(sorted(c) for c in minus_cones - plus_cones)
+    plus_cones, minus_cones = fans["plus"].cones, fans["minus"].cones
+    only_plus = [c for c in plus_cones if c not in minus_cones]
+    only_minus = [c for c in minus_cones if c not in plus_cones]
     flip_base = _project_cone(proj, [_unit6(i) for i in sorted(FLIP_SOURCE_FACE)])
-    union_plus = Cone.from_rays(3, [r for c in only_plus for r in c])
-    union_minus = Cone.from_rays(3, [r for c in only_minus for r in c])
+    union_plus = Cone.from_rays(3, [r for c in only_plus for r in c.rays])
+    union_minus = Cone.from_rays(3, [r for c in only_minus for r in c.rays])
     local_flip = union_plus == flip_base and union_minus == flip_base
 
     # exchanged walls meet exactly in the extra ray
-    wall_plus = intersect_cones(
-        Cone.from_rays(3, only_plus[0]), Cone.from_rays(3, only_plus[1])
-    )
-    wall_minus = intersect_cones(
-        Cone.from_rays(3, only_minus[0]), Cone.from_rays(3, only_minus[1])
-    )
+    wall_plus = intersect_cones(only_plus[0], only_plus[1])
+    wall_minus = intersect_cones(only_minus[0], only_minus[1])
     exchanged_meet = intersect_cones(wall_plus, wall_minus)
     rho6 = QUOTIENT_RAYS[6]
 
     # modified locus: exactly the quotient cones through rho_6 sit inside the
     # flip base; all others are cones of both one-sided quotients
-    rho6_index = quotient.rays.index(rho6)
-    star = [s for s in quotient.maximal_cones if rho6_index in s]
-    others = [s for s in quotient.maximal_cones if rho6_index not in s]
-    star_inside = all(
-        flip_base.contains_cone(quotient.cone_of(s)) for s in star
-    )
-    both_sides = all(
-        frozenset(quotient.cone_of(s).rays) in plus_cones
-        and frozenset(quotient.cone_of(s).rays) in minus_cones
-        for s in others
-    )
+    star = [c for c in quotient.cones if rho6 in c.rays]
+    others = [c for c in quotient.cones if rho6 not in c.rays]
+    star_inside = all(flip_base.contains_cone(c) for c in star)
+    both_sides = all(c in plus_cones and c in minus_cones for c in others)
 
     return {
         "fans": fans,
         "face_counts": {name: len(fs) for name, fs in faces.items()},
         "bijective": bijective,
-        "refinement_equals_quotient": same,
-        "exchanged_plus": only_plus,
-        "exchanged_minus": only_minus,
+        "refinement_equals_quotient": refinement == quotient,
+        "exchanged_plus": [list(c.rays) for c in only_plus],
+        "exchanged_minus": [list(c.rays) for c in only_minus],
         "local_flip_over_projected_face": local_flip,
         "exchanged_walls_meet_in_extra_ray": exchanged_meet.rays == (rho6,),
         "modified_locus_is_extra_ray_divisor": star_inside and both_sides,
         "star_size": len(star),
     }
-
-
-def _same_fan(a: Fan, b: Fan) -> bool:
-    if a.ambient_dim != b.ambient_dim or set(a.rays) != set(b.rays):
-        return False
-    cones_a = {frozenset(c.rays) for c in a.cones()}
-    cones_b = {frozenset(c.rays) for c in b.cones()}
-    return cones_a == cones_b
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +526,7 @@ def divisor_polytope(fan: Fan, coefficients) -> Polytope | None:
     return polytope_from_inequalities(fan.ambient_dim, rows)
 
 
+@stage
 def chart_ample_polytope() -> Polytope:
     """Polytope of the divisor 5*C02 + 3*A1 + 3*B2 + 2*D12 on the chart quotient."""
     fan = chart_quotient_fan()

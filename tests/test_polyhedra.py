@@ -20,11 +20,11 @@ from tilefold.polyhedra import (
     _images,
     _saturated_kernel,
     _solve_hrep,
-    check_fan,
     convex_hull,
     dual_cone,
     face_lattice_fvector,
     face_lattice_raysets,
+    fan_face_index_sets,
     fan_from_text,
     fan_to_text,
     intersect_cones,
@@ -870,19 +870,30 @@ class TestFans:
 
     def test_p2_complete(self):
         fan = self.p2_fan()
-        check_fan(fan)
         assert is_complete_fan(fan)
 
     def test_orthant_fan_not_complete(self):
         fan = make_fan(2, [(1, 0), (0, 1)], [{0, 1}])
-        check_fan(fan)
         assert not is_complete_fan(fan)
 
     def test_bad_fan_detected(self):
         # overlapping cones that do not meet in a common face
-        fan = make_fan(2, [(1, 0), (0, 1), (1, 1), (-1, 1)], [{0, 1}, {2, 3}])
-        with pytest.raises(ValueError):
-            check_fan(fan)
+        with pytest.raises(ValueError, match="common face"):
+            make_fan(2, [(1, 0), (0, 1), (1, 1), (-1, 1)], [{0, 1}, {2, 3}])
+        with pytest.raises(ValueError, match="common face"):
+            fan_from_text("RAYS\n1 0\n0 1\n1 1\n-1 1\nCONES\n0 1\n2 3\n")
+        # a generator inside the cone of the others
+        with pytest.raises(ValueError, match="non-extremal"):
+            make_fan(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}])
+
+    def test_faces_of_a_cone_whose_rays_are_not_in_index_order(self):
+        # a square cone: fan index order 0, 1, 2, 3 goes round the square,
+        # but the cone's lex ray order is 2, 3, 1, 0 in fan indices
+        fan = make_fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [{0, 1, 2, 3}])
+        faces = fan_face_index_sets(fan)
+        edges = sorted(sorted(s) for s in faces if len(s) == 2)
+        assert edges == [[0, 1], [0, 3], [1, 2], [2, 3]]
+        assert len(faces) == 1 + 4 + 4 + 1
 
     def test_text_round_trip(self):
         fan = self.p2_fan()

@@ -5,11 +5,13 @@ import sys
 
 import pytest
 
+from tilefold import polyhedra
 from tilefold.exactlat import mat_mul, mat_vec, primitive_vector, transpose
 from tilefold.polyhedra import (
     Cone,
     fan_face_index_sets,
     intersect_cones,
+    is_complete_fan,
     is_face,
     lp_in_cone,
     make_fan,
@@ -155,6 +157,22 @@ class TestQuotientFan:
         rep = verify_quotient_fan(fan)
         assert rep["smooth"] and rep["complete"] and rep["picard_number"] == 1
 
+    def test_made_fan_is_read_without_double_description(self, monkeypatch):
+        # make_fan checked the fan and kept its cones; reading them builds none
+        fan = make_fan(
+            3,
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+            [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}],
+        )
+        runs = []
+        real = polyhedra._solve_hrep
+        monkeypatch.setattr(polyhedra, "_solve_hrep", lambda *a: runs.append(a) or real(*a))
+        rep = verify_quotient_fan(fan)
+        assert rep["smooth"] and rep["complete"]
+        assert is_complete_fan(fan)
+        assert len(fan_face_index_sets(fan)) == 1 + 4 + 6 + 4
+        assert runs == []
+
     def test_orthant_fan_incomplete(self):
         fan = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [{0, 1, 2}])
         assert not verify_quotient_fan(fan)["complete"]
@@ -169,8 +187,7 @@ class TestQuotientFan:
             idx = [i for i in range(6) if mask & (1 << i)]
             rays = [mat_vec(pd.cokernel_matrix, orthant.rays[i]) for i in idx]
             faces.append(Cone.from_rays(3, rays))
-        for s in fan.maximal_cones:
-            cone = fan.cone_of(s)
+        for cone in fan.cones:
             w = cone.interior_point()
             meet_ineqs, meet_eqs = [], []
             for f in faces:

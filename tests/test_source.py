@@ -44,13 +44,15 @@ def _names(tree) -> Counter:
 def test_every_definition_is_used():
     # every top-level function, class and method is named somewhere in the
     # package outside its own definition; dunder methods are called by
-    # Python itself, and `fan_from_text` reads the `--export` text format.
+    # Python itself, `fan_from_text` reads the `--export` text format, and
+    # `quotient_fan` is the quotient of any fan (the chart runs its two
+    # halves as stages, so the relevance analysis shares the projection).
     # Limit: names are counted, not bindings, so a definition that shares
     # its name with anything the package reads (another method, as
     # `Polytope.dim` does `Cone.dim`, or a local variable, as
     # `divcalc.orbit` does a loop variable `orbit` in `conelab`) is never
     # reported; only a census of calls at run time would close that gap
-    allowed = {"fan_from_text"}
+    allowed = {"fan_from_text", "quotient_fan"}
     trees = {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(Path(tilefold.__file__).parent.glob("*.py"))

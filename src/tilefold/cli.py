@@ -35,7 +35,7 @@ options:
   --samples N    sample count for group verification (default 100)
   --golden PATH  compare against a golden report (timings/version ignored)
   --export PATH  fan quotient only: write the fan in the text format
-  --csv PATH     intersection table / cones: write a CSV table
+  --csv PATH     intersection table / cones mori|nef: write a CSV table
 """
 
 
@@ -550,7 +550,7 @@ def intersection_table_csv() -> str:
 
 
 def ray_table_csv(section: dict) -> str:
-    rays = section.get("data", {}).get("rays", [])
+    rays = section["data"]["rays"]
     if isinstance(rays, dict):
         lines = ["names,ray"]
         for names, ray in sorted(rays.items()):
@@ -604,8 +604,7 @@ def run(argv: list[str]) -> int:
     if opts["export"] is not None and command != "fan quotient":
         sys.stderr.write("error: --export only applies to `fan quotient`\n")
         return 2
-    csv_ok = command == "intersection table" or command.startswith("cones")
-    if opts["csv"] and not csv_ok:
+    if opts["csv"] and command not in ("intersection table", "cones mori", "cones nef"):
         sys.stderr.write("error: --csv not supported for this command\n")
         return 2
     if opts["golden"]:

@@ -5,7 +5,7 @@ computation here is arbitrary precision by construction.  Rationals are
 `fractions.Fraction`.  Two elimination kernels back every other module:
 `hermite_normal_form` over Z gives normal forms, Smith invariants, kernels
 for subtorus inclusions and lattice membership; the Bareiss `echelon` over
-Q gives rank, determinant and rational solve for membership tests, and it
+Q gives rank and rational solve for membership tests, and it
 leaves the LU multipliers in place, so it also gives the LU factorization
 that the generator derivation needs.
 """
@@ -240,15 +240,6 @@ def echelon(m) -> tuple[Matrix, list[int], int]:
 def rational_rank(m) -> int:
     """Rank over Q by fraction-free Gaussian elimination (independent of HNF)."""
     return len(echelon(m)[1])
-
-
-def det(m) -> int:
-    """Determinant of a square integer matrix: the signed last Bareiss pivot."""
-    n, cols = matrix_shape(m)
-    if n != cols:
-        raise ValueError("determinant of a non-square matrix")
-    a, pivots, swaps = echelon(m)
-    return (-1) ** swaps * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
 def solve_left_integer(a, b):

@@ -1,12 +1,15 @@
 """Exact rational polyhedral engine.
 
 Cones carry both descriptions (extremal rays and facet normals) and the
-ray-facet incidence between them.  Each constructor runs the double
-description (DD) method once, over arbitrary-precision integers.  The DD
+ray-facet incidence between them.  Both constructors run one routine: the
+double description (DD) method, once, over arbitrary-precision integers,
+with each equation entered as a pair of opposite inequalities.  The DD
 tracks the zero set of every ray it keeps, so the incidence of its input
 with its output comes with the output; the constructor reads the other
 description off it (Fukuda & Prodon, 1996) and keeps the incidence of the
-result, with no inner product taken again.
+result, with no inner product taken again.  A cone from generators is the
+dual of the one their inequalities cut out, so it takes that result with
+the two descriptions swapped.
 Insertion order is lexicographic and every stored vector is canonical:
 rays and facets are primitive and orthogonal to the lineality space or the
 span equations, which are stored as HNF bases of their saturated lattices.
@@ -20,8 +23,8 @@ and holds the faces of one dimension at a time.  Face counts must satisfy
 the Euler relation.  Membership has a second, independent route: an
 all-integer simplex, pivoting with one common denominator (Edmonds' integer
 pivoting) by Dantzig's rule, and by Bland's after a degenerate pivot, whose
-verdicts carry certificates.  A fan keeps the cone of each maximal cone, and
-the fan axioms are checked exactly, once, when it is made.
+verdicts carry certificates.  A fan keeps the cone of each maximal cone and
+checks itself: the fan axioms are checked exactly, once, when a Fan is made.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ from fractions import Fraction
 from operator import or_
 
 from .exactlat import (
-    det,
     dot,
     integer_kernel,
     orthogonal_complement_projection,
     primitive_vector,
     rational_rank,
     scale_to_primitive_integer,
+    smith_invariants,
 )
 
 Vec = tuple[int, ...]
@@ -200,35 +203,22 @@ def _transpose(masks, width: int) -> list[int]:
 def _solve_hrep(dim: int, ineqs, eqs) -> tuple[tuple[Vec, ...], tuple[Vec, ...], list[int]]:
     """Canonical (rays, lineality, tight) of an H-representation, by one DD run.
 
-    `tight[i]` is the bitmask of the rays on which ineqs[i] is tight, bit k
-    for rays[k], read off the DD's zero sets; a zero inequality is tight on
+    Each equation e enters the DD as the inequality pair e, -e.  `tight[i]`
+    is the bitmask of the rays on which ineqs[i] is tight, bit k for
+    rays[k], read off the DD's zero sets; a zero inequality is tight on
     every ray.  The lineality space is the kernel of all inequalities and
     equations, so its saturated lattice is read off them rather than the
     DD's basis.
     """
-    eqs = [tuple(e) for e in eqs if any(e)]
-    rows, index = _prepare_inequalities(ineqs)
-    if eqs:
-        kernel = integer_kernel(eqs)
-        if not kernel:
-            return (), (), [0] * len(index)
-        # Work in saturated kernel coordinates, then map back.  A row's
-        # product with a lifted ray is its kernel row's with the coordinates.
-        sub, sub_index = _prepare_inequalities([tuple(dot(a, k) for k in kernel) for a in rows])
-        found, lin = _dd_inequalities(len(kernel), sub)
-        lift = lambda w: tuple(
-            sum(w[i] * kernel[i][j] for i in range(len(kernel))) for j in range(dim)
-        )
-        found = [(lift(r), zeros) for r, zeros in found]
-        index = [sub_index[k] if k >= 0 else -1 for k in index]
-    else:
-        found, lin = _dd_inequalities(dim, rows)
-        sub = rows
-    lineality = _saturated_kernel(dim, rows + eqs) if lin else ()
+    ineqs = list(ineqs)
+    pairs = [v for e in eqs for v in (tuple(e), tuple(-x for x in e))]
+    rows, index = _prepare_inequalities(ineqs + pairs)
+    found, lin = _dd_inequalities(dim, rows)
+    lineality = _saturated_kernel(dim, rows) if lin else ()
     rays, zero_sets = _canonical_rays(found, lineality)
-    by_row = _transpose(zero_sets, len(sub))
+    by_row = _transpose(zero_sets, len(rows))
     every_ray = (1 << len(rays)) - 1
-    return rays, lineality, [by_row[k] if k >= 0 else every_ray for k in index]
+    return rays, lineality, [by_row[k] if k >= 0 else every_ray for k in index[: len(ineqs)]]
 
 
 def _extremal(dim: int, vectors, tight, normals, normal_eqs):
@@ -265,6 +255,28 @@ def _extremal(dim: int, vectors, tight, normals, normal_eqs):
     return rays, lineality, tuple(incidence)
 
 
+def _double_description(dim: int, inequalities, equations, noun: str):
+    """(rays, lineality, facets, span equations, facet rays) of {x : a.x >= 0, e.x == 0}.
+
+    The integer inputs must have length `dim` (ValueError naming `noun`
+    otherwise).  One DD run gives the rays and the lineality, and its zero
+    sets give each inequality's tight-ray set (an equation is tight on every
+    ray).  The span equations are the saturated annihilator of both, and the
+    facets are the inequalities whose tight-ray set is maximal among those
+    short of all rays; entry h of the facet rays is the mask of the rays
+    tight at facets[h], bit k for rays[k].
+    """
+    inequalities = [tuple(int(x) for x in a) for a in inequalities]
+    equations = [tuple(int(x) for x in e) for e in equations]
+    for a in inequalities + equations:
+        if len(a) != dim:
+            raise ValueError(f"{noun} has wrong length")
+    rays, lineality, tight = _solve_hrep(dim, inequalities, equations)
+    tight += [(1 << len(rays)) - 1] * len(equations)
+    facets, span_eqs, facet_rays = _extremal(dim, inequalities + equations, tight, rays, lineality)
+    return rays, lineality, facets, span_eqs, facet_rays
+
+
 @dataclass(frozen=True)
 class Cone:
     """Rational polyhedral cone with dual (ray + facet) description.
@@ -299,33 +311,19 @@ class Cone:
     @staticmethod
     def from_rays(ambient_dim: int, generators) -> "Cone":
         """The cone the integer generators span: the dual of {x : g.x >= 0 for each g}."""
-        generators = [tuple(int(x) for x in g) for g in generators]
+        generators = list(generators)
         if ambient_dim == 0 and generators:
             raise ValueError("ambient dimension 0 admits no generators")
-        for g in generators:
-            if len(g) != ambient_dim:
-                raise ValueError("generator has wrong length")
-        return dual_cone(Cone.from_inequalities(ambient_dim, generators))
+        facets, equations, rays, lineality, incidence = _double_description(
+            ambient_dim, generators, (), "generator"
+        )
+        return Cone(ambient_dim, rays, lineality, facets, equations, tuple(incidence))
 
     @staticmethod
     def from_inequalities(ambient_dim: int, inequalities, equations=()) -> "Cone":
-        """{x : a.x >= 0, e.x == 0} for integer a and e, by one DD run.
-
-        The DD gives the rays and the lineality, and its zero sets give each
-        inequality's tight-ray set (an equation is tight on every ray).  The
-        span equations are the saturated annihilator of both, and the facets
-        are the inequalities whose tight-ray set is maximal among those short
-        of all rays.
-        """
-        inequalities = [tuple(int(x) for x in a) for a in inequalities]
-        equations = [tuple(int(x) for x in e) for e in equations]
-        for a in list(inequalities) + list(equations):
-            if len(a) != ambient_dim:
-                raise ValueError("inequality has wrong length")
-        rays, lineality, tight = _solve_hrep(ambient_dim, inequalities, equations)
-        tight += [(1 << len(rays)) - 1] * len(equations)
-        facets, span_eqs, facet_rays = _extremal(
-            ambient_dim, inequalities + equations, tight, rays, lineality
+        """{x : a.x >= 0, e.x == 0} for integer a and e, by one DD run."""
+        rays, lineality, facets, span_eqs, facet_rays = _double_description(
+            ambient_dim, inequalities, equations, "inequality"
         )
         incidence = tuple(_transpose(facet_rays, len(rays)))
         return Cone(ambient_dim, rays, lineality, facets, span_eqs, incidence)
@@ -789,8 +787,8 @@ class Fan:
     """Fan given by a global primitive ray list and maximal cones.
 
     maximal_cones are frozensets of ray indices, and cones[i] is the cone
-    of maximal_cones[i].  make_fan builds each cone once and checks the fan
-    axioms exactly, so a Fan it returns has passed them.
+    of maximal_cones[i].  A Fan checks the fan axioms exactly when it is
+    made, so a Fan that exists has passed them.
     """
 
     ambient_dim: int
@@ -798,9 +796,15 @@ class Fan:
     maximal_cones: tuple[frozenset[int], ...]
     cones: tuple[Cone, ...] = field(repr=False, compare=False)
 
+    def __post_init__(self):
+        check_fan(self)
+
 
 def make_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
-    """The fan of the given rays and maximal cones; ValueError unless it is one."""
+    """The fan of the given rays and maximal cones; ValueError unless it is one.
+
+    Each maximal cone is built once, from its rays.
+    """
     rays = tuple(tuple(int(x) for x in r) for r in rays)
     for r in rays:
         if len(r) != ambient_dim:
@@ -817,17 +821,19 @@ def make_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
         maximal.append(s)
     maximal = tuple(sorted(set(maximal), key=sorted))
     cones = tuple(Cone.from_rays(ambient_dim, [rays[i] for i in s]) for s in maximal)
-    fan = Fan(ambient_dim, rays, maximal, cones)
-    check_fan(fan)
-    return fan
+    return Fan(ambient_dim, rays, maximal, cones)
 
 
 def check_fan(fan: Fan) -> None:
-    """Exact fan axioms: listed cones meet in common faces, none redundant."""
+    """Exact fan axioms, on the cones the fan keeps.
+
+    Each cone is pointed and spanned by its listed rays, none lies in
+    another, and any two meet in a common face.
+    """
     cones = fan.cones
-    for s, c in zip(fan.maximal_cones, cones):
-        if c.rays != tuple(sorted(fan.rays[k] for k in s)):
-            raise ValueError(f"cone {sorted(s)} has non-extremal generators")
+    for s, c in zip(fan.maximal_cones, cones, strict=True):
+        if c.lineality or c.rays != tuple(sorted(fan.rays[k] for k in s)):
+            raise ValueError(f"cone {sorted(s)} is not pointed or has non-extremal generators")
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             if fan.maximal_cones[i] <= fan.maximal_cones[j] or fan.maximal_cones[
@@ -872,14 +878,15 @@ def is_complete_fan(fan: Fan) -> bool:
 
 
 def fan_is_smooth(fan: Fan) -> bool:
-    """Every maximal cone unimodular (simplicial with determinant +-1)."""
-    for s in fan.maximal_cones:
-        rays = [fan.rays[i] for i in sorted(s)]
-        if len(rays) != fan.ambient_dim:
-            return False
-        if abs(det([list(r) for r in rays])) != 1:
-            return False
-    return True
+    """Every maximal cone smooth: its rays are part of a lattice basis.
+
+    That is, their Smith invariants are all 1 (Cox, Little & Schenck,
+    Toric Varieties, Def. 1.2.16); the cone need not be full-dimensional.
+    """
+    return all(
+        not s or smith_invariants([list(fan.rays[i]) for i in s]) == [1] * len(s)
+        for s in fan.maximal_cones
+    )
 
 
 # ---------------------------------------------------------------------------

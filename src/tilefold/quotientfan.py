@@ -109,6 +109,7 @@ def root_data() -> RootData:
     return RootData(simple, positive, weyl, w0, lam)
 
 
+@stage
 def source_data() -> tuple[ProjectionData, Fan]:
     pd = ProjectionData([list(r) for r in WEIGHT_MATRIX], [list(r) for r in COKERNEL_MATRIX])
     # cokernel really annihilates the weight rows
@@ -125,7 +126,8 @@ def source_data() -> tuple[ProjectionData, Fan]:
         expected = tuple(1 if a <= k <= b else 0 for k in (1, 2, 3))
         if tuple(cols[idx]) != expected:
             raise RuntimeError(f"weight column {name} is not the root of its span")
-    orthant = make_fan(6, [_unit6(i) for i in range(6)], [frozenset(range(6))])
+    units = [tuple(int(j == i) for j in range(6)) for i in range(6)]
+    orthant = make_fan(6, units, [frozenset(range(6))])
     return pd, orthant
 
 
@@ -186,10 +188,13 @@ def _chambers(dim: int, normals) -> list[Cone]:
 
 
 def _fan_of(dim: int, cones) -> Fan:
-    """The fan on the rays of the given cones; make_fan checks its axioms."""
+    """The fan of the given cones, each kept once; the Fan checks its axioms."""
+    cones = set(cones)
     rays = sorted({r for c in cones for r in c.rays})
     index = {r: i for i, r in enumerate(rays)}
-    return make_fan(dim, rays, [frozenset(index[r] for r in c.rays) for c in cones])
+    cones = sorted(cones, key=lambda c: sorted(index[r] for r in c.rays))
+    maximal = tuple(frozenset(index[r] for r in c.rays) for c in cones)
+    return Fan(dim, tuple(rays), maximal, tuple(cones))
 
 
 def _projected_faces(fan: Fan, proj) -> tuple[tuple[frozenset[int], Cone], ...]:
@@ -212,7 +217,7 @@ def _chamber_fan(dim: int, projected) -> Fan:
     Algorithm: refine the target space by the arrangement of all projected
     facet and span hyperplanes, pick an interior witness per chamber, and
     collect the set of projected cones containing it.  Each distinct set is
-    intersected once; make_fan then checks the fan axioms exactly.
+    intersected once; the Fan then checks the fan axioms exactly.
     """
     distinct = list({c.key(): c for _, c in projected}.values())
     normals = _arrangement_normals(distinct)
@@ -374,51 +379,32 @@ def _orthant_subfan(name: str) -> list[frozenset[int]]:
     return sorted(maximal, key=sorted)
 
 
-def _projected_subfan(proj, faces) -> Fan:
-    return _fan_of(3, [_project_cone(proj, [_unit6(i) for i in sorted(s)]) for s in faces])
-
-
-def _unit6(i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(6))
-
-
-def _projects_bijectively(proj, faces) -> bool:
-    for s in faces:
-        rays = [_unit6(i) for i in sorted(s)]
-        if rational_rank([list(mat_vec(proj, r)) for r in rays] or [[0, 0, 0]]) != len(s):
-            return False
-    return True
-
-
-def common_refinement(fan_a: Fan, fan_b: Fan) -> Fan:
-    """Common refinement of two fans with equal full-dimensional support."""
+def common_refinement(fan_a: Fan, fan_b: Fan) -> set[Cone]:
+    """The full-dimensional cones of the common refinement of two fans with equal support."""
     if fan_a.ambient_dim != fan_b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    pieces: dict[tuple, Cone] = {}
-    for ca in fan_a.cones:
-        for cb in fan_b.cones:
-            meet = intersect_cones(ca, cb)
-            if meet.dim == fan_a.ambient_dim:
-                pieces[meet.key()] = meet
-    return _fan_of(fan_a.ambient_dim, pieces.values())
+    meets = (intersect_cones(ca, cb) for ca in fan_a.cones for cb in fan_b.cones)
+    return {meet for meet in meets if meet.dim == fan_a.ambient_dim}
 
 
 @stage
 def git_subfans() -> dict:
     """The three GIT subfans of the orthant fan and the flip structure.
 
-    Verifies that each subfan projects bijectively to a fan downstairs, that
-    the common refinement of the plus and minus quotients is the quotient
-    fan, and that the locus modified by the exchange is the divisor of the
-    extra ray rho_6.
+    Verifies that each subfan projects bijectively to a fan downstairs (a
+    face does when its projected cone has one dimension per ray), that the
+    common refinement of the plus and minus quotients is the quotient fan,
+    and that the locus modified by the exchange is the divisor of the extra
+    ray rho_6.  The projected faces are the chart's.
     """
-    pd, _ = source_data()
-    proj = pd.cokernel_matrix
+    projected = dict(chart_projected_faces())
     quotient = chart_quotient_fan()
 
     faces = {name: _orthant_subfan(name) for name in ("plus", "minus", "zero")}
-    bijective = {name: _projects_bijectively(proj, fs) for name, fs in faces.items()}
-    fans = {name: _projected_subfan(proj, fs) for name, fs in faces.items()}
+    bijective = {
+        name: all(projected[s].dim == len(s) for s in fs) for name, fs in faces.items()
+    }
+    fans = {name: _fan_of(3, [projected[s] for s in fs]) for name, fs in faces.items()}
 
     refinement = common_refinement(fans["plus"], fans["minus"])
 
@@ -426,7 +412,7 @@ def git_subfans() -> dict:
     plus_cones, minus_cones = fans["plus"].cones, fans["minus"].cones
     only_plus = [c for c in plus_cones if c not in minus_cones]
     only_minus = [c for c in minus_cones if c not in plus_cones]
-    flip_base = _project_cone(proj, [_unit6(i) for i in sorted(FLIP_SOURCE_FACE)])
+    flip_base = projected[FLIP_SOURCE_FACE]
     union_plus = Cone.from_rays(3, [r for c in only_plus for r in c.rays])
     union_minus = Cone.from_rays(3, [r for c in only_minus for r in c.rays])
     local_flip = union_plus == flip_base and union_minus == flip_base
@@ -448,7 +434,7 @@ def git_subfans() -> dict:
         "fans": fans,
         "face_counts": {name: len(fs) for name, fs in faces.items()},
         "bijective": bijective,
-        "refinement_equals_quotient": refinement == quotient,
+        "refinement_equals_quotient": refinement == set(quotient.cones),
         "exchanged_plus": [list(c.rays) for c in only_plus],
         "exchanged_minus": [list(c.rays) for c in only_minus],
         "local_flip_over_projected_face": local_flip,

@@ -27,10 +27,12 @@ class TestParsing:
         assert cli.run(["quartics", "rank", "--export", str(tmp_path / "f.txt")]) == 2
 
     def test_csv_rejected_before_any_output(self, tmp_path):
+        # cones eff and flags have no rays table to write
         out = tmp_path / "q.json"
         csv = tmp_path / "q.csv"
-        assert cli.run(["quartics", "rank", "--out", str(out), "--csv", str(csv)]) == 2
-        assert not out.exists() and not csv.exists()
+        for command in ("quartics rank", "cones eff", "cones flags"):
+            assert cli.run(command.split() + ["--out", str(out), "--csv", str(csv)]) == 2, command
+            assert not out.exists() and not csv.exists()
 
     def test_unusable_golden_rejected_before_any_output(self, tmp_path, capsys):
         bad = tmp_path / "g.json"

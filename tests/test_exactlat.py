@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from tilefold.exactlat import (
     _swap_rows,
     copy_matrix,
-    det,
     echelon,
     hermite_normal_form,
     hnf_basis,
@@ -265,6 +264,15 @@ small_system = st.integers(1, 6).flatmap(
         )
     )
 )
+
+
+def det(m) -> int:
+    """Determinant of a square integer matrix: the signed last pivot of `echelon`."""
+    n, cols = matrix_shape(m)
+    if n != cols:
+        raise ValueError("determinant of a non-square matrix")
+    a, pivots, swaps = echelon(m)
+    return (-1) ** swaps * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
 def leibniz_det(m):

@@ -16,16 +16,23 @@ from tilefold.exactlat import (
 )
 from tilefold.polyhedra import (
     Cone,
+    Fan,
+    _canonical_rays,
+    _dd_inequalities,
+    _extremal,
     _image_tables,
     _images,
+    _prepare_inequalities,
     _saturated_kernel,
     _solve_hrep,
+    _transpose,
     convex_hull,
     dual_cone,
     face_lattice_fvector,
     face_lattice_raysets,
     fan_face_index_sets,
     fan_from_text,
+    fan_is_smooth,
     fan_to_text,
     intersect_cones,
     is_complete_fan,
@@ -226,6 +233,48 @@ def two_dd_from_inequalities(d, ineqs, eqs=()) -> Cone:
     rays, lineality, _ = _solve_hrep(d, ineqs, eqs)
     facets, equations, _ = _solve_hrep(d, rays, lineality)
     return Cone(d, rays, lineality, facets, equations)
+
+
+# The DD as it was before equations entered it as inequality pairs: it ran
+# in coordinates of a saturated basis of the equations' kernel, and the rays
+# were lifted back.
+def kernel_coordinate_solve_hrep(dim, ineqs, eqs):
+    """Canonical (rays, lineality, tight) of an H-representation, by one DD run.
+
+    `tight[i]` is the bitmask of the rays on which ineqs[i] is tight, bit k
+    for rays[k], read off the DD's zero sets; a zero inequality is tight on
+    every ray.
+    """
+    eqs = [tuple(e) for e in eqs if any(e)]
+    rows, index = _prepare_inequalities(ineqs)
+    if eqs:
+        kernel = integer_kernel(eqs)
+        if not kernel:
+            return (), (), [0] * len(index)
+        # a row's product with a lifted ray is its kernel row's with the coordinates
+        sub, sub_index = _prepare_inequalities([tuple(dot(a, k) for k in kernel) for a in rows])
+        found, lin = _dd_inequalities(len(kernel), sub)
+        found = [
+            (tuple(sum(w * k[j] for w, k in zip(r, kernel)) for j in range(dim)), zeros)
+            for r, zeros in found
+        ]
+        index = [sub_index[k] if k >= 0 else -1 for k in index]
+    else:
+        found, lin = _dd_inequalities(dim, rows)
+        sub = rows
+    lineality = _saturated_kernel(dim, rows + eqs) if lin else ()
+    rays, zero_sets = _canonical_rays(found, lineality)
+    by_row = _transpose(zero_sets, len(sub))
+    every_ray = (1 << len(rays)) - 1
+    return rays, lineality, [by_row[k] if k >= 0 else every_ray for k in index]
+
+
+def kernel_coordinate_cone(d, ineqs, eqs) -> Cone:
+    """Reference constructor: `Cone.from_inequalities` on the kernel-coordinate DD."""
+    rays, lineality, tight = kernel_coordinate_solve_hrep(d, ineqs, eqs)
+    tight += [(1 << len(rays)) - 1] * len(eqs)
+    facets, span_eqs, facet_rays = _extremal(d, ineqs + eqs, tight, rays, lineality)
+    return Cone(d, rays, lineality, facets, span_eqs, tuple(_transpose(facet_rays, len(rays))))
 
 
 def fields(c: Cone):
@@ -565,8 +614,8 @@ class TestCones:
     @given(general_cones(3, 5), st.data())
     def test_kept_incidence_is_the_tight_sets(self, cone, data):
         # the DD's zero sets must survive the deduplication of duplicate and
-        # scaled inputs, zero inputs (tight everywhere), the kernel
-        # coordinates of equations and the lineality projection
+        # scaled inputs, zero inputs (tight everywhere), the equations'
+        # inequality pairs and the lineality projection
         d, gens = cone
         again = data.draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else []
         gens = gens + again + [tuple(3 * x for x in g) for g in again] + [(0,) * d]
@@ -586,6 +635,33 @@ class TestCones:
             for k in (c, dual_cone(c), dual_cone(dual_cone(c))):
                 assert k.incidence == tight_sets(k)
                 assert Cone(*fields(k)).incidence == k.incidence
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equation_pairs_match_the_kernel_coordinate_dd(self, data):
+        # duplicate, scaled, opposite and zero equations, an inequality
+        # repeated as an equation, and systems whose only solution is 0
+        d = data.draw(st.integers(1, 5))
+        vec = st.tuples(*[st.integers(-2, 2)] * d)
+        ineqs = data.draw(st.lists(vec, max_size=d + 3))
+        eqs = data.draw(st.lists(vec, max_size=d))
+        again = data.draw(st.lists(st.sampled_from(eqs), max_size=2)) if eqs else []
+        eqs += again + [tuple(3 * x for x in e) for e in again] + [tuple(-x for x in e) for e in again]
+        eqs += data.draw(st.lists(st.just((0,) * d), max_size=1))
+        eqs += data.draw(st.lists(st.sampled_from(ineqs), max_size=1)) if ineqs else []
+        if data.draw(st.integers(0, 4)) == 0:
+            eqs += [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        c = Cone.from_inequalities(d, ineqs, eqs)
+        reference = kernel_coordinate_cone(d, ineqs, eqs)
+        assert fields(c) == fields(reference) and c.incidence == reference.incidence
+
+    @settings(max_examples=80, deadline=None)
+    @given(general_cones(3, 6))
+    def test_from_rays_is_the_dual_of_from_inequalities(self, cone):
+        d, gens = cone
+        c = Cone.from_rays(d, gens)
+        dual = dual_cone(Cone.from_inequalities(d, gens))
+        assert fields(c) == fields(dual) and c.incidence == dual.incidence
 
     def test_span_equation_with_no_tight_inequality(self):
         # {x1 >= 0, x3 == 0}: no inequality is tight on the whole cone, yet
@@ -885,6 +961,24 @@ class TestFans:
         # a generator inside the cone of the others
         with pytest.raises(ValueError, match="non-extremal"):
             make_fan(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}])
+
+    def test_a_fan_made_directly_checks_itself(self):
+        a = Cone.from_rays(2, [(1, 0), (0, 1)])
+        b = Cone.from_rays(2, [(1, 1), (-1, 1)])
+        rays = ((-1, 1), (0, 1), (1, 0), (1, 1))
+        with pytest.raises(ValueError, match="common face"):
+            Fan(2, rays, (frozenset({1, 2}), frozenset({0, 3})), (a, b))
+        halfplane = Cone.from_inequalities(2, [(1, 0)])
+        with pytest.raises(ValueError, match="not pointed"):
+            Fan(2, ((1, 0),), (frozenset({0}),), (halfplane,))
+
+    def test_smooth_cones_of_lower_dimension(self):
+        # smooth: the rays are part of a lattice basis, whatever their number
+        assert fan_is_smooth(make_fan(2, [(1, 0)], [{0}]))
+        assert fan_is_smooth(make_fan(3, [(1, 0, 0), (0, 1, 0)], [{0, 1}]))
+        assert not fan_is_smooth(make_fan(3, [(1, 0, 0), (1, 2, 0)], [{0, 1}]))
+        assert fan_is_smooth(self.p2_fan())
+        assert not fan_is_smooth(make_fan(2, [(1, 0), (1, 2)], [{0, 1}]))
 
     def test_faces_of_a_cone_whose_rays_are_not_in_index_order(self):
         # a square cone: fan index order 0, 1, 2, 3 goes round the square,

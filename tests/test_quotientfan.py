@@ -22,6 +22,7 @@ from tilefold.quotientfan import (
     QUOTIENT_RAYS,
     WEIGHT_MATRIX,
     _certify_refinement,
+    _fan_of,
     _projected_faces,
     _project_cone,
     chart_ample_polytope,
@@ -172,6 +173,19 @@ class TestQuotientFan:
         assert is_complete_fan(fan)
         assert len(fan_face_index_sets(fan)) == 1 + 4 + 6 + 4
         assert runs == []
+
+    def test_fan_of_builds_no_cone(self, monkeypatch):
+        # the Fan keeps the cones it is handed, once each, and checks them
+        cones = [Cone.from_rays(2, g) for g in ([(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(1, 0), (-1, -1)])]
+        built = []
+        real = Cone.from_rays
+        monkeypatch.setattr(Cone, "from_rays", staticmethod(lambda *a: built.append(a) or real(*a)))
+        fan = _fan_of(2, cones + cones[:1])
+        assert built == []
+        assert fan.rays == ((-1, -1), (0, 1), (1, 0))
+        assert fan.maximal_cones == (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
+        assert [c.rays for c in fan.cones] == [tuple(sorted(fan.rays[i] for i in s)) for s in fan.maximal_cones]
+        assert all(any(c is h for h in cones) for c in fan.cones)
 
     def test_orthant_fan_incomplete(self):
         fan = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [{0, 1, 2}])

@@ -72,3 +72,35 @@ def test_every_definition_is_used():
             if used[name] == _names(node)[name]:
                 unused.append(f"{fname}:{node.lineno} {name}")
     assert not unused, "definitions nothing in the package names: " + ", ".join(unused)
+
+
+def _readers(tree, name: str) -> list[str]:
+    """The dotted name of the definition around each read of `name` in the tree."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Name, ast.Attribute)) and name in (
+                getattr(child, "id", None),
+                getattr(child, "attr", None),
+            ):
+                found.append(".".join(scope))
+            visit(child, scope + (child.name,) if isinstance(child, DEFINITIONS) else scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_fans_are_checked_in_one_place():
+    # a Fan runs check_fan when it is made, so no route makes a fan that
+    # skips the axioms, and none checks a fan twice
+    readers, definitions = [], []
+    for path in sorted(Path(tilefold.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers += [f"{path.name}:{scope}" for scope in _readers(tree, "check_fan")]
+        definitions += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, DEFINITIONS) and node.name == "check_fan"
+        ]
+    assert readers == ["polyhedra.py:Fan.__post_init__"]
+    assert len(definitions) == 1 and definitions[0].startswith("polyhedra.py:")

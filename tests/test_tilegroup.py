@@ -5,7 +5,7 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tilefold.exactlat import det, mat_mul
+from tilefold.exactlat import mat_mul
 from tilefold.tilegroup import (
     GENERATORS,
     IDENTITY,
@@ -40,6 +40,8 @@ from tilefold.tilegroup import (
     word,
     subvariety_equations_satisfied,
 )
+
+from test_exactlat import det  # the tests' determinant: the signed last echelon pivot
 
 
 class TestAbstractGroup:

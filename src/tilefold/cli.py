@@ -568,6 +568,7 @@ def ray_table_csv(section: dict) -> str:
 
 def _parse_args(argv: list[str]):
     opts = {"out": None, "seed": 0, "samples": 100, "golden": None, "export": None, "csv": None}
+    given = set()
     words = []
     i = 0
     while i < len(argv):
@@ -576,8 +577,11 @@ def _parse_args(argv: list[str]):
             key = arg[2:]
             if key not in opts:
                 raise ValueError(f"unknown option {arg}")
-            if i + 1 >= len(argv):
+            if key in given:
+                raise ValueError(f"option {arg} given twice")
+            if i + 1 >= len(argv) or not argv[i + 1]:
                 raise ValueError(f"option {arg} needs a value")
+            given.add(key)
             value = argv[i + 1]
             opts[key] = int(value) if key in ("seed", "samples") else value
             i += 2

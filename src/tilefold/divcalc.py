@@ -21,6 +21,8 @@ from itertools import combinations, product
 from operator import mul
 
 from .exactlat import (
+    hermite_normal_form,
+    identity_matrix,
     integer_kernel,
     primitive_vector,
     rational_rank,
@@ -106,49 +108,24 @@ def relation_vectors() -> list[tuple[int, ...]]:
 
 @stage
 def picard_lattice() -> dict:
-    """Construct the class lattice and the basis expression of every label."""
+    """Construct the class lattice and the basis expression of every label.
+
+    The nine relations and the unit rows of the basis symbols must be a
+    basis of Z^21.  Then the Hermite form's u, with u @ rows the identity,
+    writes each symbol in them, and the basis part of its row is the
+    symbol's class.
+    """
     rels = relation_vectors()
-    invariants = smith_invariants([list(r) for r in rels])
-    if invariants != [1] * 9:
-        raise RuntimeError("relation lattice is not unimodular of rank 9")
-    rank = len(SYMBOLS) - len(invariants)
-    if rank != RANK:
-        raise RuntimeError("class lattice does not have rank 12")
-
-    # Each non-basis label appears in exactly one relation with coefficient 1;
-    # that relation is its basis expression.
-    basis_index = {s: i for i, s in enumerate(BASIS)}
-    label_class: dict[str, tuple[int, ...]] = {}
-    for sym in BASIS:
-        v = [0] * RANK
-        v[basis_index[sym]] = 1
-        label_class[sym] = tuple(v)
-    for key, row in PLANE_ROWS.items():
-        if row.count(key) != 1 or key in BASIS:
-            raise RuntimeError(f"plane row {key} does not define {key} once")
-        v = [0] * RANK
-        v[0] = 1
-        for lab in row:
-            if lab == key:
-                continue
-            if lab not in basis_index:
-                raise RuntimeError(f"plane row {key} uses the non-basis label {lab}")
-            v[basis_index[lab]] -= 1
-        label_class[key] = tuple(v)
-    v = [0] * RANK
-    v[0] = 2
-    for lab in QUADRIC_ROW:
-        if lab == "C23":
-            continue
-        v[basis_index[lab]] -= 1
-    label_class["C23"] = tuple(v)
-
-    relation_rank = rational_rank([list(r) for r in rels])
+    rows = rels + [[int(t == s) for t in SYMBOLS] for s in BASIS]
+    h, u = hermite_normal_form(rows)
+    if h != identity_matrix(len(SYMBOLS)):
+        raise RuntimeError("the relations and the basis symbols are not a basis of Z^21")
+    invariants = smith_invariants(rels)
     return {
-        "rank": rank,
+        "rank": len(SYMBOLS) - len(invariants),
         "invariant_factors": invariants,
-        "relation_rank": relation_rank,
-        "label_class": label_class,
+        "relation_rank": rational_rank(rels),
+        "label_class": {s: tuple(u[i][len(rels):]) for i, s in enumerate(SYMBOLS)},
         "relations": rels,
     }
 
@@ -172,24 +149,13 @@ def class_of_labels(labels, qh: int = 0) -> tuple[int, ...]:
 
 
 def label_relations_in_label_space() -> list[tuple[int, ...]]:
-    """A spanning set of the rank-8 relation lattice inside Z^20."""
-    rows = list(PLANE_ROWS.values())
-    base = rows[0]
-    out = []
-    for row in rows[1:]:
-        v = [0] * N_LABELS
-        for lab in base:
-            v[LABEL_INDEX[lab]] += 1
-        for lab in row:
-            v[LABEL_INDEX[lab]] -= 1
-        out.append(tuple(v))
-    v = [0] * N_LABELS
-    for lab in base:
-        v[LABEL_INDEX[lab]] += 2
-    for lab in QUADRIC_ROW:
-        v[LABEL_INDEX[lab]] -= 1
-    out.append(tuple(v))
-    return out
+    """A spanning set of the rank-8 relation lattice inside Z^20.
+
+    Each later relation r less r[0] times the first has no qH; it is kept
+    without the qH coordinate.
+    """
+    first, *later = relation_vectors()
+    return [tuple(x - r[0] * y for x, y in zip(r[1:], first[1:])) for r in later]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ computation here is arbitrary precision by construction.  Rationals are
 `fractions.Fraction`.  Two elimination kernels back every other module:
 `hermite_normal_form` over Z gives normal forms, Smith invariants, kernels
 for subtorus inclusions and lattice membership; the Bareiss `echelon` over
-Q gives rank and rational solve for membership tests, and it
-leaves the LU multipliers in place, so it also gives the LU factorization
-that the generator derivation needs.
+Q gives rank and the rational solve that projects rays off a cone's
+lineality, and it leaves the LU multipliers in place, so it also gives the
+LU factorization that the generator derivation needs.
 """
 
 from __future__ import annotations

@@ -157,9 +157,15 @@ def _project_cone(proj, rays) -> Cone:
 
 
 def _arrangement_normals(cones) -> list[tuple[int, ...]]:
+    """The hyperplanes that can separate generic points of the cones' chamber complex.
+
+    A full-dimensional cone gives its facet normals, a lower-dimensional one
+    its span equations: a point off all these hyperplanes lies in no
+    lower-dimensional cone, and in each full-dimensional cone or outside it.
+    """
     normals = set()
     for c in cones:
-        for n in list(c.facets) + list(c.equations):
+        for n in c.equations or c.facets:
             n = primitive_vector(n)
             neg = tuple(-x for x in n)
             normals.add(max(n, neg))
@@ -168,23 +174,21 @@ def _arrangement_normals(cones) -> list[tuple[int, ...]]:
 
 def _chambers(dim: int, normals) -> list[Cone]:
     """Closed full-dimensional chambers of a central hyperplane arrangement."""
-    chambers = [([], Cone.full_space(dim))]
+    chambers = [Cone.full_space(dim)]
     for n in normals:
         nxt = []
-        for ineqs, cone in chambers:
+        for cone in chambers:
             vals_r = [dot(n, r) for r in cone.rays]
             lin_hit = any(dot(n, l) != 0 for l in cone.lineality)
             has_pos = lin_hit or any(v > 0 for v in vals_r)
             has_neg = lin_hit or any(v < 0 for v in vals_r)
             if has_pos and has_neg:
-                neg = tuple(-x for x in n)
-                for side in (n, neg):
-                    side_ineqs = ineqs + [side]
-                    nxt.append((side_ineqs, Cone.from_inequalities(dim, side_ineqs)))
+                for side in (n, tuple(-x for x in n)):
+                    nxt.append(Cone.from_inequalities(dim, cone.facets + (side,), cone.equations))
             else:
-                nxt.append((ineqs, cone))
+                nxt.append(cone)
         chambers = nxt
-    return [cone for _, cone in chambers]
+    return chambers
 
 
 def _fan_of(dim: int, cones) -> Fan:
@@ -214,32 +218,30 @@ def _projected_faces(fan: Fan, proj) -> tuple[tuple[frozenset[int], Cone], ...]:
 def _chamber_fan(dim: int, projected) -> Fan:
     """The fan whose cones are the minimal intersections of the projected cones.
 
-    Algorithm: refine the target space by the arrangement of all projected
-    facet and span hyperplanes, pick an interior witness per chamber, and
-    collect the set of projected cones containing it.  Each distinct set is
-    intersected once; the Fan then checks the fan axioms exactly.
+    This is the chamber complex of the projected cones (Billera & Sturmfels,
+    *Fiber polytopes*, 1992): the cones holding a generic point meet in the
+    cone of the complex around it.  The chambers of `_arrangement_normals`
+    decide which cones those are.  A generic point of a chamber lies in no
+    lower-dimensional cone, whose span hyperplane is a wall.  A chamber lies
+    on one side of every facet of each full-dimensional cone c, so it lies
+    inside c or meets c in no interior point.  So the cones holding a
+    generic point of a chamber are the cones holding the whole chamber, and
+    no witness point is needed.  Each distinct set of them is intersected
+    once; the Fan then checks the fan axioms exactly, which also rejects a
+    cone with lineality.
     """
     distinct = list({c.key(): c for _, c in projected}.values())
-    normals = _arrangement_normals(distinct)
-
     containing_sets = set()
-    for chamber in _chambers(dim, normals):
-        if not chamber.is_pointed():
-            raise RuntimeError("arrangement normals do not span")
-        witness = chamber.interior_point()
-        if any(dot(n, witness) == 0 for n in normals):
-            raise RuntimeError(f"chamber witness {witness} lies on a wall")
-        containing = tuple(k for k, c in enumerate(distinct) if c.contains(witness))
+    for chamber in _chambers(dim, _arrangement_normals(distinct)):
+        containing = tuple(k for k, c in enumerate(distinct) if c.contains_cone(chamber))
         if containing:
             containing_sets.add(containing)
 
-    candidates: dict[tuple, Cone] = {}
-    for containing in containing_sets:
-        ineqs = [n for k in containing for n in distinct[k].facets]
-        eqs = [e for k in containing for e in distinct[k].equations]
-        minimal = Cone.from_inequalities(dim, ineqs, eqs)
-        candidates[minimal.key()] = minimal
-    return _fan_of(dim, candidates.values())
+    minimal = (
+        Cone.from_inequalities(dim, [n for k in containing for n in distinct[k].facets])
+        for containing in containing_sets
+    )
+    return _fan_of(dim, minimal)
 
 
 def quotient_fan(fan: Fan, proj) -> Fan:

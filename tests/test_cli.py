@@ -20,6 +20,24 @@ class TestParsing:
     def test_missing_option_value(self):
         assert cli.run(["fan", "quotient", "--out"]) == 2
 
+    def test_empty_option_value_rejected_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "q.json"
+        for option in ("--golden", "--export", "--csv", "--out"):
+            argv = ["quartics", "rank", option, ""]
+            if option != "--out":
+                argv += ["--out", str(out)]
+            assert cli.run(argv) == 2, option
+            assert not out.exists()
+            assert capsys.readouterr().out == ""
+
+    def test_repeated_option_rejected_before_any_output(self, tmp_path, capsys):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.run(["quartics", "rank", "--out", str(first), "--out", str(second)]) == 2
+        assert not first.exists() and not second.exists()
+        for option, value in (("--golden", GOLDEN_PATH), ("--seed", "1")):
+            assert cli.run(["quartics", "rank", option, value, option, value]) == 2, option
+            assert capsys.readouterr().out == ""
+
     def test_samples_zero_invalid(self):
         assert cli.run(["group", "verify", "--samples", "0"]) == 2
 

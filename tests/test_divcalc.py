@@ -66,6 +66,25 @@ class TestPicardLattice:
         rels = label_relations_in_label_space()
         assert rational_rank([list(r) for r in rels]) == 8
 
+    def test_label_relations_are_zero_classes(self):
+        for rel in label_relations_in_label_space():
+            assert class_of((0,) + rel) == (0,) * divcalc.RANK
+
+    def test_basis_symbols_are_the_unit_classes(self):
+        lc = picard_lattice()["label_class"]
+        for k, sym in enumerate(divcalc.BASIS):
+            assert lc[sym] == tuple(int(j == k) for j in range(divcalc.RANK))
+
+    def test_a_basis_with_a_repeated_symbol_raises(self, monkeypatch):
+        monkeypatch.setattr(divcalc, "BASIS", divcalc.BASIS[:-1] + ("A0",))
+        stages.clear(picard_lattice)
+        try:
+            with pytest.raises(RuntimeError, match="not a basis"):
+                picard_lattice()
+        finally:
+            monkeypatch.undo()
+            stages.clear(picard_lattice)
+
     def test_every_label_has_unique_basis_expression(self):
         pl = picard_lattice()
         assert set(pl["label_class"]) == set(LABELS) | {"qH"}

@@ -1,12 +1,13 @@
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from tilefold import polyhedra
-from tilefold.exactlat import mat_mul, mat_vec, primitive_vector, transpose
+from tilefold import cli, polyhedra, stages
+from tilefold.exactlat import dot, mat_mul, mat_vec, primitive_vector, smith_invariants, transpose
 from tilefold.polyhedra import (
     Cone,
     fan_face_index_sets,
@@ -21,12 +22,15 @@ from tilefold.quotientfan import (
     PARTITION_FACE,
     QUOTIENT_RAYS,
     WEIGHT_MATRIX,
+    _arrangement_normals,
     _certify_refinement,
+    _chambers,
     _fan_of,
     _projected_faces,
     _project_cone,
     chart_ample_polytope,
     chart_class_group_report,
+    chart_projected_faces,
     chart_quotient_fan,
     divisor_polytope,
     fixed_point_weights,
@@ -104,7 +108,111 @@ class TestSourceData:
         assert done.stdout.split() == ["raised", "raised"]
 
 
+def reference_chamber_fan(dim: int, projected):
+    """The chamber complex by interior witnesses: the reference.
+
+    Cut the target space by every facet and span hyperplane of the projected
+    cones, take the sum of each chamber's rays as its witness, and intersect
+    the projected cones that hold it.
+    """
+    distinct = list({c.key(): c for _, c in projected}.values())
+    normals = set()
+    for c in distinct:
+        for n in list(c.facets) + list(c.equations):
+            n = primitive_vector(n)
+            normals.add(max(n, tuple(-x for x in n)))
+    normals = sorted(normals)
+    chambers = [([], Cone.full_space(dim))]
+    for n in normals:
+        nxt = []
+        for ineqs, cone in chambers:
+            vals_r = [dot(n, r) for r in cone.rays]
+            lin_hit = any(dot(n, l) != 0 for l in cone.lineality)
+            has_pos = lin_hit or any(v > 0 for v in vals_r)
+            has_neg = lin_hit or any(v < 0 for v in vals_r)
+            if has_pos and has_neg:
+                for side in (n, tuple(-x for x in n)):
+                    nxt.append((ineqs + [side], Cone.from_inequalities(dim, ineqs + [side])))
+            else:
+                nxt.append((ineqs, cone))
+        chambers = nxt
+
+    containing_sets = set()
+    for _, chamber in chambers:
+        if not chamber.is_pointed():
+            raise RuntimeError("arrangement normals do not span")
+        witness = chamber.interior_point()
+        if any(dot(n, witness) == 0 for n in normals):
+            raise RuntimeError(f"chamber witness {witness} lies on a wall")
+        containing = tuple(k for k, c in enumerate(distinct) if c.contains(witness))
+        if containing:
+            containing_sets.add(containing)
+    candidates = {}
+    for containing in containing_sets:
+        ineqs = [n for k in containing for n in distinct[k].facets]
+        eqs = [e for k in containing for e in distinct[k].equations]
+        minimal = Cone.from_inequalities(dim, ineqs, eqs)
+        candidates[minimal.key()] = minimal
+    return _fan_of(dim, candidates.values())
+
+
+def random_orthant_case(rng):
+    """The orthant of R^3..R^5, or a fan of 1-3 of its faces, and a surjection to R^2 or R^3."""
+    n = rng.randint(3, 5)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    if rng.random() < 0.25:
+        faces = [frozenset(range(n))]
+    else:
+        picked = {frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 3))}
+        faces = [f for f in picked if not any(f < g for g in picked)]
+    m = rng.randint(2, 3)
+    while True:
+        proj = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(m)]
+        if smith_invariants(proj) == [1] * m:
+            return make_fan(n, units, faces), proj
+
+
 class TestQuotientFan:
+    def test_equals_the_witness_reference(self):
+        # the same fan, or both reject, on projections of orthant faces
+        rng = random.Random(8)
+        outcomes = []
+        for _ in range(60):
+            fan, proj = random_orthant_case(rng)
+            projected = _projected_faces(fan, proj)
+            try:
+                want = reference_chamber_fan(len(proj), projected)
+            except (ValueError, RuntimeError) as exc:
+                want = exc
+            try:
+                got = quotient_fan(fan, proj)
+            except (ValueError, RuntimeError) as exc:
+                assert isinstance(want, Exception), (fan, proj, exc)
+                if isinstance(want, ValueError):
+                    assert type(exc) is ValueError and str(exc) == str(want)
+                outcomes.append("rejected")
+                continue
+            assert got == want, (fan, proj)
+            assert got.cones == want.cones
+            outcomes.append("fan")
+        assert outcomes.count("fan") == 58 and outcomes.count("rejected") == 2
+
+    def test_chart_is_cut_by_seven_hyperplanes_into_32_chambers(self):
+        distinct = list({c.key(): c for _, c in chart_projected_faces()}.values())
+        normals = _arrangement_normals(distinct)
+        assert len(normals) == 7
+        assert len(_chambers(3, normals)) == 32
+
+    def test_cold_fan_section_double_description_budget(self, monkeypatch):
+        # each chamber is split from its parent's facets, by walls that can
+        # separate generic points: 725 double descriptions in all
+        runs = []
+        real = polyhedra._solve_hrep
+        monkeypatch.setattr(polyhedra, "_solve_hrep", lambda *a: runs.append(a) or real(*a))
+        stages.clear()
+        cli.section_fan_quotient()
+        assert len(runs) <= 730
+
     def test_identity_projection_returns_input(self):
         fan = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}])
         out = quotient_fan(fan, [[1, 0], [0, 1]])

@@ -86,7 +86,7 @@ def section_fan_quotient() -> dict:
         )
     )
 
-    pd, orthant = quotientfan.source_data()
+    orthant = quotientfan.source_data()
     pairs = quotientfan.relevant_pairs()
     got = {(p["cone"], p["companion"]) for p in pairs}
     face = quotientfan.PARTITION_FACE
@@ -103,7 +103,7 @@ def section_fan_quotient() -> dict:
         check(
             "unique_non_projected_ray",
             [[0, 0, -1]],
-            quotientfan.non_projected_rays(fan, pd.cokernel_matrix, orthant),
+            quotientfan.non_projected_rays(fan, quotientfan.COKERNEL_MATRIX, orthant),
         )
     )
 

@@ -20,6 +20,7 @@ from .polyhedra import (
 from .divcalc import (
     LABELS,
     MULTICAN_LABEL_SETS,
+    NotPermutedError,
     RANK,
     act_on_class,
     act_on_curve,
@@ -197,7 +198,7 @@ def _permutes(vectors, action) -> bool:
     """Whether the group maps the primitive `vectors` onto themselves."""
     try:
         ray_permutations(vectors, action)
-    except RuntimeError:
+    except NotPermutedError:
         return False
     return True
 
@@ -207,7 +208,7 @@ def orbit_decomposition(vectors, action) -> list[list]:
     vectors = sorted(set(vectors))
     try:
         perms = ray_permutations(vectors, action)
-    except RuntimeError:
+    except NotPermutedError:
         raise RuntimeError("group action does not permute the ray set") from None
     orbits = {tuple(sorted({p[i] for p in perms})) for i in range(len(vectors))}
     return sorted(([vectors[i] for i in o] for o in orbits), key=lambda o: (len(o), o))
@@ -423,8 +424,8 @@ def gamma2() -> tuple[int, ...]:
 
 
 @stage
-def moving_dual_cone() -> dict:
-    """The certified subcone of curve classes moving in codimension one."""
+def moving_dual_cone() -> list[tuple[int, ...]]:
+    """Generators of the certified subcone of curve classes moving in codimension one, sorted."""
     seeds = [
         primitive_vector(curve_class("A0", "C23")),
         primitive_vector(curve_class("A0", "D01")),
@@ -434,8 +435,7 @@ def moving_dual_cone() -> dict:
         primitive_vector(gamma1()),
         primitive_vector(gamma2()),
     ]
-    gens = frozenset().union(*(orbit(s, act_on_curve) for s in seeds))
-    return {"generators": sorted(gens), "seed_count": len(seeds)}
+    return sorted(frozenset().union(*(orbit(s, act_on_curve) for s in seeds)))
 
 
 @stage
@@ -453,7 +453,7 @@ def effective_cone_analysis() -> dict:
     # orbit_decomposition raises unless each dual ray's orbit lies among the
     # dual rays.
     dual = dual_cone(cone)
-    cgens = moving_dual_cone()["generators"]
+    cgens = moving_dual_cone()
     if not _permutes(cgens, act_on_curve):
         raise RuntimeError("the group does not preserve the moving dual generators")
     reps = [o[0] for o in orbit_decomposition(dual.rays, act_on_curve)]

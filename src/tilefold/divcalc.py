@@ -24,6 +24,7 @@ from .exactlat import (
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
+    mat_mul,
     primitive_vector,
     rational_rank,
     smith_invariants,
@@ -37,7 +38,6 @@ from .tilegroup import (
     act_on_label,
     compose,
     full_group,
-    inverse,
     schreier_tree,
 )
 from .stages import stage
@@ -126,7 +126,6 @@ def picard_lattice() -> dict:
         "invariant_factors": invariants,
         "relation_rank": rational_rank(rels),
         "label_class": {s: tuple(u[i][len(rels):]) for i, s in enumerate(SYMBOLS)},
-        "relations": rels,
     }
 
 
@@ -367,15 +366,14 @@ def solve_petersen() -> dict:
     returned under "graphs".
     """
     forced, unknown = _forced_adjacency()
+    for pair, v in forced.items():
+        if v not in (0, 1):
+            raise RuleConsistencyError(f"forced value {v} on {','.join(sorted(pair))} is not 0 or 1")
+    forced_edges = frozenset(pair for pair, v in forced.items() if v == 1)
     solutions = []
     failures = {"regularity": 0, "stabilizer": 0, "descent": 0, "consistency": 0}
     for bits in product((0, 1), repeat=len(unknown)):
-        assignment = dict(forced)
-        assignment.update({pair: b for pair, b in zip(unknown, bits)})
-        edges = frozenset(pair for pair, v in assignment.items() if v == 1)
-        if any(v not in (0, 1) for v in assignment.values()):
-            failures["consistency"] += 1
-            continue
+        edges = forced_edges.union(pair for pair, b in zip(unknown, bits) if b)
         degree = {n: 0 for n in SURFACE_NODES_A0}
         for e in edges:
             for n in e:
@@ -404,7 +402,6 @@ def solve_petersen() -> dict:
     edges, graphs = solutions[0]
     if not _graph_is_petersen(edges):
         raise RuleConsistencyError("solved adjacency is not the Petersen graph")
-    forced_edges = {pair for pair, v in forced.items() if v == 1}
     return {
         "nodes": SURFACE_NODES_A0,
         "edges": edges,
@@ -412,7 +409,6 @@ def solve_petersen() -> dict:
         "forced_edges": forced_edges,
         "forced_pair_count": len(forced),
         "unknown_pair_count": len(unknown),
-        "failures": failures,
     }
 
 
@@ -492,13 +488,14 @@ def triple_labels(a: str, b: str, c: str) -> int:
 
 @stage
 def picard_action() -> dict[GroupElement, tuple]:
-    """Integer 12x12 matrix of each group element on the class lattice.
+    """Integer 12x12 matrix of each of the four generators on the class lattice.
 
-    The action permutes the 20 boundary classes; qH is sent to the class of
-    the permuted substitution row.  Every matrix is verified to map label
+    A generator permutes the 20 boundary classes; qH is sent to the class of
+    the permuted substitution row.  Each matrix is verified to map label
     classes to the classes of the permuted labels.  The label action is
-    verified to be an action, g*s acting as g after s for each generator s,
-    and the label classes to span the lattice; so the matrices form a
+    verified to be an action, g*s acting as g after s for every g and each
+    generator s, and the label classes to span the lattice; so the products
+    of generator matrices along any word for g agree, and they form a
     homomorphism, M(g*s) = M(g) M(s), and so do the curve matrices.
     """
     lc = picard_lattice()["label_class"]
@@ -511,7 +508,8 @@ def picard_action() -> dict[GroupElement, tuple]:
     if rational_rank([list(lc[lab]) for lab in LABELS]) != RANK:
         raise RuntimeError("the boundary classes do not span the class lattice")
     out = {}
-    for g, to in moved.items():
+    for s in GENERATORS.values():
+        to = moved[s]
         cols = []
         for sym in BASIS:
             if sym == "qH":
@@ -521,12 +519,10 @@ def picard_action() -> dict[GroupElement, tuple]:
             else:
                 image = list(lc[to[sym]])
             cols.append(image)
-        mat = tuple(
-            tuple(cols[j][i] for j in range(RANK)) for i in range(RANK)
-        )
+        mat = tuple(zip(*cols))
         if any(_apply_matrix(mat, lc[lab]) != lc[to[lab]] for lab in LABELS):
             raise RuntimeError("class action does not permute boundary classes")
-        out[g] = mat
+        out[s] = mat
     return out
 
 
@@ -534,25 +530,34 @@ def _apply_matrix(mat, v) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in mat)
 
 
-def act_on_class(g: GroupElement, v) -> tuple[int, ...]:
-    return _apply_matrix(picard_action()[g], v)
+def act_on_class(s: GroupElement, v) -> tuple[int, ...]:
+    """The class v moved by the generator s."""
+    return _apply_matrix(picard_action()[s], v)
 
 
 @stage
 def curve_action() -> dict[GroupElement, tuple]:
-    """Dual action on curve classes: transpose of the inverse class matrix."""
-    pic = picard_action()
+    """Dual action on curve classes: the transpose of each generator's class matrix.
+
+    The dual of g is the transpose of M(g^-1).  Each generator is an
+    involution (r1^2, r2^2, r3^2 and tau^2 are relation words), which
+    M(s) M(s) = I verifies, so M(s^-1) = M(s).
+    """
     out = {}
-    for g in pic:
-        inv_mat = pic[inverse(g)]
-        out[g] = tuple(
-            tuple(inv_mat[j][i] for j in range(RANK)) for i in range(RANK)
-        )
+    for s, mat in picard_action().items():
+        if mat_mul(mat, mat) != identity_matrix(RANK):
+            raise RuntimeError(f"the class matrix of {s} is not an involution")
+        out[s] = tuple(zip(*mat))
     return out
 
 
-def act_on_curve(g: GroupElement, v) -> tuple[int, ...]:
-    return _apply_matrix(curve_action()[g], v)
+def act_on_curve(s: GroupElement, v) -> tuple[int, ...]:
+    """The curve class v moved by the generator s."""
+    return _apply_matrix(curve_action()[s], v)
+
+
+class NotPermutedError(RuntimeError):
+    """Raised when a group element maps a vector out of the given set."""
 
 
 def orbit(vector, action) -> frozenset:
@@ -575,17 +580,17 @@ def ray_permutations(vectors, action) -> tuple[tuple[int, ...], ...]:
     """One index permutation of the primitive `vectors` per element of full_group().
 
     Entry i of the permutation of g is the index of primitive_vector(action(g,
-    vectors[i])); raises RuntimeError when an image leaves `vectors`.  Only the
-    four generators are applied: the permutation of g*s along each edge of
-    schreier_tree() is that of g after that of s, as picard_action certifies
-    for act_on_class and act_on_curve.
+    vectors[i])); raises NotPermutedError when an image leaves `vectors`.
+    Only the four generators are applied: the permutation of g*s along each
+    edge of schreier_tree() is that of g after that of s, as picard_action
+    certifies for act_on_class and act_on_curve.
     """
     index = {v: i for i, v in enumerate(vectors)}
     step = {}
     for s in GENERATORS.values():
         images = tuple(index.get(primitive_vector(action(s, v))) for v in vectors)
         if None in images:
-            raise RuntimeError("group action does not permute the vector set")
+            raise NotPermutedError("group action does not permute the vector set")
         step[s] = images
     perms = {IDENTITY: tuple(range(len(vectors)))}
     for g, s, h in schreier_tree():

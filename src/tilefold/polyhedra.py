@@ -287,8 +287,7 @@ class Cone:
     facets:    irredundant inward facet normals, canonical like rays
     equations: HNF basis of the integer points of the annihilator of the span
     incidence: entry j is the bitmask of the facets tight at rays[j], bit h
-               for facets[h]; the constructors read it off their DD run, and
-               a cone built directly from its four descriptions computes it
+               for facets[h], as the constructors read it off their DD run
     """
 
     ambient_dim: int
@@ -296,15 +295,7 @@ class Cone:
     lineality: tuple[Vec, ...]
     facets: tuple[Vec, ...]
     equations: tuple[Vec, ...]
-    incidence: tuple[int, ...] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.incidence is None:
-            incidence = tuple(
-                sum(1 << h for h, n in enumerate(self.facets) if dot(n, r) == 0)
-                for r in self.rays
-            )
-            object.__setattr__(self, "incidence", incidence)
+    incidence: tuple[int, ...] = field(repr=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -327,10 +318,6 @@ class Cone:
         )
         incidence = tuple(_transpose(facet_rays, len(rays)))
         return Cone(ambient_dim, rays, lineality, facets, span_eqs, incidence)
-
-    @staticmethod
-    def full_space(ambient_dim: int) -> "Cone":
-        return Cone.from_inequalities(ambient_dim, ())
 
     # -- basic queries -------------------------------------------------------
 
@@ -612,14 +599,8 @@ class Polytope:
     equations: tuple[Vec, ...]  # (b, a1..an): b + a.x == 0
     _cone: Cone
 
-    @property
-    def dim(self) -> int:
-        return self._cone.dim - 1 if self.vertices else -1
-
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_{dim-1}); empty for a point."""
-        if not self.vertices:
-            return ()
         return face_lattice_fvector(self._cone)
 
     def is_lattice_polytope(self) -> bool:

@@ -10,11 +10,11 @@ rho_6 = (0,0,-1) the one extra quotient ray).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .exactlat import (
     dot,
+    integer_kernel,
     mat_mul,
     mat_vec,
     matrix_shape,
@@ -78,71 +78,39 @@ CHART_DIVISOR_RAY = {
 }
 
 
-@dataclass(frozen=True)
-class RootData:
-    simple_roots: tuple[tuple[int, ...], ...]
-    positive_roots: dict[tuple[int, int], tuple[int, ...]]
-    weyl_group: tuple[tuple[int, ...], ...]
-    longest_element: tuple[int, ...]
-    doubled_minimal_weight: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ProjectionData:
-    weight_matrix: list
-    cokernel_matrix: list
-
-
-def root_data() -> RootData:
-    e = [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
-    simple = tuple(tuple(a - b for a, b in zip(e[i - 1], e[i])) for i in (1, 2, 3))
-    positive = {
-        (i, j): tuple(a - b for a, b in zip(e[i - 1], e[j]))
-        for i in (1, 2, 3)
-        for j in (1, 2, 3)
-        if i <= j
-    }
-    weyl = tuple(sorted(permutations(range(4))))
-    w0 = (3, 2, 1, 0)
-    # stored doubled so every weight lattice point stays integral
-    lam = tuple(3 - 2 * i for i in range(4))
-    return RootData(simple, positive, weyl, w0, lam)
-
-
 @stage
-def source_data() -> tuple[ProjectionData, Fan]:
-    pd = ProjectionData([list(r) for r in WEIGHT_MATRIX], [list(r) for r in COKERNEL_MATRIX])
+def source_data() -> Fan:
+    """The orthant fan of the chart, once the weight and cokernel matrices are checked."""
     # cokernel really annihilates the weight rows
-    if any(any(row) for row in mat_mul(pd.cokernel_matrix, transpose(pd.weight_matrix))):
+    if any(any(row) for row in mat_mul(COKERNEL_MATRIX, transpose(WEIGHT_MATRIX))):
         raise RuntimeError("the cokernel matrix does not annihilate the weights")
-    if rational_rank(pd.weight_matrix) != 3 or rational_rank(pd.cokernel_matrix) != 3:
+    if rational_rank(WEIGHT_MATRIX) != 3 or rational_rank(COKERNEL_MATRIX) != 3:
         raise RuntimeError("weight and cokernel matrices must have rank 3")
     # weight columns are the positive roots in simple-root coordinates:
     # chart coordinate y_ab carries the root alpha_a + ... + alpha_b
     spans = {"y11": (1, 1), "y22": (2, 2), "y33": (3, 3), "y12": (1, 2), "y23": (2, 3), "y13": (1, 3)}
-    cols = transpose(pd.weight_matrix)
+    cols = transpose(WEIGHT_MATRIX)
     for idx, name in enumerate(CHART_COORDS):
         a, b = spans[name]
         expected = tuple(1 if a <= k <= b else 0 for k in (1, 2, 3))
         if tuple(cols[idx]) != expected:
             raise RuntimeError(f"weight column {name} is not the root of its span")
     units = [tuple(int(j == i) for j in range(6)) for i in range(6)]
-    orthant = make_fan(6, units, [frozenset(range(6))])
-    return pd, orthant
+    return make_fan(6, units, [frozenset(range(6))])
 
 
 @stage
 def fixed_point_weights() -> tuple[dict[tuple[int, ...], tuple[int, ...]], Polytope]:
     """Doubled ample-weight of each torus fixed point, and their hull.
 
-    The weight at the fixed point indexed by a Weyl group element s has i-th
-    coordinate 3 - 2*s(i), entry s(i) of the doubled minimal weight; the 24
-    weights are the coordinate permutations of (3, 1, -1, -3) and their hull
-    lives in the sum-zero hyperplane.
+    The weight at the fixed point indexed by a Weyl group element s, a
+    permutation of range(4), has i-th coordinate 3 - 2*s(i), entry s(i) of
+    the doubled minimal weight (3, 1, -1, -3), doubled so every weight
+    lattice point stays integral; the 24 weights are the coordinate
+    permutations of it and their hull lives in the sum-zero hyperplane.
     """
-    rd = root_data()
-    lam = rd.doubled_minimal_weight
-    weights = {sigma: tuple(lam[k] for k in sigma) for sigma in rd.weyl_group}
+    lam = (3, 1, -1, -3)
+    weights = {sigma: tuple(lam[k] for k in sigma) for sigma in permutations(range(4))}
     hull = convex_hull(list(weights.values()))
     return weights, hull
 
@@ -156,25 +124,27 @@ def _project_cone(proj, rays) -> Cone:
     return Cone.from_rays(target_dim, [mat_vec(proj, r) for r in rays])
 
 
-def _arrangement_normals(cones) -> list[tuple[int, ...]]:
+def _arrangement_normals(cones, dim: int) -> list[tuple[int, ...]]:
     """The hyperplanes that can separate generic points of the cones' chamber complex.
 
-    A full-dimensional cone gives its facet normals, a lower-dimensional one
-    its span equations: a point off all these hyperplanes lies in no
-    lower-dimensional cone, and in each full-dimensional cone or outside it.
+    `dim` is the dimension of the span of the cones.  A cone of that
+    dimension gives its facet normals, a lower-dimensional one its
+    equations: a point of the span off all these hyperplanes lies in no
+    lower-dimensional cone, and in each cone of dimension `dim` or outside
+    it.  An equation that vanishes on the span cuts nothing.
     """
     normals = set()
     for c in cones:
-        for n in c.equations or c.facets:
+        for n in c.facets if c.dim == dim else c.equations:
             n = primitive_vector(n)
             neg = tuple(-x for x in n)
             normals.add(max(n, neg))
     return sorted(normals)
 
 
-def _chambers(dim: int, normals) -> list[Cone]:
-    """Closed full-dimensional chambers of a central hyperplane arrangement."""
-    chambers = [Cone.full_space(dim)]
+def _chambers(dim: int, normals, equations=()) -> list[Cone]:
+    """Closed chambers of a central hyperplane arrangement in {x : e.x == 0 for e in equations}."""
+    chambers = [Cone.from_inequalities(dim, (), equations)]
     for n in normals:
         nxt = []
         for cone in chambers:
@@ -219,26 +189,33 @@ def _chamber_fan(dim: int, projected) -> Fan:
     """The fan whose cones are the minimal intersections of the projected cones.
 
     This is the chamber complex of the projected cones (Billera & Sturmfels,
-    *Fiber polytopes*, 1992): the cones holding a generic point meet in the
-    cone of the complex around it.  The chambers of `_arrangement_normals`
-    decide which cones those are.  A generic point of a chamber lies in no
-    lower-dimensional cone, whose span hyperplane is a wall.  A chamber lies
-    on one side of every facet of each full-dimensional cone c, so it lies
-    inside c or meets c in no interior point.  So the cones holding a
-    generic point of a chamber are the cones holding the whole chamber, and
-    no witness point is needed.  Each distinct set of them is intersected
-    once; the Fan then checks the fan axioms exactly, which also rejects a
-    cone with lineality.
+    *Fiber polytopes*, 1992), built in the span of their union: the cones
+    holding a generic point of the span meet in the cone of the complex
+    around it.  The complex covers the span only through cones of its
+    dimension, so ValueError is raised when there is none.  The chambers
+    of `_arrangement_normals` decide which cones hold a generic point.  A
+    generic point of a chamber lies in no lower-dimensional cone, whose span
+    lies in a wall.  A chamber lies on one side of every facet of each cone
+    c of the span's dimension, so it lies inside c or meets c in no
+    interior point.  So the cones holding a generic point of a chamber are
+    the cones holding the whole chamber, and no witness point is needed.
+    Each distinct set of them is intersected once; the Fan then checks the
+    fan axioms exactly, which also rejects a cone with lineality.
     """
     distinct = list({c.key(): c for _, c in projected}.values())
+    vectors = [v for c in distinct for v in c.rays + c.lineality]
+    span_eqs = integer_kernel(vectors or [[0] * dim])  # no vector: the span is 0
+    span_dim = dim - len(span_eqs)
+    if all(c.dim < span_dim for c in distinct):
+        raise ValueError("no projected cone is full-dimensional in the span of the image")
     containing_sets = set()
-    for chamber in _chambers(dim, _arrangement_normals(distinct)):
+    for chamber in _chambers(dim, _arrangement_normals(distinct, span_dim), span_eqs):
         containing = tuple(k for k, c in enumerate(distinct) if c.contains_cone(chamber))
         if containing:
             containing_sets.add(containing)
 
     minimal = (
-        Cone.from_inequalities(dim, [n for k in containing for n in distinct[k].facets])
+        Cone.from_inequalities(dim, [n for k in containing for n in distinct[k].facets], span_eqs)
         for containing in containing_sets
     )
     return _fan_of(dim, minimal)
@@ -252,8 +229,7 @@ def quotient_fan(fan: Fan, proj) -> Fan:
 @stage
 def chart_projected_faces() -> tuple[tuple[frozenset[int], Cone], ...]:
     """The 64 orthant faces of the chart with their projections."""
-    pd, orthant = source_data()
-    return _projected_faces(orthant, pd.cokernel_matrix)
+    return _projected_faces(source_data(), COKERNEL_MATRIX)
 
 
 @stage
@@ -437,12 +413,9 @@ def git_subfans() -> dict:
         "face_counts": {name: len(fs) for name, fs in faces.items()},
         "bijective": bijective,
         "refinement_equals_quotient": refinement == set(quotient.cones),
-        "exchanged_plus": [list(c.rays) for c in only_plus],
-        "exchanged_minus": [list(c.rays) for c in only_minus],
         "local_flip_over_projected_face": local_flip,
         "exchanged_walls_meet_in_extra_ray": exchanged_meet.rays == (rho6,),
         "modified_locus_is_extra_ray_divisor": star_inside and both_sides,
-        "star_size": len(star),
     }
 
 
@@ -458,7 +431,6 @@ def toric_class_group(fan: Fan) -> dict:
     invariants = smith_invariants(relation_rows)
     rank = len(rays) - len(invariants)
     return {
-        "relation_rows": relation_rows,
         "invariant_factors": invariants,
         "rank": rank,
         "torsion_free": all(d == 1 for d in invariants),

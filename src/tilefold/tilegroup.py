@@ -87,13 +87,6 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(_perm_mul(g.perm, hp), g.flip ^ h.flip)
 
 
-def inverse(g: GroupElement) -> GroupElement:
-    pinv = _perm_inv(g.perm)
-    if g.flip:
-        return GroupElement(_conj_w0(pinv), True)
-    return GroupElement(pinv, False)
-
-
 @stage
 def schreier_tree() -> tuple[tuple[GroupElement, GroupElement, GroupElement], ...]:
     """Edges (g, s, g*s) of a breadth-first search from IDENTITY over GENERATORS.

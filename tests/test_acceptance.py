@@ -41,7 +41,7 @@ def test_criterion_01_quotient_fan():
 
 def test_criterion_02_relevance():
     t0 = time.monotonic()
-    pd, orthant = quotientfan.source_data()
+    orthant = quotientfan.source_data()
     pairs = quotientfan.relevant_pairs()
     got = {(p["cone"], p["companion"]) for p in pairs}
     required = {
@@ -52,7 +52,7 @@ def test_criterion_02_relevance():
         ((1, 3, 4), (0, 3)),  # D12 with companion C03
     }
     fan = quotientfan.chart_quotient_fan()
-    nonproj = quotientfan.non_projected_rays(fan, pd.cokernel_matrix, orthant)
+    nonproj = quotientfan.non_projected_rays(fan, quotientfan.COKERNEL_MATRIX, orthant)
     ok = required <= got and nonproj == [(0, 0, -1)]
     report(2, "relevance pairs and the unique non-projected ray", ok, time.monotonic() - t0, 5)
 

@@ -1,18 +1,30 @@
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tilefold import divcalc, stages
-from tilefold.conelab import effective_generators, gamma1, gamma2, mori_cone, moving_dual_cone, nef_cone
+from tilefold.conelab import (
+    _permutes,
+    effective_generators,
+    gamma1,
+    gamma2,
+    mori_cone,
+    moving_dual_cone,
+    nef_cone,
+    orbit_decomposition,
+)
 from tilefold.divcalc import (
+    BASIS,
     LABELS,
     LABEL_INDEX,
     MULTICAN_LABEL_SETS,
     PLANE_ROWS,
     QUADRIC_ROW,
     RANK,
+    NotPermutedError,
     RuleConsistencyError,
     anticanonical,
     basis_tensor,
@@ -29,6 +41,7 @@ from tilefold.divcalc import (
     picard_lattice,
     act_on_class,
     act_on_curve,
+    curve_action,
     quartic_system,
     ray_permutations,
     solve_petersen,
@@ -37,9 +50,43 @@ from tilefold.divcalc import (
     triple,
     triple_labels,
 )
-from tilefold.exactlat import identity_matrix, primitive_vector
+from tilefold.exactlat import identity_matrix, mat_vec, primitive_vector
 from tilefold.polyhedra import Cone, dual_cone
-from tilefold.tilegroup import TAU, act_on_label, full_group
+from tilefold.tilegroup import GENERATORS, IDENTITY, TAU, act_on_label, compose, full_group
+
+
+@cache
+def _reference_matrices():
+    """Class and curve matrices of all 48 elements: the reference.
+
+    The class matrix of g sends each basis label to the class of its image
+    under act_on_label, and qH to the class of the moved A2 plane row.  The
+    curve matrix of g is the transpose of the class matrix of the inverse of
+    g, found by search.
+    """
+    lc = picard_lattice()["label_class"]
+    classes = {}
+    for g in full_group():
+        cols = [
+            tuple(map(sum, zip(*(lc[act_on_label(g, lab)] for lab in PLANE_ROWS["A2"]))))
+            if sym == "qH" else lc[act_on_label(g, sym)]
+            for sym in BASIS
+        ]
+        classes[g] = tuple(zip(*cols))
+    inverse = {g: next(h for h in full_group() if compose(g, h) == IDENTITY) for g in full_group()}
+    curves = {g: tuple(zip(*classes[inverse[g]])) for g in full_group()}
+    return classes, curves
+
+
+def reference_act_on_class(g, v):
+    return mat_vec(_reference_matrices()[0][g], v)
+
+
+def reference_act_on_curve(g, v):
+    return mat_vec(_reference_matrices()[1][g], v)
+
+
+REFERENCE_ACTION = {act_on_class: reference_act_on_class, act_on_curve: reference_act_on_curve}
 
 
 class TestPicardLattice:
@@ -122,6 +169,20 @@ class TestPetersen:
         for pair in (("B2", "C23"), ("B3", "C23"), ("C23", "D01"),
                      ("B0", "D01"), ("B1", "D01")):
             assert frozenset(pair) in pet["forced_edges"]
+
+    def test_a_forced_value_other_than_0_or_1_raises_before_the_search(self, monkeypatch):
+        # the four A*B entries at C23 doubled: the transported tables force 2 on node pairs
+        doubled = {k: 2 if k[0][0] + k[1][0] == "AB" else v for k, v in divcalc.RULE_C_BASE.items()}
+        monkeypatch.setattr(divcalc, "RULE_C_BASE", doubled)
+        monkeypatch.setattr(divcalc, "surface_graphs", lambda edges: pytest.fail("searched"))
+        stages.clear(divcalc._transported_tables, solve_petersen)
+        try:
+            with pytest.raises(RuleConsistencyError, match=r"forced value 2 on \w+,\w+ is not 0 or 1"):
+                solve_petersen()
+        finally:
+            monkeypatch.undo()
+            stages.clear(divcalc._transported_tables, solve_petersen)
+        assert len(solve_petersen()["edges"]) == 15
 
     def test_three_regular_girth_five(self):
         pet = solve_petersen()
@@ -308,9 +369,6 @@ class TestTrilinearForm:
 
 class TestGroupActionOnClasses:
     def test_matrices_are_homomorphic(self):
-        from tilefold.tilegroup import compose
-
-        act = picard_action()
         group = full_group()
         rng = random.Random(0)
         lc = picard_lattice()["label_class"]
@@ -318,15 +376,25 @@ class TestGroupActionOnClasses:
             g = group[rng.randrange(48)]
             h = group[rng.randrange(48)]
             v = lc[LABELS[rng.randrange(20)]]
-            assert act_on_class(compose(g, h), v) == act_on_class(
-                g, act_on_class(h, v)
+            assert reference_act_on_class(compose(g, h), v) == reference_act_on_class(
+                g, reference_act_on_class(h, v)
             )
+
+    def test_generator_matrices_equal_the_reference(self):
+        # four matrices each, one per generator; the other 44 are never read
+        classes, curves = _reference_matrices()
+        for got, want in ((picard_action(), classes), (curve_action(), curves)):
+            assert list(got) == list(GENERATORS.values())
+            assert all(got[s] == want[s] for s in got)
 
     def test_action_permutes_boundary_classes(self):
         lc = picard_lattice()["label_class"]
         for g in full_group():
             for lab in LABELS:
-                assert act_on_class(g, lc[lab]) == lc[act_on_label(g, lab)]
+                assert reference_act_on_class(g, lc[lab]) == lc[act_on_label(g, lab)]
+        for s in GENERATORS.values():
+            for lab in LABELS:
+                assert act_on_class(s, lc[lab]) == lc[act_on_label(s, lab)]
 
     def test_curve_action_is_equivariant(self):
         rng = random.Random(1)
@@ -334,8 +402,13 @@ class TestGroupActionOnClasses:
         for _ in range(40):
             g = group[rng.randrange(48)]
             e, f = rng.sample(LABELS, 2)
-            assert act_on_curve(g, curve_class(e, f)) == curve_class(
+            assert reference_act_on_curve(g, curve_class(e, f)) == curve_class(
                 act_on_label(g, e), act_on_label(g, f)
+            )
+        for s in GENERATORS.values():
+            e, f = rng.sample(LABELS, 2)
+            assert act_on_curve(s, curve_class(e, f)) == curve_class(
+                act_on_label(s, e), act_on_label(s, f)
             )
 
     def test_triple_invariance(self):
@@ -346,7 +419,7 @@ class TestGroupActionOnClasses:
             g = group[rng.randrange(48)]
             a, b, c = (lc[LABELS[rng.randrange(20)]] for _ in range(3))
             assert triple(a, b, c) == triple(
-                act_on_class(g, a), act_on_class(g, b), act_on_class(g, c)
+                reference_act_on_class(g, a), reference_act_on_class(g, b), reference_act_on_class(g, c)
             )
 
 
@@ -364,7 +437,7 @@ class TestAnticanonical:
     def test_group_invariance(self):
         ak = anticanonical()
         for g in full_group():
-            assert act_on_class(g, ak["class"]) == ak["class"]
+            assert reference_act_on_class(g, ak["class"]) == ak["class"]
 
 
 class TestCurveClasses:
@@ -468,27 +541,29 @@ class TestTransport:
         assert len(set(perms)) == len(full_group()) == 48
         for g, p in zip(full_group(), perms):
             assert sorted(p) == list(range(len(rays)))
-            assert [primitive_vector(act_on_curve(g, r)) for r in rays] == [rays[i] for i in p]
+            assert [primitive_vector(reference_act_on_curve(g, r)) for r in rays] == [rays[i] for i in p]
 
     def test_ray_permutations_reject_a_set_the_group_moves(self):
         rays = mori_cone()["cone"].rays
         assert len(orbit(rays[0], act_on_curve)) > 1
-        with pytest.raises(RuntimeError, match="does not permute"):
+        with pytest.raises(NotPermutedError, match="does not permute"):
             ray_permutations(rays[1:], act_on_curve)
 
 
 def _reference_permutations(vectors, action):
-    """ray_permutations by applying each of the 48 elements to each vector."""
+    """ray_permutations by applying each of the 48 reference matrices to each vector."""
     index = {v: i for i, v in enumerate(vectors)}
+    act = REFERENCE_ACTION[action]
     return tuple(
-        tuple(index[primitive_vector(action(g, v))] for v in vectors) for g in full_group()
+        tuple(index[primitive_vector(act(g, v))] for v in vectors) for g in full_group()
     )
 
 
 def _reference_orbit(vector, action):
-    """orbit by applying each of the 48 elements."""
+    """orbit by applying each of the 48 reference matrices."""
     v = primitive_vector(vector)
-    return frozenset(primitive_vector(action(g, v)) for g in full_group())
+    act = REFERENCE_ACTION[action]
+    return frozenset(primitive_vector(act(g, v)) for g in full_group())
 
 
 def _ray_set(name):
@@ -543,9 +618,10 @@ class TestGeneratorAction:
         seeds = _moving_dual_seeds()
         orbits = [orbit(s, act_on_curve) for s in seeds]
         assert orbits == [_reference_orbit(s, act_on_curve) for s in seeds]
-        assert frozenset().union(*orbits) == set(moving_dual_cone()["generators"])
+        assert frozenset().union(*orbits) == set(moving_dual_cone())
 
-    def test_picard_action_needs_a_group_action_on_labels(self, monkeypatch):
+    @staticmethod
+    def _break_the_label_action(monkeypatch):
         # tau swaps the images of A0 and A1: tau*tau no longer fixes A0
         real = divcalc.act_on_label
 
@@ -555,11 +631,31 @@ class TestGeneratorAction:
             return real(g, lab)
 
         monkeypatch.setattr(divcalc, "act_on_label", not_an_action)
-        stages.clear(picard_action)
+        stages.clear(picard_action, curve_action)
+
+    def test_picard_action_needs_a_group_action_on_labels(self, monkeypatch):
+        self._break_the_label_action(monkeypatch)
         try:
             with pytest.raises(RuntimeError, match="not a group action"):
                 picard_action()
         finally:
             monkeypatch.undo()
-            stages.clear(picard_action)
-        assert len(picard_action()) == 48
+            stages.clear(picard_action, curve_action)
+        assert len(picard_action()) == 4
+
+    def test_a_broken_label_action_is_not_reported_as_a_moved_ray_set(self, monkeypatch):
+        # the certificate's own error comes through the orbit routines, which
+        # answer "does not permute" only for an image outside the set
+        rays = mori_cone()["cone"].rays
+        k_negative = mori_cone()["k_negative"]
+        self._break_the_label_action(monkeypatch)
+        try:
+            with pytest.raises(RuntimeError, match="not a group action"):
+                _permutes(rays, act_on_curve)
+            with pytest.raises(RuntimeError, match="not a group action") as raised:
+                orbit_decomposition(k_negative, act_on_curve)
+        finally:
+            monkeypatch.undo()
+            stages.clear(picard_action, curve_action)
+        assert raised.value.stage_path == ("divcalc.curve_action", "divcalc.picard_action")
+        assert _permutes(rays, act_on_curve)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -39,7 +40,6 @@ from tilefold.quotientfan import (
     principal_divisor_witness,
     quotient_fan,
     relevant_pairs,
-    root_data,
     source_data,
     verify_quotient_fan,
 )
@@ -59,20 +59,14 @@ class TestSourceData:
         assert all(all(x == 0 for x in row) for row in prod)
 
     def test_root_data(self):
-        rd = root_data()
-        # alpha_{i,j} is the consecutive sum of simple roots
-        for (i, j), root in rd.positive_roots.items():
-            acc = tuple(
-                sum(rd.simple_roots[k - 1][t] for k in range(i, j + 1))
-                for t in range(4)
-            )
-            assert root == acc
-        assert rd.longest_element == (3, 2, 1, 0)
-        assert rd.doubled_minimal_weight == (3, 1, -1, -3)
-        assert len(rd.weyl_group) == 24
+        # the fixed points are indexed by the 24 elements s of the Weyl group
+        # S4, and the weight at s has i-th coordinate 3 - 2*s(i)
+        weights, _ = fixed_point_weights()
+        assert list(weights) == sorted(permutations(range(4)))
+        assert all(w == tuple(3 - 2 * k for k in s) for s, w in weights.items())
 
     def test_source_data_builds(self):
-        pd, orthant = source_data()
+        orthant = source_data()
         assert len(orthant.rays) == 6
         assert orthant.maximal_cones == (frozenset(range(6)),)
 
@@ -111,18 +105,24 @@ class TestSourceData:
 def reference_chamber_fan(dim: int, projected):
     """The chamber complex by interior witnesses: the reference.
 
-    Cut the target space by every facet and span hyperplane of the projected
-    cones, take the sum of each chamber's rays as its witness, and intersect
-    the projected cones that hold it.
+    Work in the span of the projected cones, read off the cone their rays
+    and lineality generate.  Cut the span by every facet and span
+    hyperplane of the projected cones that does not contain it, take the
+    sum of each chamber's rays as its witness, and intersect the projected
+    cones that hold it.  No witness in a projected cone means that no cone
+    is full-dimensional in the span.
     """
     distinct = list({c.key(): c for _, c in projected}.values())
+    vectors = [v for c in distinct for v in c.rays + c.lineality]
+    span = Cone.from_rays(dim, vectors + [tuple(-x for x in v) for v in vectors])
     normals = set()
     for c in distinct:
         for n in list(c.facets) + list(c.equations):
-            n = primitive_vector(n)
-            normals.add(max(n, tuple(-x for x in n)))
+            if any(dot(n, v) for v in vectors):
+                n = primitive_vector(n)
+                normals.add(max(n, tuple(-x for x in n)))
     normals = sorted(normals)
-    chambers = [([], Cone.full_space(dim))]
+    chambers = [([], span)]
     for n in normals:
         nxt = []
         for ineqs, cone in chambers:
@@ -132,7 +132,7 @@ def reference_chamber_fan(dim: int, projected):
             has_neg = lin_hit or any(v < 0 for v in vals_r)
             if has_pos and has_neg:
                 for side in (n, tuple(-x for x in n)):
-                    nxt.append((ineqs + [side], Cone.from_inequalities(dim, ineqs + [side])))
+                    nxt.append((ineqs + [side], Cone.from_inequalities(dim, ineqs + [side], span.equations)))
             else:
                 nxt.append((ineqs, cone))
         chambers = nxt
@@ -147,6 +147,8 @@ def reference_chamber_fan(dim: int, projected):
         containing = tuple(k for k, c in enumerate(distinct) if c.contains(witness))
         if containing:
             containing_sets.add(containing)
+    if not containing_sets:
+        raise ValueError("no projected cone is full-dimensional in the span of the image")
     candidates = {}
     for containing in containing_sets:
         ineqs = [n for k in containing for n in distinct[k].facets]
@@ -159,13 +161,24 @@ def reference_chamber_fan(dim: int, projected):
 def random_orthant_case(rng):
     """The orthant of R^3..R^5, or a fan of 1-3 of its faces, and a surjection to R^2 or R^3."""
     n = rng.randint(3, 5)
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     if rng.random() < 0.25:
         faces = [frozenset(range(n))]
     else:
         picked = {frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 3))}
         faces = [f for f in picked if not any(f < g for g in picked)]
-    m = rng.randint(2, 3)
+    return _with_a_surjection(rng, n, faces, rng.randint(2, 3))
+
+
+def random_lower_dimensional_case(rng):
+    """1-2 faces of the orthant of R^3..R^5 on fewer coordinates than R^2 or R^3, and a surjection to it."""
+    n, m = rng.randint(3, 5), rng.randint(2, 3)
+    coords = rng.sample(range(n), rng.randint(1, m - 1))
+    picked = {frozenset(rng.sample(coords, rng.randint(1, len(coords)))) for _ in range(rng.randint(1, 2))}
+    return _with_a_surjection(rng, n, [f for f in picked if not any(f < g for g in picked)], m)
+
+
+def _with_a_surjection(rng, n, faces, m):
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     while True:
         proj = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(m)]
         if smith_invariants(proj) == [1] * m:
@@ -174,11 +187,19 @@ def random_orthant_case(rng):
 
 class TestQuotientFan:
     def test_equals_the_witness_reference(self):
-        # the same fan, or both reject, on projections of orthant faces
+        # the same fan, or both reject, on projections of orthant faces; an
+        # image spanning less than the target is a fan in its span
         rng = random.Random(8)
+        cases = [random_orthant_case(rng) for _ in range(60)]
+        cases += [random_lower_dimensional_case(rng) for _ in range(20)]
+        units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        # the ray (1, 0), and two planes spanning R^3, which no chamber covers
+        cases += [
+            (make_fan(3, units, [{0, 1}]), [[1, 0, 0], [0, 0, 1]]),
+            (make_fan(3, units, [{0, 1}, {1, 2}]), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ]
         outcomes = []
-        for _ in range(60):
-            fan, proj = random_orthant_case(rng)
+        for fan, proj in cases:
             projected = _projected_faces(fan, proj)
             try:
                 want = reference_chamber_fan(len(proj), projected)
@@ -190,16 +211,21 @@ class TestQuotientFan:
                 assert isinstance(want, Exception), (fan, proj, exc)
                 if isinstance(want, ValueError):
                     assert type(exc) is ValueError and str(exc) == str(want)
-                outcomes.append("rejected")
+                outcomes.append(str(exc))
                 continue
             assert got == want, (fan, proj)
             assert got.cones == want.cones
-            outcomes.append("fan")
-        assert outcomes.count("fan") == 58 and outcomes.count("rejected") == 2
+            outcomes.append("fan" if max(c.dim for c in got.cones) == len(proj) else "lower")
+        # the other two of the first 60 break the fan axioms
+        no_cone = "no projected cone is full-dimensional in the span of the image"
+        assert [outcomes[:60].count(o) for o in ("fan", "lower", no_cone)] == [42, 14, 2]
+        assert [outcomes[60:80].count(o) for o in ("lower", no_cone)] == [18, 2]
+        assert outcomes[80:] == ["lower", no_cone]
+        assert quotient_fan(*cases[80]).rays == ((1, 0),)
 
     def test_chart_is_cut_by_seven_hyperplanes_into_32_chambers(self):
         distinct = list({c.key(): c for _, c in chart_projected_faces()}.values())
-        normals = _arrangement_normals(distinct)
+        normals = _arrangement_normals(distinct, 3)
         assert len(normals) == 7
         assert len(_chambers(3, normals)) == 32
 
@@ -302,12 +328,12 @@ class TestQuotientFan:
     def test_every_fan_cone_is_intersection_of_projections(self):
         # and every projected face is a union of quotient-fan pieces: we
         # check the first exactly, the second through interior witnesses
-        pd, orthant = source_data()
+        orthant = source_data()
         fan = chart_quotient_fan()
         faces = []
         for mask in range(64):
             idx = [i for i in range(6) if mask & (1 << i)]
-            rays = [mat_vec(pd.cokernel_matrix, orthant.rays[i]) for i in idx]
+            rays = [mat_vec(COKERNEL_MATRIX, orthant.rays[i]) for i in idx]
             faces.append(Cone.from_rays(3, rays))
         for cone in fan.cones:
             w = cone.interior_point()
@@ -348,15 +374,13 @@ def reference_relevant_pairs(fan, proj) -> list[dict]:
 
 class TestRelevance:
     def test_mask_rule_matches_pairwise_intersections(self):
-        pd, orthant = source_data()
         pairs = relevant_pairs()
         assert len(pairs) == 1373
-        assert pairs == reference_relevant_pairs(orthant, pd.cokernel_matrix)
+        assert pairs == reference_relevant_pairs(source_data(), COKERNEL_MATRIX)
 
     @staticmethod
     def _projected_cones():
-        pd, orthant = source_data()
-        faces = _projected_faces(orthant, tuple(map(tuple, pd.cokernel_matrix)))
+        faces = _projected_faces(source_data(), tuple(map(tuple, COKERNEL_MATRIX)))
         return list({c.key(): c for _, c in faces}.values())
 
     def test_certificate_holds_on_the_quotient_fan(self):
@@ -393,9 +417,8 @@ class TestRelevance:
         assert rec["intersection_rays"] == ((-1, 0, -1),)
 
     def test_rho6_unique_non_projected(self):
-        pd, orthant = source_data()
         fan = chart_quotient_fan()
-        assert non_projected_rays(fan, pd.cokernel_matrix, orthant) == [(0, 0, -1)]
+        assert non_projected_rays(fan, COKERNEL_MATRIX, source_data()) == [(0, 0, -1)]
 
     def test_reversed_containment_is_not_relevant(self):
         # the projection of B1's face lies inside A1's, so the reversed
@@ -476,7 +499,7 @@ class TestPolytopes:
                 for n in poly.facets
                 if n[0] + sum(a * b for a, b in zip(n[1:], v)) == 0
             )
-            assert tight >= poly.dim
+            assert tight >= len(poly.f_vector())
 
 
 class TestFixedPointWeights:
@@ -558,7 +581,6 @@ class TestFixedPointWeights:
 
 class TestPartitions:
     def test_partition_cones_project_as_published(self):
-        pd, _ = source_data()
         expected = {
             "A1": {1, 4},
             "B1": {0},
@@ -575,6 +597,6 @@ class TestPartitions:
             units = [tuple(int(j == i) for j in range(6)) for i in PARTITION_FACE[tag]]
             cone = Cone.from_rays(6, units)
             img = {
-                primitive_vector(mat_vec(pd.cokernel_matrix, r)) for r in cone.rays
+                primitive_vector(mat_vec(COKERNEL_MATRIX, r)) for r in cone.rays
             }
             assert img == {QUOTIENT_RAYS[i] for i in rhos}, tag

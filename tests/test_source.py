@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -48,10 +52,10 @@ def test_every_definition_is_used():
     # `quotient_fan` is the quotient of any fan (the chart runs its two
     # halves as stages, so the relevance analysis shares the projection).
     # Limit: names are counted, not bindings, so a definition that shares
-    # its name with anything the package reads (another method, as
-    # `Polytope.dim` does `Cone.dim`, or a local variable, as
-    # `divcalc.orbit` does a loop variable `orbit` in `conelab`) is never
-    # reported; only a census of calls at run time would close that gap
+    # its name with anything the package reads (another method, or a local
+    # variable, as `divcalc.orbit` does a loop variable `orbit` in
+    # `conelab`) is never reported; `test_every_definition_runs` closes that
+    # gap with a census of calls at run time
     allowed = {"fan_from_text", "quotient_fan"}
     trees = {
         path.name: ast.parse(path.read_text(), filename=str(path))
@@ -104,3 +108,71 @@ def test_fans_are_checked_in_one_place():
         ]
     assert readers == ["polyhedra.py:Fan.__post_init__"]
     assert len(definitions) == 1 and definitions[0].startswith("polyhedra.py:")
+
+
+# Runs in a fresh interpreter: the profile hook is set before tilefold is
+# imported, so calls made at import time count too.
+CENSUS = """
+import json, os, sys
+codes = set()
+def record(frame, event, arg, add=codes.add):
+    if event == "call":
+        add(frame.f_code)
+sys.setprofile(record)
+from tilefold import cli
+golden, out = sys.argv[1:3]
+for argv in (
+    ["report", "all", "--golden", golden],
+    ["fan", "quotient", "--export", os.path.join(out, "fan.txt")],
+    ["intersection", "table", "--csv", os.path.join(out, "table.csv")],
+    ["cones", "mori", "--csv", os.path.join(out, "mori.csv")],
+):
+    rc = cli.run(argv + ["--out", os.path.join(out, "report.json")])
+    if rc:
+        sys.exit(f"{argv} exited {rc}")
+sys.setprofile(None)
+package = os.path.dirname(cli.__file__)
+print(json.dumps(sorted(
+    f"{os.path.basename(c.co_filename)}:{c.co_firstlineno}"
+    for c in codes if os.path.dirname(c.co_filename) == package
+)))
+"""
+
+
+def test_every_definition_runs(tmp_path):
+    # a census of calls: every top-level function and method is entered by
+    # `report all`, `fan quotient --export`, `intersection table --csv` and
+    # `cones mori --csv`, except dunder methods, which Python calls, `main`,
+    # the entry point, `fan_from_text`, which reads the `--export` text
+    # format, `quotient_fan`, the quotient of any fan (the chart runs its two
+    # halves as stages), and `stages.clear`, which no single run needs
+    allowed = {"cli.py:main", "polyhedra.py:fan_from_text", "quotientfan.py:quotient_fan", "stages.py:clear"}
+    package = Path(tilefold.__file__).parent
+    golden = package.parents[1] / "goldens" / "report_all.json"
+    pythonpath = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CENSUS, str(golden), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert done.returncode == 0, done.stderr
+    entered = set(json.loads(done.stdout))
+    missed = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = [(node.name, node) for node in tree.body if isinstance(node, DEFINITIONS[:2])]
+        defs += [
+            (f"{node.name}.{sub.name}", sub) for node in tree.body if isinstance(node, ast.ClassDef)
+            for sub in node.body if isinstance(sub, DEFINITIONS[:2])
+        ]
+        for name, node in defs:
+            last = name.rpartition(".")[2]
+            if f"{path.name}:{name}" in allowed or (last.startswith("__") and last.endswith("__")):
+                continue
+            # a code object's first line is that of its first decorator
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if f"{path.name}:{first}" not in entered:
+                missed.append(f"{path.name}:{name}")
+    assert not missed, "definitions no run entered: " + ", ".join(missed)

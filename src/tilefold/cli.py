@@ -31,8 +31,8 @@ commands:
 
 options:
   --out PATH     write the JSON report to PATH
-  --seed N       sampling seed (default 0)
-  --samples N    sample count for group verification (default 100)
+  --seed N       group verify / report all: sampling seed (default 0)
+  --samples N    group verify / report all: sample count (default 100)
   --golden PATH  compare against a golden report (timings/version ignored)
   --export PATH  fan quotient only: write the fan in the text format
   --csv PATH     intersection table / cones mori|nef: write a CSV table
@@ -588,13 +588,13 @@ def _parse_args(argv: list[str]):
         else:
             words.append(arg)
             i += 1
-    return " ".join(words), opts
+    return " ".join(words), opts, given
 
 
 def run(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
-        command, opts = _parse_args(argv)
+        command, opts, given = _parse_args(argv)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n{USAGE}")
         return 2
@@ -602,7 +602,10 @@ def run(argv: list[str]) -> int:
     if command not in known:
         sys.stderr.write(USAGE)
         return 2
-    if command in ("group verify", "report all") and opts["samples"] < 1:
+    if given & {"seed", "samples"} and command not in ("group verify", "report all"):
+        sys.stderr.write("error: --seed and --samples only apply to `group verify` and `report all`\n")
+        return 2
+    if opts["samples"] < 1:
         sys.stderr.write("error: --samples must be at least 1\n")
         return 2
     if opts["export"] is not None and command != "fan quotient":

@@ -15,16 +15,17 @@ rays and facets are primitive and orthogonal to the lineality space or the
 span equations, which are stored as HNF bases of their saturated lattices.
 So equal cones produced along different routes compare equal and golden-file
 tests are byte-stable.  Face lattices come from the kept incidence alone,
-walked one dimension at a time over the fewer of rays and facets,
-with dimensions read off the cover relation rather than ranked face by face.
-They can be walked up to a group of ray permutations that the incidence
-certifies; the walk then returns one face per orbit with the orbit's size
-and holds the faces of one dimension at a time.  Face counts must satisfy
-the Euler relation.  Membership has a second, independent route: an
-all-integer simplex, pivoting with one common denominator (Edmonds' integer
-pivoting) by Dantzig's rule, and by Bland's after a degenerate pivot, whose
-verdicts carry certificates.  A fan keeps the cone of each maximal cone and
-checks itself: the fan axioms are checked exactly, once, when a Fan is made.
+in one walk over the fewer of rays and facets, one dimension at a time,
+with dimensions read off the cover relation rather than ranked face by
+face.  The walk goes up to a group of ray permutations that the incidence
+certifies, the trivial group when none is given; it returns one face per
+orbit with the orbit's size and holds the faces of one dimension at a time.
+Face counts must satisfy the Euler relation.  Membership has a second,
+independent route: an all-integer simplex, pivoting with one common
+denominator (Edmonds' integer pivoting) by Dantzig's rule, and by Bland's
+after a degenerate pivot, whose verdicts carry certificates.  A fan keeps
+the cone of each maximal cone and checks itself: the fan axioms are checked
+exactly, once, when a Fan is made.
 """
 
 from __future__ import annotations
@@ -122,16 +123,15 @@ def _dd_inequalities(dim: int, ineqs: list[Vec]) -> tuple[list[list], list[Vec]]
         survivors = [entry for entry, _ in pos] + zero
         for entry in zero:
             entry[1] |= bit
-        all_entries = rays
         new_rays = []
         for entry_p, vp in pos:
             zp = entry_p[1]
             for entry_n, vn in neg:
                 zmeet = zp & entry_n[1]
-                if d_quot > 2 and zmeet.bit_count() < d_quot - 2:
+                if zmeet.bit_count() < d_quot - 2:
                     continue  # adjacency needs at least d-2 common tight ineqs
                 adjacent = True
-                for other in all_entries:
+                for other in rays:
                     if other is entry_p or other is entry_n:
                         continue
                     if other[1] & zmeet == zmeet:
@@ -460,16 +460,16 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
     """One face of a pointed cone per orbit, as {ray bitmask: (dimension, orbit size)}.
 
     Faces come from the cone's ray-facet incidence alone (Kaibel & Pfetsch,
-    2002), walked over whichever of rays and facets is fewer.  Over rays, a
-    face is held by its tight-facet mask `tight`, and each ray j gives the
-    join `tight & c.incidence[j]`, which is `tight` itself for the rays of
-    the face; the maximal other joins are the covers of the face, one
-    dimension up.  The walk goes one level at a time from the zero face, and
-    the covers of one level's faces are the whole next level.  Over facets
-    the same walk runs on the transposed incidence from the cone itself
-    down: a face's tight mask is then its ray mask, and after k levels its
-    dimension is c.dim - k.  Either way the walk's height is checked against
-    the cone's dimension and the rank of the rays.
+    2002), walked one level at a time over the atoms, whichever of rays and
+    facets is fewer.  Over rays the walk starts at the zero face and goes
+    up; over facets it runs on the transposed incidence from the cone down,
+    and after k levels the dimension is c.dim - k.  A face is held by its
+    tight mask (its facets over rays, its rays over facets) and the mask of
+    the atoms inside it.  Each atom j outside the face gives the join
+    `tight & atoms[j]`; the maximal joins are the covers of the face, and a
+    cover's atoms are the face's own and those that give its join.  The
+    covers of one level's faces are the whole next level, and the walk's
+    height is checked against the cone's dimension and the rank of the rays.
 
     `ray_permutations` is a group of permutations of the ray indices, each
     a tuple whose entry i is the index of the image of ray i.  Before the
@@ -477,15 +477,13 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
     facet onto the ray set of a facet, and the group as closed under
     composition; a group that passes acts on the face lattice by
     automorphisms, whatever code produced it, and any other input raises
-    RuntimeError.  The walk then works up to symmetry (Bremner, Dutour
-    Sikirić & Schürmann, 2009): a cover whose ray mask is not yet seen on
-    its level enters the level's seen-set together with all its images, and
-    only that cover is walked on.  The covers of g(F) are the images of the
-    covers of F, so every face is still reached and each orbit is expanded
-    once; the orbit size is how much the seen-set grew.  Only one level's
-    seen-set is held at a time.  Without permutations every face is its own
-    representative, the seen-set holds tight masks, every orbit size is 1,
-    and a face's ray mask is formed once, when the level is done.
+    RuntimeError.  The walk works up to symmetry (Bremner, Dutour Sikirić &
+    Schürmann, 2009): a cover whose ray mask is not yet seen on its level
+    enters the level's seen-set together with all its images, or alone
+    without a group, and only that cover is walked on.  The covers of g(F)
+    are the images of the covers of F, so every face is still reached and
+    each orbit is expanded once; the orbit size is how much the seen-set
+    grew.  Only one level's seen-set is held at a time.
     """
     if not c.is_pointed():
         raise ValueError("face enumeration requires a pointed cone")
@@ -506,31 +504,21 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
         atoms = c.incidence
         start = all_facets_mask  # the zero face: every facet, no ray
         faces = {0: (0, 1)}
-    bits = [1 << j for j in range(len(atoms))]
-    # A group's seen-set holds ray masks, so over rays each cover needs its
-    # ray mask before the seen-set can be asked.  One pass over the atoms
-    # then collects, for each join, the atoms that give it; the atoms that
-    # give `tight` itself are the face's own.
-    track_rays = bool(tables) and not by_facets
 
     height = -1
-    level = [start]  # the tight mask of each orbit's representative
+    level = [(start, 0)]  # each orbit representative's tight mask and walked atoms
     while level:
         height += 1
         dim = c.dim - height - 1 if by_facets else height + 1
-        single = (dim, 1)  # one tuple for all one-face orbits: none per face without a group
-        seen: set[int] = set()  # the next level met so far
+        single = (dim, 1)  # one tuple for all one-face orbits
+        seen: set[int] = set()  # ray masks of the next level met so far
         next_level = []
-        for tight in level:
-            if track_rays:
-                joins = {}  # join -> the atoms that give it
-                for bit, atom in zip(bits, atoms):
+        for tight, inside in level:
+            joins: dict[int, int] = {}  # join -> the atoms outside the face that give it
+            for j, atom in enumerate(atoms):
+                if not inside >> j & 1:
                     m = tight & atom
-                    joins[m] = joins.get(m, 0) | bit
-                inside = joins.pop(tight, 0)
-            else:
-                joins = {tight & atom for atom in atoms}
-                joins.discard(tight)
+                    joins[m] = joins.get(m, 0) | 1 << j
             covers: list[int] = []  # maximal joins; supersets sort first
             for m in sorted(joins, key=int.bit_count, reverse=True):
                 for kept in covers:
@@ -538,24 +526,15 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
                         break  # m lies below a cover
                 else:
                     covers.append(m)
-            if not tables:
-                seen.update(covers)
-                continue
             for m in covers:
-                face = inside | joins[m] if track_rays else m
+                walked = inside | joins[m]
+                face = m if by_facets else walked
                 if face not in seen:
                     before = len(seen)
-                    seen.update(_images(tables, face))
+                    seen.update(_images(tables, face) if tables else (face,))
                     size = len(seen) - before
                     faces[face] = single if size == 1 else (dim, size)
-                    next_level.append(m)
-        if not tables:
-            # Without a group every face is new once: form its ray mask then.
-            next_level = list(seen)
-            ray_masks = next_level if by_facets else [
-                sum([bit for bit, atom in zip(bits, atoms) if atom & m == m]) for m in next_level
-            ]
-            faces.update(dict.fromkeys(ray_masks, single))
+                    next_level.append((m, walked))
         level = next_level
     rank = rational_rank(c.rays) if c.rays else 0
     if not height == c.dim == rank:

@@ -200,7 +200,11 @@ def _chamber_fan(dim: int, projected) -> Fan:
     interior point.  So the cones holding a generic point of a chamber are
     the cones holding the whole chamber, and no witness point is needed.
     Each distinct set of them is intersected once; the Fan then checks the
-    fan axioms exactly, which also rejects a cone with lineality.
+    fan axioms exactly, which also rejects a cone with lineality.  Parts of
+    the image outside every cone of the span's dimension are not covered,
+    so ValueError is raised when a ray or a lineality vector (either sign)
+    of a projected cone lies in no cone of the result.  That is a necessary
+    condition for the result to cover the image, not a proof that it does.
     """
     distinct = list({c.key(): c for _, c in projected}.values())
     vectors = [v for c in distinct for v in c.rays + c.lineality]
@@ -218,7 +222,13 @@ def _chamber_fan(dim: int, projected) -> Fan:
         Cone.from_inequalities(dim, [n for k in containing for n in distinct[k].facets], span_eqs)
         for containing in containing_sets
     )
-    return _fan_of(dim, minimal)
+    fan = _fan_of(dim, minimal)
+    generators = {v for c in distinct for v in c.rays + c.lineality}
+    generators |= {tuple(-x for x in v) for c in distinct for v in c.lineality}
+    for v in sorted(generators):
+        if not any(c.contains(v) for c in fan.cones):
+            raise ValueError(f"the projected vector {v} lies in no cone of the chamber complex")
+    return fan
 
 
 def quotient_fan(fan: Fan, proj) -> Fan:

@@ -34,9 +34,22 @@ class TestParsing:
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         assert cli.run(["quartics", "rank", "--out", str(first), "--out", str(second)]) == 2
         assert not first.exists() and not second.exists()
-        for option, value in (("--golden", GOLDEN_PATH), ("--seed", "1")):
-            assert cli.run(["quartics", "rank", option, value, option, value]) == 2, option
+        cases = (("quartics rank", "--golden", GOLDEN_PATH), ("group verify", "--seed", "1"))
+        for command, option, value in cases:
+            assert cli.run(command.split() + [option, value, option, value]) == 2, option
             assert capsys.readouterr().out == ""
+
+    def test_sampling_options_rejected_before_any_output(self, tmp_path, capsys):
+        # only group verify and report all sample anything
+        out = tmp_path / "r.json"
+        for command in cli.SECTION_BUILDERS:
+            if command == "group verify":
+                continue
+            for option, value in (("--samples", "-5"), ("--seed", "9"), ("--samples", "100")):
+                assert cli.run(command.split() + [option, value, "--out", str(out)]) == 2, command
+                assert not out.exists()
+                out_text, err = capsys.readouterr()
+                assert out_text == "" and "--seed and --samples only apply" in err
 
     def test_samples_zero_invalid(self):
         assert cli.run(["group", "verify", "--samples", "0"]) == 2

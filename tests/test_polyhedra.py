@@ -988,6 +988,24 @@ class TestFans:
         assert edges == [[0, 1], [0, 3], [1, 2], [2, 3]]
         assert len(faces) == 1 + 4 + 4 + 1
 
+    def test_faces_of_a_cone_walked_over_its_facets(self):
+        # the cone over the 3-cube has 6 facets and 8 rays, so its faces are
+        # walked over facets; the fan lists the vertices in Gray-code order,
+        # not the cone's lex order
+        vertices = [(1,) + v for v in itertools.product((-1, 1), repeat=3)]
+        rays = [vertices[i] for i in (0, 1, 3, 2, 6, 7, 5, 4)]
+        fan = make_fan(4, rays, [set(range(8))])
+        assert len(fan.cones[0].facets) == 6 and fan.cones[0].rays != tuple(rays)
+        faces = fan_face_index_sets(fan)
+        assert len(faces) == 1 + 8 + 12 + 6 + 1
+        cube_edges = {
+            frozenset({i, j})
+            for i, j in itertools.combinations(range(8), 2)
+            if sum(a != b for a, b in zip(rays[i], rays[j])) == 1
+        }
+        assert len(cube_edges) == 12
+        assert {s for s in faces if len(s) == 2} == cube_edges
+
     def test_text_round_trip(self):
         fan = self.p2_fan()
         text = fan_to_text(fan)

@@ -158,6 +158,13 @@ def reference_chamber_fan(dim: int, projected):
     return _fan_of(dim, candidates.values())
 
 
+def uncovered_vectors(fan, projected):
+    """The rays and signed lineality vectors of projected cones in no cone of the fan, by LP."""
+    vectors = {v for _, c in projected for v in c.rays + c.lineality}
+    vectors |= {tuple(-x for x in v) for _, c in projected for v in c.lineality}
+    return sorted(v for v in vectors if not any(lp_in_cone(c.rays, v) for c in fan.cones))
+
+
 def random_orthant_case(rng):
     """The orthant of R^3..R^5, or a fan of 1-3 of its faces, and a surjection to R^2 or R^3."""
     n = rng.randint(3, 5)
@@ -205,6 +212,9 @@ class TestQuotientFan:
                 want = reference_chamber_fan(len(proj), projected)
             except (ValueError, RuntimeError) as exc:
                 want = exc
+            if not isinstance(want, Exception) and (uncovered := uncovered_vectors(want, projected)):
+                # the chambers cover only the cones of the span's dimension
+                want = ValueError(f"the projected vector {uncovered[0]} lies in no cone of the chamber complex")
             try:
                 got = quotient_fan(fan, proj)
             except (ValueError, RuntimeError) as exc:
@@ -216,12 +226,23 @@ class TestQuotientFan:
             assert got == want, (fan, proj)
             assert got.cones == want.cones
             outcomes.append("fan" if max(c.dim for c in got.cones) == len(proj) else "lower")
-        # the other two of the first 60 break the fan axioms
+        # of the other five of the first 60, three leave part of the image
+        # outside every chamber and two break the fan axioms
         no_cone = "no projected cone is full-dimensional in the span of the image"
-        assert [outcomes[:60].count(o) for o in ("fan", "lower", no_cone)] == [42, 14, 2]
+        assert [outcomes[:60].count(o) for o in ("fan", "lower", no_cone)] == [39, 14, 2]
+        assert sum(o.startswith("the projected vector") for o in outcomes) == 3
         assert [outcomes[60:80].count(o) for o in ("lower", no_cone)] == [18, 2]
         assert outcomes[80:] == ["lower", no_cone]
         assert quotient_fan(*cases[80]).rays == ((1, 0),)
+
+    def test_an_image_outside_every_chamber_raises(self):
+        # the face {3} projects to the ray (-1, 0, 0), outside the image of
+        # the full-dimensional face {0, 1, 2}, the orthant
+        units = [tuple(int(j == i) for j in range(4)) for i in range(4)]
+        fan = make_fan(4, units, [{0, 1, 2}, {3}])
+        proj = [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]
+        with pytest.raises(ValueError, match=r"\(-1, 0, 0\) lies in no cone"):
+            quotient_fan(fan, proj)
 
     def test_chart_is_cut_by_seven_hyperplanes_into_32_chambers(self):
         distinct = list({c.key(): c for _, c in chart_projected_faces()}.values())

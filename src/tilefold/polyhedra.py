@@ -19,7 +19,8 @@ in one walk over the fewer of rays and facets, one dimension at a time,
 with dimensions read off the cover relation rather than ranked face by
 face.  The walk goes up to a group of ray permutations that the incidence
 certifies, the trivial group when none is given; it returns one face per
-orbit with the orbit's size and holds the faces of one dimension at a time.
+orbit with the orbit's size, and a level holds the faces met on it and one
+key per orbit, the least image, read off packed image tables.
 Face counts must satisfy the Euler relation.  Membership has a second,
 independent route: an all-integer simplex, pivoting with one common
 denominator (Edmonds' integer pivoting) by Dantzig's rule, and by Bland's
@@ -30,9 +31,9 @@ exactly, once, when a Fan is made.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import or_
 
 from .exactlat import (
     dot,
@@ -409,32 +410,36 @@ def is_face(f: Cone, c: Cone) -> bool:
 # face lattice enumeration
 
 
-def _images(tables, mask: int) -> list[int]:
-    """The images of a ray mask under each permutation, read four rays at a time."""
-    images = tables[0][mask & 15]
-    mask >>= 4
-    q = 1
+def _packed_images(tables, mask: int) -> int:
+    """The images of a ray mask under every permutation, packed one to a lane."""
+    packed = 0
+    q = 0
     while mask:
-        nibble = mask & 15
-        if nibble:
-            images = list(map(or_, images, tables[q][nibble]))
+        packed |= tables[q][mask & 15]
         mask >>= 4
         q += 1
-    return images
+    return packed
 
 
-def _image_tables(perms, facet_rays, nrays: int) -> list:
-    """Image tables of certified face-lattice automorphisms, four rays to a table.
+def _lanes(packed: int, count: int, words: int):
+    """The `count` lanes of `words` 64-bit words in `packed`: ints, or word tuples."""
+    view = memoryview(packed.to_bytes(8 * words * count, sys.byteorder)).cast("Q")
+    return view if words == 1 else list(zip(*[iter(view)] * words))
 
-    Entry v of table q lists the image of the ray mask v << 4q under each
-    permutation in `perms`, so a mask's images take one `map` per nonzero
-    group of four rays.  Each permutation must be a bijection of
-    range(nrays) sending the ray set of every facet (the masks in
-    `facet_rays`) onto the ray set of a facet, and the set must be closed
+
+def _image_tables(perms, facet_rays, nrays: int) -> tuple[list[list[int]], int]:
+    """Packed image tables of certified face-lattice automorphisms, and words per lane.
+
+    Entry v of table q packs the image of the ray mask v << 4q under perms[i]
+    into lane i, of as many 64-bit words as the rays need, so a mask's images
+    are the OR of one entry per group of four rays.  Each permutation must be
+    a bijection of range(nrays) sending the ray set of every facet (the masks
+    in `facet_rays`) onto the ray set of a facet, and the set must be closed
     under composition; otherwise RuntimeError.  No permutations, no tables.
     """
+    words = max(1, -(-nrays // 64))
     if not perms:
-        return []
+        return [], words
     identity = list(range(nrays))
     for p in perms:
         if sorted(p) != identity:
@@ -442,18 +447,19 @@ def _image_tables(perms, facet_rays, nrays: int) -> list:
     perm_set = set(perms)
     if any(tuple(p[i] for i in q) not in perm_set for p in perms for q in perms):
         raise RuntimeError("ray permutations are not closed under composition")
+    width = 64 * words
     tables = []
-    for low in range(0, max(nrays, 1), 4):
-        table = [[0] * len(perms)]
+    for low in range(0, nrays, 4):
+        table = [0]
         for j in range(low, min(low + 4, nrays)):
-            single = [1 << p[j] for p in perms]
-            table += [list(map(or_, images, single)) for images in table]
+            single = sum(1 << (width * i + p[j]) for i, p in enumerate(perms))
+            table += [packed | single for packed in table]
         tables.append(table)
-    facet_set = set(facet_rays)
+    facet_set = {_lanes(f, 1, words)[0] for f in facet_rays}
     for f in facet_rays:
-        if not facet_set.issuperset(_images(tables, f)):
+        if not facet_set.issuperset(_lanes(_packed_images(tables, f), len(perms), words)):
             raise RuntimeError("a ray permutation does not map facets onto facets")
-    return tables
+    return tables, words
 
 
 def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, int]]:
@@ -478,12 +484,11 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
     composition; a group that passes acts on the face lattice by
     automorphisms, whatever code produced it, and any other input raises
     RuntimeError.  The walk works up to symmetry (Bremner, Dutour Sikirić &
-    Schürmann, 2009): a cover whose ray mask is not yet seen on its level
-    enters the level's seen-set together with all its images, or alone
-    without a group, and only that cover is walked on.  The covers of g(F)
-    are the images of the covers of F, so every face is still reached and
-    each orbit is expanded once; the orbit size is how much the seen-set
-    grew.  Only one level's seen-set is held at a time.
+    Schürmann, 2009), keying each orbit by its least image: a cover first met
+    on its level is walked on if its orbit's key is new, and the orbit size
+    is its number of distinct images.  The covers of g(F) are the images of
+    the covers of F, so every face is still reached and each orbit is
+    expanded once.  A level holds only the faces met on it and its keys.
     """
     if not c.is_pointed():
         raise ValueError("face enumeration requires a pointed cone")
@@ -494,7 +499,7 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
         raise ValueError("cone is not pointed in incidence data")
     by_facets = nfacets < nrays
     facet_rays = _transpose(c.incidence, nfacets) if by_facets or perms else []
-    tables = _image_tables(perms, facet_rays, nrays)
+    tables, words = _image_tables(perms, facet_rays, nrays)
 
     if by_facets:
         atoms = facet_rays
@@ -511,7 +516,8 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
         height += 1
         dim = c.dim - height - 1 if by_facets else height + 1
         single = (dim, 1)  # one tuple for all one-face orbits
-        seen: set[int] = set()  # ray masks of the next level met so far
+        met: set[int] = set()  # ray masks of the next level met so far
+        keys: set = set()  # the least image of each orbit of the next level
         next_level = []
         for tight, inside in level:
             joins: dict[int, int] = {}  # join -> the atoms outside the face that give it
@@ -529,12 +535,19 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
             for m in covers:
                 walked = inside | joins[m]
                 face = m if by_facets else walked
-                if face not in seen:
-                    before = len(seen)
-                    seen.update(_images(tables, face) if tables else (face,))
-                    size = len(seen) - before
-                    faces[face] = single if size == 1 else (dim, size)
-                    next_level.append((m, walked))
+                if face in met:
+                    continue
+                met.add(face)
+                size = 1
+                if tables:
+                    images = _lanes(_packed_images(tables, face), len(perms), words)
+                    key = min(images)
+                    if key in keys:
+                        continue  # another face of this orbit was met first
+                    keys.add(key)
+                    size = len(set(images))
+                faces[face] = single if size == 1 else (dim, size)
+                next_level.append((m, walked))
         level = next_level
     rank = rational_rank(c.rays) if c.rays else 0
     if not height == c.dim == rank:

@@ -21,7 +21,8 @@ from tilefold.polyhedra import (
     _dd_inequalities,
     _extremal,
     _image_tables,
-    _images,
+    _lanes,
+    _packed_images,
     _prepare_inequalities,
     _saturated_kernel,
     _solve_hrep,
@@ -818,6 +819,22 @@ class TestFaceLattice:
             perms = permuted_rays(c, group, signs)
             assert face_lattice_fvector(c, perms) == face_lattice_fvector(c) == fvector
 
+    def test_cube_with_more_rays_than_a_lane_word(self):
+        # the cone over the 7-cube: 128 rays, so two 64-bit words a lane,
+        # under the cyclic shift of the coordinates with both signs
+        cube = Cone.from_rays(8, [(1,) + v for v in itertools.product((-1, 1), repeat=7)])
+        perms = permuted_rays(cube, coordinate_group(8, (1, 2, 3, 4, 5, 6, 0), False), (1, -1))
+        assert len(cube.rays) == 128 and len(perms) == 14
+        faces = face_lattice_raysets(cube, perms)
+        assert expand(faces, perms) == plain(face_lattice_raysets(cube))
+        fvector = (128, 448, 672, 560, 280, 84, 14)
+        assert face_lattice_fvector(cube, perms) == face_lattice_fvector(cube) == fvector
+        # swapping two vertices keeps a bijection and a group, but not the facets
+        swap = list(range(128))
+        swap[0], swap[1] = 1, 0
+        with pytest.raises(RuntimeError, match="facets onto facets"):
+            face_lattice_raysets(cube, [tuple(range(128)), tuple(swap)])
+
     def test_ray_permutation_must_be_a_bijection(self):
         square = Cone.from_rays(3, SQUARE)
         for bad in [(0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 3, 4)]:
@@ -841,22 +858,32 @@ class TestFaceLattice:
             face_lattice_raysets(square, [(2, 3, 0, 1)])
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 13), st.booleans(), st.data())
-    def test_image_tables_match_per_ray_images(self, nrays, full, data):
-        # the cyclic group of a random permutation, or for up to four rays
+    @given(st.integers(0, 140), st.integers(1, 6), st.booleans(), st.data())
+    def test_image_tables_match_per_ray_images(self, nrays, order, full, data):
+        # up to 140 rays, one to three words a lane: a cyclic group of the
+        # given order moving random blocks of rays, or for up to four rays
         # the whole symmetric group
         if full and nrays <= 4:
             group = list(itertools.permutations(range(nrays)))
         else:
-            sigma = data.draw(st.permutations(range(nrays)))
+            labels = data.draw(st.permutations(range(nrays)))
+            sigma = list(range(nrays))
+            for b in range(0, nrays - order + 1, order):
+                for t in range(order):
+                    sigma[labels[b + t]] = labels[b + (t + 1) % order]
             group = [tuple(range(nrays))]
             while (power := tuple(sigma[i] for i in group[-1])) != group[0]:
                 group.append(power)
-        tables = _image_tables(group, [], nrays)
+        tables, words = _image_tables(group, [], nrays)
+        assert words == max(1, math.ceil(nrays / 64))
+        width = 64 * words
         masks = data.draw(st.lists(st.integers(0, (1 << nrays) - 1), min_size=1, max_size=8))
         for mask in masks:
             by_ray = [sum(1 << p[j] for j in range(nrays) if mask >> j & 1) for p in group]
-            assert _images(tables, mask) == by_ray
+            packed = _packed_images(tables, mask)
+            assert [packed >> (width * i) & (1 << width) - 1 for i in range(len(group))] == by_ray
+            lanes = _lanes(packed, len(group), words)
+            assert sorted(lanes) == sorted(_lanes(image, 1, words)[0] for image in by_ray)
 
     def test_a_dropped_facet_breaks_the_euler_relation(self):
         # the cones over the 3-cube and over the octahedron, each rebuilt

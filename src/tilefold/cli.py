@@ -10,6 +10,7 @@ invalid invocation or internal failure (its stage and section on stderr).
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from . import __version__
@@ -45,18 +46,16 @@ def check(name: str, expected, computed) -> dict:
 
 
 def _plain(obj):
-    """JSON-stable structure: tuples to lists, sets sorted, int keys to str."""
+    """JSON-stable structure of exact values: tuples to lists, sets sorted, int keys to str."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):
         return [_plain(x) for x in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted(_plain(x) for x in obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    if obj is None or isinstance(obj, (int, str)):  # bool is an int
         return obj
-    if isinstance(obj, float):
-        raise TypeError("floats are banned from reports; exact values only")
-    return str(obj)
+    raise TypeError(f"a {type(obj).__name__} is not an exact JSON value; reports hold exact values only")
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +67,6 @@ EXPECTED_NEF_HISTOGRAM = {0: 20, 1: 6, 2: 24, 4: 6, 5: 48, 14: 6, 16: 15, 18: 16
 
 # cone/companion partition tags; PARTITION_FACE gives their orthant faces
 RELEVANCE_REQUIRED_PAIRS = ("A1/B1", "B2/A2", "C02/C13", "D12/C12", "D12/C03", "C12/C03")
-
-
-# stages no section after `fan quotient` reads, released when it ends; held
-# here, so a tracer that rebinds the module's names cannot hide them
-FAN_ONLY_STAGES = (quotientfan.relevant_pairs, quotientfan.git_subfans, quotientfan.chart_projected_faces)
 
 
 def section_fan_quotient() -> dict:
@@ -92,7 +86,8 @@ def section_fan_quotient() -> dict:
     )
 
     orthant = quotientfan.source_data()
-    pairs = quotientfan.relevant_pairs()
+    # only this section reads these two, so they are timed, not kept
+    pairs = stages.timed("quotientfan.relevant_pairs", quotientfan.relevant_pairs)
     got = {(p["cone"], p["companion"]) for p in pairs}
     face = quotientfan.PARTITION_FACE
     for name in RELEVANCE_REQUIRED_PAIRS:
@@ -112,7 +107,7 @@ def section_fan_quotient() -> dict:
         )
     )
 
-    git = quotientfan.git_subfans()
+    git = stages.timed("quotientfan.git_subfans", quotientfan.git_subfans)
     checks.append(check("git_subfans_bijective", {"minus": True, "plus": True, "zero": True}, git["bijective"]))
     checks.append(check("git_refinement_is_quotient_fan", True, git["refinement_equals_quotient"]))
     checks.append(check("git_local_flip_structure", True, git["local_flip_over_projected_face"]))
@@ -158,7 +153,6 @@ def section_fan_quotient() -> dict:
         "witness_characters": cg["witness_characters"],
         "fan_text": fan_to_text(fan),
     }
-    stages.clear(*FAN_ONLY_STAGES)  # else they stay alive through the Mori walk
     return {"checks": checks, "data": data}
 
 
@@ -441,17 +435,18 @@ def section_cones_eff() -> dict:
     return {"checks": checks, "data": data}
 
 
-# command -> (report section key, builder); the lambdas look the section
-# functions up at call time, so a replaced `cli.section_*` is the one run
+# command -> (report section key, builder, the options it takes besides
+# --out and --golden); the lambdas look the section functions up at call
+# time, so a replaced `cli.section_*` is the one run
 SECTION_BUILDERS = {
-    "fan quotient": ("fan_quotient", lambda samples, seed: section_fan_quotient()),
-    "group verify": ("group_verify", lambda samples, seed: section_group_verify(samples, seed)),
-    "intersection table": ("intersection", lambda samples, seed: section_intersection()),
-    "quartics rank": ("quartics", lambda samples, seed: section_quartics()),
-    "cones mori": ("cones_mori", lambda samples, seed: section_cones_mori()),
-    "cones nef": ("cones_nef", lambda samples, seed: section_cones_nef()),
-    "cones eff": ("cones_eff", lambda samples, seed: section_cones_eff()),
-    "cones flags": ("cones_flags", lambda samples, seed: section_cones_flags()),
+    "fan quotient": ("fan_quotient", lambda samples, seed: section_fan_quotient(), {"export"}),
+    "group verify": ("group_verify", lambda samples, seed: section_group_verify(samples, seed), {"seed", "samples"}),
+    "intersection table": ("intersection", lambda samples, seed: section_intersection(), {"csv"}),
+    "quartics rank": ("quartics", lambda samples, seed: section_quartics(), set()),
+    "cones mori": ("cones_mori", lambda samples, seed: section_cones_mori(), {"csv"}),
+    "cones nef": ("cones_nef", lambda samples, seed: section_cones_nef(), {"csv"}),
+    "cones eff": ("cones_eff", lambda samples, seed: section_cones_eff(), set()),
+    "cones flags": ("cones_flags", lambda samples, seed: section_cones_flags(), set()),
 }
 
 # acceptance criteria covered by each section of `report all`
@@ -482,7 +477,7 @@ def build_report(command: str, samples: int, seed: int) -> dict:
     # `report all` runs every section in SECTION_BUILDERS order
     commands = list(SECTION_BUILDERS) if command == "report all" else [command]
     for cmd in commands:
-        key, builder = SECTION_BUILDERS[cmd]
+        key, builder, _ = SECTION_BUILDERS[cmd]
         sections[key] = stages.timed(cmd, builder, samples, seed)
     all_pass = all(c["pass"] for s in sections.values() for c in s["checks"])
     report = {
@@ -610,22 +605,32 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n{USAGE}")
         return 2
-    known = set(SECTION_BUILDERS) | {"report all"}
-    if command not in known:
+    if command == "report all":
+        takes = {"seed", "samples"}
+    elif command in SECTION_BUILDERS:
+        takes = SECTION_BUILDERS[command][2]
+    else:
         sys.stderr.write(USAGE)
         return 2
-    if given & {"seed", "samples"} and command not in ("group verify", "report all"):
-        sys.stderr.write("error: --seed and --samples only apply to `group verify` and `report all`\n")
+    extra = sorted(given - takes - {"out", "golden"})
+    if extra:
+        sys.stderr.write(f"error: --{extra[0]} does not apply to `{command}`\n")
         return 2
     if opts["samples"] < 1:
         sys.stderr.write("error: --samples must be at least 1\n")
         return 2
-    if opts["export"] is not None and command != "fan quotient":
-        sys.stderr.write("error: --export only applies to `fan quotient`\n")
-        return 2
-    if opts["csv"] and command not in ("intersection table", "cones mori", "cones nef"):
-        sys.stderr.write("error: --csv not supported for this command\n")
-        return 2
+    # every file named is distinct, and each output's directory exists
+    files = {}
+    for key in ("out", "export", "csv", "golden"):
+        if opts[key]:
+            real = os.path.realpath(opts[key])
+            if real in files:
+                sys.stderr.write(f"error: --{files[real]} and --{key} name the same file\n")
+                return 2
+            files[real] = key
+            if key != "golden" and not os.path.isdir(os.path.dirname(real)):
+                sys.stderr.write(f"error: cannot write {opts[key]}: no such directory\n")
+                return 2
     if opts["golden"]:
         try:
             with open(opts["golden"], "r", encoding="utf-8") as fh:

@@ -93,7 +93,6 @@ def mori_cone() -> dict:
         raise RuntimeError("a Mori ray has negative anticanonical degree")
     return {
         "cone": cone,
-        "generators": gens,
         "names_by_ray": {r: tuple(sorted(v)) for r, v in names_by_ray.items()},
         "anticanonical_degrees": degrees,
         "k_negative": k_negative,

@@ -81,14 +81,6 @@ def expr(**coeffs) -> tuple[int, ...]:
     return tuple(v)
 
 
-def expr_from_labels(labels, qh: int = 0) -> tuple[int, ...]:
-    v = [0] * len(SYMBOLS)
-    v[0] = qh
-    for lab in labels:
-        v[SYMBOL_INDEX[lab]] += 1
-    return tuple(v)
-
-
 def relation_vectors() -> list[tuple[int, ...]]:
     """The nine relations in Z^21: qH minus each plane row, 2 qH minus the quadric."""
     rels = []
@@ -143,8 +135,11 @@ def class_of(expression) -> tuple[int, ...]:
     return tuple(out)
 
 
-def class_of_labels(labels, qh: int = 0) -> tuple[int, ...]:
-    return class_of(expr_from_labels(labels, qh))
+def class_of_labels(labels) -> tuple[int, ...]:
+    v = [0] * len(SYMBOLS)
+    for lab in labels:
+        v[SYMBOL_INDEX[lab]] += 1
+    return class_of(v)
 
 
 def label_relations_in_label_space() -> list[tuple[int, ...]]:

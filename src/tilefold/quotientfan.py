@@ -284,7 +284,6 @@ def _certify_refinement(cones, fan: Fan) -> None:
                 raise RuntimeError(f"cone {c.rays} meets fan cone {sorted(s)} in a non-face")
 
 
-@stage
 def relevant_pairs() -> list[dict]:
     """All chart face pairs whose projections meet in a non-face of the first.
 
@@ -314,7 +313,7 @@ def relevant_pairs() -> list[dict]:
         for key, c in distinct.items()
     }
     meet_rays: dict[int, tuple] = {}  # one DD per distinct relevant meet
-    # the records are kept, so they share one index tuple per face
+    # the records share one index tuple per face, not one per record
     rows = [(tuple(sorted(s)),) + masks[c.key()] for s, c in faces]
     out = []
     for s1, m1, zeros in rows:
@@ -375,7 +374,6 @@ def common_refinement(fan_a: Fan, fan_b: Fan) -> set[Cone]:
     return {meet for meet in meets if meet.dim == fan_a.ambient_dim}
 
 
-@stage
 def git_subfans() -> dict:
     """The three GIT subfans of the orthant fan and the flip structure.
 

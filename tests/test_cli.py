@@ -2,12 +2,15 @@ import json
 import os
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from tilefold import cli, stages
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "..", "goldens", "report_all.json")
+# timed calls only the `fan quotient` section reads
+FAN_ONLY = {"quotientfan.relevant_pairs", "quotientfan.git_subfans"}
 
 
 class TestParsing:
@@ -39,31 +42,27 @@ class TestParsing:
             assert cli.run(command.split() + [option, value, option, value]) == 2, option
             assert capsys.readouterr().out == ""
 
-    def test_sampling_options_rejected_before_any_output(self, tmp_path, capsys):
-        # only group verify and report all sample anything
+    def test_options_a_command_does_not_take_rejected_before_any_output(self, tmp_path, capsys):
+        # each command with each option its table entry does not grant; a
+        # --samples that would be invalid is still named as not applying
         out = tmp_path / "r.json"
-        for command in cli.SECTION_BUILDERS:
-            if command == "group verify":
-                continue
-            for option, value in (("--samples", "-5"), ("--seed", "9"), ("--samples", "100")):
-                assert cli.run(command.split() + [option, value, "--out", str(out)]) == 2, command
-                assert not out.exists()
-                out_text, err = capsys.readouterr()
-                assert out_text == "" and "--seed and --samples only apply" in err
+        values = {"seed": "9", "samples": "-5", "export": str(tmp_path / "f.txt"), "csv": str(tmp_path / "t.csv")}
+        cases = [
+            (command, option)
+            for command, (_, _, takes) in cli.SECTION_BUILDERS.items()
+            for option in values
+            if option not in takes
+        ]
+        cases += [("report all", "export"), ("report all", "csv")]
+        for command, option in cases:
+            argv = command.split() + [f"--{option}", values[option], "--out", str(out)]
+            assert cli.run(argv) == 2, (command, option)
+            assert list(tmp_path.iterdir()) == []
+            out_text, err = capsys.readouterr()
+            assert out_text == "" and err == f"error: --{option} does not apply to `{command}`\n"
 
     def test_samples_zero_invalid(self):
         assert cli.run(["group", "verify", "--samples", "0"]) == 2
-
-    def test_export_only_for_fan(self, tmp_path):
-        assert cli.run(["quartics", "rank", "--export", str(tmp_path / "f.txt")]) == 2
-
-    def test_csv_rejected_before_any_output(self, tmp_path):
-        # cones eff and flags have no rays table to write
-        out = tmp_path / "q.json"
-        csv = tmp_path / "q.csv"
-        for command in ("quartics rank", "cones eff", "cones flags"):
-            assert cli.run(command.split() + ["--out", str(out), "--csv", str(csv)]) == 2, command
-            assert not out.exists() and not csv.exists()
 
     def test_unusable_golden_rejected_before_any_output(self, tmp_path, capsys):
         bad = tmp_path / "g.json"
@@ -79,14 +78,44 @@ class TestParsing:
         ("intersection table", "--csv"),
         ("fan quotient", "--export"),
     ])
-    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, command, option):
+    def test_unwritable_output_path_exits_2(self, tmp_path, monkeypatch, capsys, command, option):
+        # found before the report is built, and before any file is written
+        built = []
+        monkeypatch.setattr(cli, "build_report", lambda *args: built.append(args))
         missing = tmp_path / "missing"
         argv = command.split() + [option, str(missing / "x")]
         if option != "--out":
             argv += ["--out", str(tmp_path / "r.json")]
         assert cli.run(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert f"error: cannot write {missing / 'x'}" in err and "Traceback" not in err
+        assert out == "" and built == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, first, second", [
+        ("quartics rank", "--out", "--golden"),
+        ("fan quotient", "--out", "--export"),
+        ("intersection table", "--out", "--csv"),
+    ])
+    def test_two_options_naming_one_file_rejected_before_any_output(
+        self, tmp_path, monkeypatch, capsys, command, first, second
+    ):
+        # the report would overwrite a golden it differs from, or the last
+        # output written would replace the other; the second option names
+        # the file through a symbolic link
+        built = []
+        monkeypatch.setattr(cli, "build_report", lambda *args: built.append(args))
+        target, golden = tmp_path / "f.json", '{"seed": 999}'
+        if second == "--golden":
+            target.write_text(golden)
+        (tmp_path / "link").symlink_to(target)
+        assert cli.run(command.split() + [first, str(target), second, str(tmp_path / "link")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and built == []
+        assert err == f"error: {first} and {second} name the same file\n"
+        if second == "--golden":
+            assert target.read_text() == golden
+        else:
+            assert not target.exists()
 
 
 class TestReports:
@@ -249,6 +278,16 @@ class TestGoldenComparison:
         assert "RuntimeError: invariant broken" in err
         assert not out.exists()
 
+    def test_value_without_an_exact_json_form_is_an_internal_error(self, tmp_path, monkeypatch, capsys):
+        # a Fraction is not written as its str(), nor is any other object
+        section = {"checks": [cli.check("still_fine", 3, 3)], "data": {"ratio": Fraction(1, 3)}}
+        monkeypatch.setattr(cli, "section_quartics", lambda: section)
+        out = tmp_path / "r.json"
+        assert cli.run(["quartics", "rank", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("internal error") and "TypeError: a Fraction" in err
+        assert not out.exists()
+
     def test_internal_error_names_its_stage_and_section(self, tmp_path, monkeypatch, capsys):
         from tilefold import divcalc
 
@@ -271,8 +310,8 @@ class TestGoldenComparison:
         stages.clear()
         fresh = cli.build_report("report all", samples=100, seed=0)
         assert cli.compare_golden(fresh, golden) == []
-        # a self time for each section and for each stage, as every stage ran
-        # (the fan stages are released after their section, so not all are kept)
+        # a self time for each section and for each kept stage, as every stage
+        # ran; the timed calls that are not kept have one too
         ran = set(stages._results)
         assert "conelab.nef_cone" in ran
         assert set(fresh["timings"]) >= set(cli.SECTION_BUILDERS) | ran
@@ -322,7 +361,6 @@ class TestWork:
         assert sum(calls.values()) < 4000, calls
 
     def test_report_all_runs_each_stage_once(self, monkeypatch):
-        # the fan stages released after their section are not run again, and
         # `timings` has one entry per stage or timed call that ran
         runs = Counter()
         timed = stages.timed
@@ -338,18 +376,13 @@ class TestWork:
             "tilegroup.derivation_agreement": 4  # once per generator
         }
         assert set(report["timings"]) == set(runs)
-        released = {s.stage for s in cli.FAN_ONLY_STAGES}
-        assert released <= set(runs) and not released & set(stages._results)
+        assert FAN_ONLY <= set(runs)
 
-    def test_fan_section_releases_its_stages_behind_wrappers(self, monkeypatch):
-        # a tracer may rebind the stage functions to wrappers without `.stage`
-        from tilefold import quotientfan
-
-        for stage in cli.FAN_ONLY_STAGES:
-            name = stage.__name__
-            monkeypatch.setattr(quotientfan, name, lambda stage=stage: stage())
+    def test_fan_section_keeps_no_fan_only_results(self):
+        # the relevance pairs and GIT subfans die with their section, so they
+        # are not held through the Mori walk
         cli.section_fan_quotient()
-        assert not {s.stage for s in cli.FAN_ONLY_STAGES} & set(stages._results)
+        assert not FAN_ONLY & set(stages._results)
 
     def test_mori_f_vector_holds_one_level_of_faces(self):
         # a level holds the faces it met and one key per orbit: the walk peaks

@@ -110,6 +110,18 @@ def test_fans_are_checked_in_one_place():
     assert len(definitions) == 1 and definitions[0].startswith("polyhedra.py:")
 
 
+def test_no_stage_is_released_in_the_package():
+    # a kept result lives until a test clears it; one that a single section
+    # reads comes from a plain function run under `stages.timed`, so it dies
+    # with the section and no list of stages to release is kept by hand
+    readers = []
+    for path in sorted(Path(tilefold.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers += [f"{path.name}:{scope}" for scope in _readers(tree, "clear")]
+    # the one read is `stages.self_times.clear()`, which starts each report's timings
+    assert readers == ["cli.py:build_report"]
+
+
 # Runs in a fresh interpreter: the profile hook is set before tilefold is
 # imported, so calls made at import time count too.
 CENSUS = """

@@ -61,8 +61,31 @@ class TestParsing:
             out_text, err = capsys.readouterr()
             assert out_text == "" and err == f"error: --{option} does not apply to `{command}`\n"
 
+    def test_sampling_options_rejected_before_any_output(self, tmp_path, capsys):
+        # only group verify and report all sample anything
+        out = tmp_path / "r.json"
+        for command in cli.SECTION_BUILDERS:
+            if command == "group verify":
+                continue
+            for option, value in (("--samples", "-5"), ("--seed", "9"), ("--samples", "100")):
+                assert cli.run(command.split() + [option, value, "--out", str(out)]) == 2, command
+                assert not out.exists()
+                out_text, err = capsys.readouterr()
+                assert out_text == "" and err == f"error: {option} does not apply to `{command}`\n"
+
     def test_samples_zero_invalid(self):
         assert cli.run(["group", "verify", "--samples", "0"]) == 2
+
+    def test_export_only_for_fan(self, tmp_path):
+        assert cli.run(["quartics", "rank", "--export", str(tmp_path / "f.txt")]) == 2
+
+    def test_csv_rejected_before_any_output(self, tmp_path):
+        # cones eff and flags have no rays table to write
+        out = tmp_path / "q.json"
+        csv = tmp_path / "q.csv"
+        for command in ("quartics rank", "cones eff", "cones flags"):
+            assert cli.run(command.split() + ["--out", str(out), "--csv", str(csv)]) == 2, command
+            assert not out.exists() and not csv.exists()
 
     def test_unusable_golden_rejected_before_any_output(self, tmp_path, capsys):
         bad = tmp_path / "g.json"

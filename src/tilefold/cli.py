@@ -619,7 +619,8 @@ def run(argv: list[str]) -> int:
     if opts["samples"] < 1:
         sys.stderr.write("error: --samples must be at least 1\n")
         return 2
-    # every file named is distinct, and each output's directory exists
+    # every file named is distinct, and each output is no directory and
+    # lies in a directory that exists
     files = {}
     for key in ("out", "export", "csv", "golden"):
         if opts[key]:
@@ -628,7 +629,12 @@ def run(argv: list[str]) -> int:
                 sys.stderr.write(f"error: --{files[real]} and --{key} name the same file\n")
                 return 2
             files[real] = key
-            if key != "golden" and not os.path.isdir(os.path.dirname(real)):
+            if key == "golden":
+                continue
+            if os.path.isdir(real):
+                sys.stderr.write(f"error: cannot write {opts[key]}: is a directory\n")
+                return 2
+            if not os.path.isdir(os.path.dirname(real)):
                 sys.stderr.write(f"error: cannot write {opts[key]}: no such directory\n")
                 return 2
     if opts["golden"]:

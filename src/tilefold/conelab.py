@@ -163,10 +163,6 @@ def nef_cone() -> dict:
     }
 
 
-def _square_numerically_trivial(square) -> bool:
-    return not any(square)
-
-
 @stage
 def classify_contractions() -> dict:
     """Sort the 189 supporting divisors into curve, surface and birational."""
@@ -174,7 +170,7 @@ def classify_contractions() -> dict:
     records = []
     for ray in nef["cone"].rays:
         cube = nef["cube_by_ray"][ray]
-        if _square_numerically_trivial(nef["square_by_ray"][ray]):
+        if not any(nef["square_by_ray"][ray]):
             kind = "to-curve"
         elif cube == 0:
             kind = "to-surface"

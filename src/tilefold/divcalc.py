@@ -18,13 +18,13 @@ and zero on the relation lattice.
 from __future__ import annotations
 
 from itertools import combinations, product
-from operator import mul
 
 from .exactlat import (
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
     mat_mul,
+    mat_vec,
     primitive_vector,
     rational_rank,
     smith_invariants,
@@ -515,19 +515,15 @@ def picard_action() -> dict[GroupElement, tuple]:
                 image = list(lc[to[sym]])
             cols.append(image)
         mat = tuple(zip(*cols))
-        if any(_apply_matrix(mat, lc[lab]) != lc[to[lab]] for lab in LABELS):
+        if any(mat_vec(mat, lc[lab]) != lc[to[lab]] for lab in LABELS):
             raise RuntimeError("class action does not permute boundary classes")
         out[s] = mat
     return out
 
 
-def _apply_matrix(mat, v) -> tuple[int, ...]:
-    return tuple(sum(map(mul, row, v)) for row in mat)
-
-
 def act_on_class(s: GroupElement, v) -> tuple[int, ...]:
     """The class v moved by the generator s."""
-    return _apply_matrix(picard_action()[s], v)
+    return mat_vec(picard_action()[s], v)
 
 
 @stage
@@ -548,7 +544,7 @@ def curve_action() -> dict[GroupElement, tuple]:
 
 def act_on_curve(s: GroupElement, v) -> tuple[int, ...]:
     """The curve class v moved by the generator s."""
-    return _apply_matrix(curve_action()[s], v)
+    return mat_vec(curve_action()[s], v)
 
 
 class NotPermutedError(RuntimeError):

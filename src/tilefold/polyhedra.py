@@ -821,33 +821,50 @@ def check_fan(fan: Fan) -> None:
                 )
 
 
-def fan_face_index_sets(fan: Fan) -> set[frozenset[int]]:
-    """All faces of all maximal cones, as global ray index sets."""
+def fan_face_index_sets(fan: Fan) -> dict[frozenset[int], int]:
+    """All faces of all maximal cones, as global ray index sets with their dimensions."""
     index = {r: i for i, r in enumerate(fan.rays)}
-    out: set[frozenset[int]] = set()
+    out: dict[frozenset[int], int] = {}
     for cone in fan.cones:
         # bit i of a face mask is cone.rays[i]; the cones are pointed, as
         # check_fan found every generator extremal
-        for mask in face_lattice_raysets(cone):
-            out.add(frozenset(index[r] for i, r in enumerate(cone.rays) if mask >> i & 1))
+        for mask, (dim, _) in face_lattice_raysets(cone).items():
+            out[frozenset(index[r] for i, r in enumerate(cone.rays) if mask >> i & 1)] = dim
     return out
 
 
-def is_complete_fan(fan: Fan) -> bool:
-    """Completeness via the wall condition.
+def uncovered_cone(fan: Fan, cones) -> Cone | None:
+    """The first of the cones that is not a union of faces of the fan, or None.
 
-    A pure full-dimensional fan covers R^n exactly when every codimension-one
-    face of a maximal cone is shared by exactly two maximal cones.
+    Let k be the dimension of a cone c and U the k-faces of the fan whose
+    rays lie in c.  Then c is the union of U exactly when U is not empty
+    and each (k-1)-face of a member of U lies in two members or in a facet
+    of c.  A generic segment in c from inside a member leaves the union of
+    U only across a wall held by one member, which lies on the boundary
+    of c; conversely, when c is covered, a wall off its boundary has a
+    member on each side.  With c the whole space this is the wall rule
+    for a complete fan.  The fan's faces are walked once for all cones.
     """
-    cones = fan.cones
-    if not cones or any(c.dim != fan.ambient_dim for c in cones):
-        return False
-    wall_count: dict[tuple, int] = {}
-    for ci in cones:
-        for h in range(len(ci.facets)):
-            wall_rays = tuple(r for r, tight in zip(ci.rays, ci.incidence) if tight >> h & 1)
-            wall_count[wall_rays] = wall_count.get(wall_rays, 0) + 1
-    return all(v == 2 for v in wall_count.values())
+    faces = [(sum(1 << i for i in s), dim) for s, dim in fan_face_index_sets(fan).items()]
+
+    def mask(test) -> int:
+        return sum(1 << i for i, r in enumerate(fan.rays) if test(r))
+
+    for c in cones:
+        inside = mask(c.contains)
+        boundary = [mask(lambda r: dot(n, r) == 0) for n in c.facets]
+        members = [m for m, dim in faces if dim == c.dim and m & inside == m]
+        walls = [w for w, dim in faces if dim == c.dim - 1 and all(w & z != w for z in boundary)]
+        if not members or any(sum(w & m == w for m in members) == 1 for w in walls):
+            return c
+    return None
+
+
+def is_complete_fan(fan: Fan) -> bool:
+    """The fan covers its space: `uncovered_cone` on the whole space, built with no DD."""
+    n = fan.ambient_dim
+    units = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+    return uncovered_cone(fan, [Cone(n, (), units, (), (), ())]) is None
 
 
 def fan_is_smooth(fan: Fan) -> bool:

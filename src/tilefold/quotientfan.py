@@ -33,9 +33,9 @@ from .polyhedra import (
     fan_is_smooth,
     intersect_cones,
     is_complete_fan,
-    is_face,
     make_fan,
     polytope_from_inequalities,
+    uncovered_cone,
 )
 from .stages import stage
 
@@ -200,11 +200,10 @@ def _chamber_fan(dim: int, projected) -> Fan:
     interior point.  So the cones holding a generic point of a chamber are
     the cones holding the whole chamber, and no witness point is needed.
     Each distinct set of them is intersected once; the Fan then checks the
-    fan axioms exactly, which also rejects a cone with lineality.  Parts of
-    the image outside every cone of the span's dimension are not covered,
-    so ValueError is raised when a ray or a lineality vector (either sign)
-    of a projected cone lies in no cone of the result.  That is a necessary
-    condition for the result to cover the image, not a proof that it does.
+    fan axioms exactly, which also rejects a cone with lineality.  The
+    chambers cover only the cones of the span's dimension, so ValueError is
+    raised unless `uncovered_cone` proves each projected cone a union of
+    cones of the result.
     """
     distinct = list({c.key(): c for _, c in projected}.values())
     vectors = [v for c in distinct for v in c.rays + c.lineality]
@@ -223,11 +222,12 @@ def _chamber_fan(dim: int, projected) -> Fan:
         for containing in containing_sets
     )
     fan = _fan_of(dim, minimal)
-    generators = {v for c in distinct for v in c.rays + c.lineality}
-    generators |= {tuple(-x for x in v) for c in distinct for v in c.lineality}
-    for v in sorted(generators):
-        if not any(c.contains(v) for c in fan.cones):
-            raise ValueError(f"the projected vector {v} lies in no cone of the chamber complex")
+    c = uncovered_cone(fan, distinct)
+    if c is not None:
+        raise ValueError(
+            f"the projected cone with rays {c.rays} and lineality {c.lineality}"
+            " is not a union of cones of the chamber complex"
+        )
     return fan
 
 
@@ -266,34 +266,16 @@ def verify_quotient_fan(fan: Fan) -> dict:
 # relevance analysis
 
 
-def _certify_refinement(cones, fan: Fan) -> None:
-    """Raise RuntimeError unless each cone is a union of cones of the fan.
-
-    The fan must be complete and each cone must meet each maximal cone of
-    the fan in a face of that maximal cone.
-    """
-    if not is_complete_fan(fan):
-        raise RuntimeError("the fan is not complete")
-    for s, sigma in zip(fan.maximal_cones, fan.cones):
-        for c in cones:
-            # a nested pair meets in the smaller cone: no intersection DD
-            if c.contains_cone(sigma):
-                continue
-            meet = c if sigma.contains_cone(c) else intersect_cones(c, sigma)
-            if not is_face(meet, sigma):
-                raise RuntimeError(f"cone {c.rays} meets fan cone {sorted(s)} in a non-face")
-
-
 def relevant_pairs() -> list[dict]:
     """All chart face pairs whose projections meet in a non-face of the first.
 
     Returns records, in face order, with the ray index sets of both orthant
     faces and the canonical rays of the offending intersection.
 
-    `_certify_refinement` checks that each projected cone is a union of
-    cones of the complete chart quotient fan.  So is each face of it and
-    each meet of two of them, as each piece is a face of one fan cone: each
-    such cone is spanned by the fan rays it holds, and is its ray mask.  A
+    `_chamber_fan` proved, when it built the chart quotient fan, that each
+    projected cone is a union of cones of the fan.  So is each face of it
+    and each meet of two of them, as each piece is a face of one fan cone:
+    each such cone is spanned by the fan rays it holds, and is its ray mask.  A
     pair meets in the mask m1 & m2.  The smallest face of the first cone
     holding the meet is cut out by its facets vanishing on the meet; its
     mask is m1 & each of their zero masks (Kaibel & Pfetsch, 2002).  The
@@ -302,7 +284,6 @@ def relevant_pairs() -> list[dict]:
     fan = chart_quotient_fan()
     faces = chart_projected_faces()
     distinct = {c.key(): c for _, c in faces}
-    _certify_refinement(distinct.values(), fan)
 
     def mask(test) -> int:
         return sum(1 << i for i, r in enumerate(fan.rays) if test(r))

@@ -7,10 +7,17 @@ from fractions import Fraction
 import pytest
 
 from tilefold import cli, stages
+from tilefold.conelab import nef_cone
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "..", "goldens", "report_all.json")
 # timed calls only the `fan quotient` section reads
 FAN_ONLY = {"quotientfan.relevant_pairs", "quotientfan.git_subfans"}
+
+
+def nef_cone_without_trivial_squares():
+    """The nef cone with every square nonzero, so no ray contracts to a curve."""
+    nef = nef_cone()
+    return {**nef, "square_by_ray": dict.fromkeys(nef["square_by_ray"], (1,))}
 
 
 class TestParsing:
@@ -113,6 +120,26 @@ class TestParsing:
         out, err = capsys.readouterr()
         assert f"error: cannot write {missing / 'x'}" in err and "Traceback" not in err
         assert out == "" and built == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, option", [
+        ("quartics rank", "--out"),
+        ("intersection table", "--csv"),
+        ("fan quotient", "--export"),
+    ])
+    def test_output_path_naming_a_directory_exits_2(self, tmp_path, monkeypatch, capsys, command, option):
+        # found before the report is built, and before --out is written
+        built = []
+        monkeypatch.setattr(cli, "build_report", lambda *args: built.append(args))
+        directory = tmp_path / "d"
+        directory.mkdir()
+        argv = command.split() + [option, str(directory)]
+        if option != "--out":
+            argv += ["--out", str(tmp_path / "r.json")]
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: cannot write {directory}: is a directory\n"
+        assert out == "" and built == []
+        assert list(tmp_path.iterdir()) == [directory] and list(directory.iterdir()) == []
 
     @pytest.mark.parametrize("command, first, second", [
         ("quartics rank", "--out", "--golden"),
@@ -263,7 +290,7 @@ class TestGoldenComparison:
 
     @pytest.mark.parametrize("command, name, patched, cached, failing", [
         # every nef ray classified as it would be without a trivial square
-        ("cones nef", "_square_numerically_trivial", lambda ray: False,
+        ("cones nef", "nef_cone", nef_cone_without_trivial_squares,
          ("classify_contractions", "contraction_orbit_report"), "cones_nef/contraction_counts"),
         # a ray the group moves in place of the invariant X13 ray
         ("cones flags", "FLAG_X13_RAY", ("A0",),

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -17,6 +18,7 @@ from tilefold.polyhedra import (
     is_face,
     lp_in_cone,
     make_fan,
+    uncovered_cone,
 )
 from tilefold.quotientfan import (
     COKERNEL_MATRIX,
@@ -24,7 +26,6 @@ from tilefold.quotientfan import (
     QUOTIENT_RAYS,
     WEIGHT_MATRIX,
     _arrangement_normals,
-    _certify_refinement,
     _chambers,
     _fan_of,
     _projected_faces,
@@ -214,7 +215,12 @@ class TestQuotientFan:
                 want = exc
             if not isinstance(want, Exception) and (uncovered := uncovered_vectors(want, projected)):
                 # the chambers cover only the cones of the span's dimension
-                want = ValueError(f"the projected vector {uncovered[0]} lies in no cone of the chamber complex")
+                distinct = {c.key(): c for _, c in projected}.values()
+                c = next(c for c in distinct if any(c.contains(v) for v in uncovered))
+                want = ValueError(
+                    f"the projected cone with rays {c.rays} and lineality {c.lineality}"
+                    " is not a union of cones of the chamber complex"
+                )
             try:
                 got = quotient_fan(fan, proj)
             except (ValueError, RuntimeError) as exc:
@@ -230,7 +236,7 @@ class TestQuotientFan:
         # outside every chamber and two break the fan axioms
         no_cone = "no projected cone is full-dimensional in the span of the image"
         assert [outcomes[:60].count(o) for o in ("fan", "lower", no_cone)] == [39, 14, 2]
-        assert sum(o.startswith("the projected vector") for o in outcomes) == 3
+        assert sum(o.startswith("the projected cone") for o in outcomes) == 3
         assert [outcomes[60:80].count(o) for o in ("lower", no_cone)] == [18, 2]
         assert outcomes[80:] == ["lower", no_cone]
         assert quotient_fan(*cases[80]).rays == ((1, 0),)
@@ -241,7 +247,7 @@ class TestQuotientFan:
         units = [tuple(int(j == i) for j in range(4)) for i in range(4)]
         fan = make_fan(4, units, [{0, 1, 2}, {3}])
         proj = [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]
-        with pytest.raises(ValueError, match=r"\(-1, 0, 0\) lies in no cone"):
+        with pytest.raises(ValueError, match=r"rays \(\(-1, 0, 0\),\) and lineality \(\) is not a union"):
             quotient_fan(fan, proj)
 
     def test_chart_is_cut_by_seven_hyperplanes_into_32_chambers(self):
@@ -252,13 +258,13 @@ class TestQuotientFan:
 
     def test_cold_fan_section_double_description_budget(self, monkeypatch):
         # each chamber is split from its parent's facets, by walls that can
-        # separate generic points: 725 double descriptions in all
+        # separate generic points: 389 double descriptions in all
         runs = []
         real = polyhedra._solve_hrep
         monkeypatch.setattr(polyhedra, "_solve_hrep", lambda *a: runs.append(a) or real(*a))
         stages.clear()
         cli.section_fan_quotient()
-        assert len(runs) <= 730
+        assert len(runs) <= 395
 
     def test_identity_projection_returns_input(self):
         fan = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}])
@@ -393,6 +399,52 @@ def reference_relevant_pairs(fan, proj) -> list[dict]:
     return out
 
 
+def reference_certify_refinement(cones, fan) -> None:
+    """Raise RuntimeError unless each cone is a union of cones of the fan, by DD: the reference.
+
+    The fan must be complete and each cone must meet each maximal cone of
+    the fan in a face of that maximal cone.
+    """
+    if not is_complete_fan(fan):
+        raise RuntimeError("the fan is not complete")
+    for s, sigma in zip(fan.maximal_cones, fan.cones):
+        for c in cones:
+            # a nested pair meets in the smaller cone: no intersection DD
+            if c.contains_cone(sigma):
+                continue
+            meet = c if sigma.contains_cone(c) else intersect_cones(c, sigma)
+            if not is_face(meet, sigma):
+                raise RuntimeError(f"cone {c.rays} meets fan cone {sorted(s)} in a non-face")
+
+
+def random_face_fan(rng, n):
+    """The face fan of a random lattice polytope in R^n with the origin inside: a complete fan."""
+    while True:
+        points = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 4))]
+        hull = Cone.from_rays(n + 1, [(1,) + p for p in points])
+        # the origin is inside when every facet is positive on (1, 0, ..., 0)
+        if hull.dim == n + 1 and all(a[0] > 0 for a in hull.facets):
+            break
+    rays = [primitive_vector(r[1:]) for r in hull.rays]
+    facets = [{j for j, m in enumerate(hull.incidence) if m >> h & 1} for h in range(len(hull.facets))]
+    return make_fan(n, rays, facets)
+
+
+def random_cone(rng, fan):
+    """A cone on 1..n+1 generators, some with lineality or of lower dimension.
+
+    Half the time the generators are fan rays, so that many cones are unions of fan cones.
+    """
+    n = fan.ambient_dim
+    if rng.random() < 0.5:
+        gens = rng.sample(fan.rays, rng.randint(1, min(n + 1, len(fan.rays))))
+    else:
+        gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n + 1))]
+    if rng.random() < 0.2:
+        gens.append(tuple(-x for x in gens[0]))
+    return Cone.from_rays(n, gens)
+
+
 class TestRelevance:
     def test_mask_rule_matches_pairwise_intersections(self):
         pairs = relevant_pairs()
@@ -407,12 +459,59 @@ class TestRelevance:
     def test_certificate_holds_on_the_quotient_fan(self):
         cones = self._projected_cones()
         assert len(cones) == 46
-        _certify_refinement(cones, chart_quotient_fan())
+        assert uncovered_cone(chart_quotient_fan(), cones) is None
+        reference_certify_refinement(cones, chart_quotient_fan())
 
     def test_certificate_rejects_a_coarser_fan(self):
-        # the plus subfan is complete, but projected cones cut its cones
-        with pytest.raises(RuntimeError, match="non-face"):
-            _certify_refinement(self._projected_cones(), git_subfans()["fans"]["plus"])
+        # the plus subfan is complete, but projected cones cut its cones;
+        # the certificate and the DD reference reject the same ones
+        plus = git_subfans()["fans"]["plus"]
+        rejected = []
+        for c in self._projected_cones():
+            try:
+                reference_certify_refinement([c], plus)
+            except RuntimeError as exc:
+                assert "non-face" in str(exc)
+                rejected.append(c)
+        assert rejected
+        assert [c for c in self._projected_cones() if uncovered_cone(plus, [c])] == rejected
+        assert uncovered_cone(plus, self._projected_cones()) == rejected[0]
+
+    def test_certificate_matches_the_reference_on_random_fans(self):
+        # complete face fans in R^2 and R^3, and subfans that drop maximal
+        # cones: a cone is covered by a subfan when the full fan covers it
+        # and keeps every face of the cone's dimension inside it
+        rng = random.Random(25)
+        verdicts = Counter()
+        for case in range(50):
+            n = 2 + case % 2
+            full = random_face_fan(rng, n)
+            kept = rng.sample(full.maximal_cones, rng.randint(1, len(full.maximal_cones) - 1))
+            sub = make_fan(n, full.rays, kept)
+            assert is_complete_fan(full) and not is_complete_fan(sub)
+            full_faces, sub_faces = fan_face_index_sets(full), fan_face_index_sets(sub)
+            for _ in range(6):
+                c = random_cone(rng, full)
+                try:
+                    reference_certify_refinement([c], full)
+                    want = True
+                except RuntimeError:
+                    want = False
+                assert (uncovered_cone(full, [c]) is None) == want, (full, c)
+                want_sub = want and all(
+                    s in sub_faces
+                    for s, dim in full_faces.items()
+                    if dim == c.dim and all(c.contains(full.rays[i]) for i in s)
+                )
+                assert (uncovered_cone(sub, [c]) is None) == want_sub, (sub, c)
+                kind = "lineality" if c.lineality else "lower" if c.dim < n else "pointed"
+                verdicts[kind, want, want_sub] += 1
+        # (kind, covered by the full fan, covered by the subfan): 138 and 69 covered of 300
+        assert verdicts == {
+            ("pointed", True, True): 13, ("pointed", True, False): 16, ("pointed", False, False): 66,
+            ("lower", True, True): 50, ("lower", True, False): 11, ("lower", False, False): 48,
+            ("lineality", True, True): 6, ("lineality", True, False): 42, ("lineality", False, False): 48,
+        }
 
     def test_required_pairs_present(self):
         pairs = relevant_pairs()

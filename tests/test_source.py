@@ -95,18 +95,33 @@ def _readers(tree, name: str) -> list[str]:
     return found
 
 
-def test_fans_are_checked_in_one_place():
-    # a Fan runs check_fan when it is made, so no route makes a fan that
-    # skips the axioms, and none checks a fan twice
+def _uses(name: str) -> tuple[list[str], list[str]]:
+    """The readers of `name` in the package, as `_readers` names them, and its definitions."""
     readers, definitions = [], []
     for path in sorted(Path(tilefold.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        readers += [f"{path.name}:{scope}" for scope in _readers(tree, "check_fan")]
+        readers += [f"{path.name}:{scope}" for scope in _readers(tree, name)]
         definitions += [
             f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, DEFINITIONS) and node.name == "check_fan"
+            if isinstance(node, DEFINITIONS) and node.name == name
         ]
+    return readers, definitions
+
+
+def test_fans_are_checked_in_one_place():
+    # a Fan runs check_fan when it is made, so no route makes a fan that
+    # skips the axioms, and none checks a fan twice
+    readers, definitions = _uses("check_fan")
     assert readers == ["polyhedra.py:Fan.__post_init__"]
+    assert len(definitions) == 1 and definitions[0].startswith("polyhedra.py:")
+
+
+def test_fan_covers_are_proved_in_one_place():
+    # one wall-count certificate proves that a cone is a union of fan
+    # cones: the whole space for completeness, each projected cone for the
+    # quotient fan, whose masks the relevance analysis then reads
+    readers, definitions = _uses("uncovered_cone")
+    assert readers == ["polyhedra.py:is_complete_fan", "quotientfan.py:_chamber_fan"]
     assert len(definitions) == 1 and definitions[0].startswith("polyhedra.py:")
 
 

@@ -130,18 +130,18 @@ def section_fan_quotient() -> dict:
 
     ample = quotientfan.chart_ample_polytope()
     checks.append(check("ample_polytope_f_vector", [10, 15, 7], ample.f_vector()))
-    checks.append(check("ample_polytope_facets", 7, len(ample.facets)))
+    checks.append(check("ample_polytope_facets", 7, len(ample.cone.facets)))
     checks.append(check("ample_polytope_is_lattice", True, ample.is_lattice_polytope()))
 
     weights, hull = quotientfan.fixed_point_weights()
     checks.append(check("fixed_point_weight_count", 24, len(weights)))
-    checks.append(check("permutohedron_vertices", 24, len(hull.vertices)))
+    checks.append(check("permutohedron_vertices", 24, len(hull.cone.rays)))
     checks.append(check("permutohedron_f_vector", [24, 36, 14], hull.f_vector()))
     checks.append(
         check(
             "weights_all_vertices",
             True,
-            {tuple(int(x) for x in v) for v in hull.vertices} == set(weights.values()),
+            set(hull.lattice_vertices()) == set(weights.values()),
         )
     )
 

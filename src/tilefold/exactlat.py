@@ -1,13 +1,16 @@
 """Exact integer and rational linear algebra.
 
 All matrices are lists (or tuples) of rows of Python ints, so every
-computation here is arbitrary precision by construction.  Rationals are
-`fractions.Fraction`.  Two elimination kernels back every other module:
-`hermite_normal_form` over Z gives normal forms, Smith invariants, kernels
-for subtorus inclusions and lattice membership; the Bareiss `echelon` over
-Q gives rank and the rational solve that projects rays off a cone's
-lineality, and it leaves the LU multipliers in place, so it also gives the
-LU factorization that the generator derivation needs.
+computation here is arbitrary precision by construction.  Two elimination
+kernels back every other module: `hermite_normal_form` over Z gives normal
+forms, Smith invariants, kernels for subtorus inclusions and lattice
+membership; the Bareiss `echelon` over Q gives rank and the rational solve
+that projects rays off a cone's lineality, and it leaves the LU multipliers
+in place, so it also gives the LU factorization that the generator
+derivation needs.  Rationals (`fractions.Fraction`) remain only in that
+lineality projection: `solve_rational`, `orthogonal_complement_projection`
+and `scale_to_primitive_integer`, which `polyhedra._canonical_rays` reads.
+Every other module takes and returns integer vectors.
 """
 
 from __future__ import annotations

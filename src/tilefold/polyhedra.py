@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactlat import (
     dot,
@@ -259,16 +258,18 @@ def _extremal(dim: int, vectors, tight, normals, normal_eqs):
 def _double_description(dim: int, inequalities, equations, noun: str):
     """(rays, lineality, facets, span equations, facet rays) of {x : a.x >= 0, e.x == 0}.
 
-    The integer inputs must have length `dim` (ValueError naming `noun`
-    otherwise).  One DD run gives the rays and the lineality, and its zero
-    sets give each inequality's tight-ray set (an equation is tight on every
-    ray).  The span equations are the saturated annihilator of both, and the
-    facets are the inequalities whose tight-ray set is maximal among those
-    short of all rays; entry h of the facet rays is the mask of the rays
-    tight at facets[h], bit k for rays[k].
+    The inputs must have length `dim` (ValueError naming `noun` otherwise)
+    and int entries: any other entry raises TypeError, from the gcd that
+    makes each input primitive before the DD starts.  One DD run gives the
+    rays and the lineality, and its zero sets give each inequality's
+    tight-ray set (an equation is tight on every ray).  The span equations
+    are the saturated annihilator of both, and the facets are the
+    inequalities whose tight-ray set is maximal among those short of all
+    rays; entry h of the facet rays is the mask of the rays tight at
+    facets[h], bit k for rays[k].
     """
-    inequalities = [tuple(int(x) for x in a) for a in inequalities]
-    equations = [tuple(int(x) for x in e) for e in equations]
+    inequalities = [tuple(a) for a in inequalities]
+    equations = [tuple(e) for e in equations]
     for a in inequalities + equations:
         if len(a) != dim:
             raise ValueError(f"{noun} has wrong length")
@@ -333,7 +334,7 @@ class Cone:
         return not self.rays and not self.lineality
 
     def contains(self, point) -> bool:
-        """Exact membership for an integer or rational point."""
+        """Exact membership of an integer point."""
         if len(point) != self.ambient_dim:
             raise ValueError("point has wrong length")
         return all(dot(e, point) == 0 for e in self.equations) and all(
@@ -583,58 +584,50 @@ def face_lattice_fvector(c: Cone, ray_permutations=()) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Bounded rational polytope, stored through its homogenization cone."""
+    """Bounded polytope, stored as its homogenising cone.
+
+    A vertex v is the primitive ray (d, d*v) of the cone, d > 0, and a facet
+    (b, a1..an) reads b + a.x >= 0.  ValueError when the cone has a ray with
+    d <= 0 or a lineality, which an unbounded polyhedron has.
+    """
 
     ambient_dim: int
-    vertices: tuple[tuple[Fraction, ...], ...]
-    facets: tuple[Vec, ...]  # (b, a1..an): b + a.x >= 0
-    equations: tuple[Vec, ...]  # (b, a1..an): b + a.x == 0
-    _cone: Cone
+    cone: Cone
+
+    def __post_init__(self):
+        if self.cone.lineality or any(r[0] <= 0 for r in self.cone.rays):
+            raise ValueError("unbounded polyhedron is not supported")
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_{dim-1}); empty for a point."""
-        return face_lattice_fvector(self._cone)
+        return face_lattice_fvector(self.cone)
 
     def is_lattice_polytope(self) -> bool:
-        return all(x.denominator == 1 for v in self.vertices for x in v)
+        # a primitive (d, d*v) with v integral has d = 1
+        return all(r[0] == 1 for r in self.cone.rays)
 
-
-def _polytope_from_cone(ambient_dim: int, cone: Cone) -> Polytope:
-    vertices = []
-    for r in cone.rays:
-        if r[0] <= 0:
-            raise ValueError("unbounded polyhedron is not supported")
-        vertices.append(tuple(Fraction(x, r[0]) for x in r[1:]))
-    if cone.lineality:
-        raise ValueError("unbounded polyhedron is not supported")
-    return Polytope(
-        ambient_dim,
-        tuple(sorted(vertices)),
-        cone.facets,
-        cone.equations,
-        cone,
-    )
+    def lattice_vertices(self) -> tuple[Vec, ...]:
+        """The vertices, sorted; ValueError unless each is a lattice point."""
+        if not self.is_lattice_polytope():
+            raise ValueError("a vertex of the polytope is not a lattice point")
+        return tuple(r[1:] for r in self.cone.rays)
 
 
 def convex_hull(points) -> Polytope:
-    """Convex hull of rational points; works inside the affine span."""
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if not pts:
+    """Convex hull of integer points; works inside the affine span."""
+    gens = [(1,) + tuple(p) for p in points]
+    if not gens:
         raise ValueError("hull of no points")
-    ambient = len(pts[0])
-    gens = [scale_to_primitive_integer((Fraction(1),) + p) for p in pts]
-    cone = Cone.from_rays(ambient + 1, gens)
-    return _polytope_from_cone(ambient, cone)
+    return Polytope(len(gens[0]) - 1, Cone.from_rays(len(gens[0]), gens))
 
 
 def polytope_from_inequalities(ambient_dim: int, rows) -> Polytope | None:
-    """{x : b + a.x >= 0 for (b, *a) in rows}; None when empty."""
-    ineqs = [tuple(int(x) for x in row) for row in rows]
-    homog = ineqs + [tuple([1] + [0] * ambient_dim)]
+    """{x : b + a.x >= 0 for (b, *a) in rows}, rows of ints; None when empty."""
+    homog = list(rows) + [(1,) + (0,) * ambient_dim]
     cone = Cone.from_inequalities(ambient_dim + 1, homog)
     if cone.is_trivial():
         return None
-    return _polytope_from_cone(ambient_dim, cone)
+    return Polytope(ambient_dim, cone)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +637,9 @@ def polytope_from_inequalities(ambient_dim: int, rows) -> Polytope | None:
 def lp_in_cone(generators, point) -> bool:
     """Phase-1 simplex over Z: is point a nonnegative combination?
 
-    Each generator and the point are scaled once to primitive integer
-    vectors; a positive scale changes neither the verdict nor the evidence.
+    Each integer generator and the point are divided once by the gcd of
+    their entries, which changes neither the verdict nor the evidence; any
+    other entry raises TypeError there.
     The pivots are Edmonds' integer pivoting, the Bareiss step of
     `exactlat.echelon`: every row, the objective row included, holds d
     times its true values, d the last pivot (1 at the start, and positive
@@ -671,8 +665,8 @@ def lp_in_cone(generators, point) -> bool:
     side nonnegative), and z.g >= 0 for every generator g and z.b < 0 must
     hold.  A failed check raises RuntimeError.
     """
-    gens = [scale_to_primitive_integer(g) for g in generators]
-    b = scale_to_primitive_integer(point)
+    gens = [primitive_vector(g) for g in generators]
+    b = primitive_vector(point)
     m = len(b)
     if any(len(g) != m for g in gens):
         raise ValueError("generator has wrong length")
@@ -776,9 +770,10 @@ class Fan:
 def make_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
     """The fan of the given rays and maximal cones; ValueError unless it is one.
 
-    Each maximal cone is built once, from its rays.
+    Each maximal cone is built once, from its rays.  A ray entry or cone
+    index that is not an int raises TypeError.
     """
-    rays = tuple(tuple(int(x) for x in r) for r in rays)
+    rays = tuple(tuple(r) for r in rays)
     for r in rays:
         if len(r) != ambient_dim:
             raise ValueError(f"fan ray {r} does not have length {ambient_dim}")
@@ -788,7 +783,9 @@ def make_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
         raise ValueError("duplicate fan ray")
     maximal = []
     for s in maximal_cones:
-        s = frozenset(int(i) for i in s)
+        s = frozenset(s)
+        if not all(isinstance(i, int) for i in s):
+            raise TypeError(f"cone indices {sorted(s)} must be ints")
         if any(i < 0 or i >= len(rays) for i in s):
             raise ValueError("cone index out of range")
         maximal.append(s)
@@ -901,8 +898,8 @@ def fan_from_text(text: str, ambient_dim: int | None = None) -> Fan:
         split = lines.index("CONES")
     except ValueError:
         raise ValueError("fan text must contain a CONES block") from None
-    rays = [tuple(int(x) for x in ln.split()) for ln in lines[1:split]]
-    cones = [frozenset(int(x) for x in ln.split()) for ln in lines[split + 1 :]]
+    rays = [tuple(map(int, ln.split())) for ln in lines[1:split]]
+    cones = [frozenset(map(int, ln.split())) for ln in lines[split + 1 :]]
     if ambient_dim is None:
         if not rays:
             raise ValueError("cannot infer ambient dimension")

@@ -468,10 +468,10 @@ def chart_class_group_report() -> dict:
 
 
 def divisor_polytope(fan: Fan, coefficients) -> Polytope | None:
-    """Section polytope {m : <m, rho> >= -a_rho} of a torus divisor."""
+    """Section polytope {m : <m, rho> >= -a_rho} of a torus divisor; the a_rho are ints."""
     if len(coefficients) != len(fan.rays):
         raise ValueError("one coefficient per ray required")
-    rows = [(int(a),) + tuple(r) for r, a in zip(fan.rays, coefficients)]
+    rows = [(a,) + r for r, a in zip(fan.rays, coefficients)]
     return polytope_from_inequalities(fan.ambient_dim, rows)
 
 

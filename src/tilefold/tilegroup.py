@@ -11,19 +11,20 @@ Integer arithmetic throughout: the maps are evaluated at the primitive
 integer representative of a point (their components are homogeneous of one
 degree), so polynomial evaluation, renormalization, the subvariety equations
 and the coordinate change run on plain ints.  The derivation is
-fraction-free as well: it forms 6q^3 exp(n) for the chart matrix n scaled to
-integers by q, reads the lower factor I + N/D off `exactlat.echelon`, and
-forms 6D^3 log(I + N/D); exponential and logarithm form the powers of a
-strictly lower triangular matrix from their subdiagonal terms alone.
+fraction-free as well: it forms 6 exp(n) for the integer chart matrix n,
+reads the lower factor I + N/D off `exactlat.echelon`, and forms
+6D^3 log(I + N/D); exponential and logarithm form the powers of a strictly
+lower triangular matrix from their subdiagonal terms alone.  Points and
+chart coordinates are integer vectors, and any other entry raises TypeError.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
-from .exactlat import echelon, integer_kernel, mat_vec, scale_to_primitive_integer
+from .exactlat import echelon, integer_kernel, mat_vec, primitive_vector
 from .stages import stage
 
 Perm = tuple[int, int, int, int]
@@ -182,7 +183,7 @@ Poly = tuple[tuple[int, tuple[int, int, int, int]], ...]
 
 def _linear_poly(row) -> Poly:
     return tuple(
-        (int(c), tuple(1 if k == j else 0 for k in range(4)))
+        (c, tuple(1 if k == j else 0 for k in range(4)))
         for j, c in enumerate(row)
         if c
     )
@@ -249,17 +250,13 @@ def generator_map(name: str) -> RationalMap:
 
 
 def normalize_point(p) -> tuple[int, ...]:
-    """Canonical projective representative: primitive, first nonzero positive.
+    """Canonical projective representative of an integer point.
 
-    Integer points, the images `_evaluate_normalized` passes on every word
-    step, are divided by their gcd with the sign of their first nonzero
-    entry; other points are scaled to primitive integers first.
+    The point is divided by the gcd of its entries, with the sign of its
+    first nonzero entry, so the result is primitive with that entry
+    positive.  An entry that is not an int raises TypeError from the gcd.
     """
-    try:
-        g = gcd(*p)
-    except TypeError:  # a Fraction (or other rational) entry
-        p = scale_to_primitive_integer(p)
-        g = gcd(*p)
+    g = gcd(*p)
     if not g:
         raise ValueError("zero vector is not a projective point")
     if next(filter(None, p)) < 0:
@@ -359,18 +356,18 @@ def derive_generator_pointwise(name: str, y_coords) -> tuple[int, ...]:
     w0 (exp n)^-T w0 = exp(-n') with n'[i][j] = n[3-j][3-i], since
     M -> w0 M^T w0 reverses products; n' is again lower nilpotent.
 
-    Every step is in ints (the y coordinates are ints or Fractions).  With
-    q the lcm of the y denominators, m = q n is integral and the series
-    gives 6q^3 exp(n), a multiple with the same unipotent lower factor
-    I + N/D.  The series in N gives L = s log(I + N/D), s = 6D^3.  The
-    gauge point (1, f1, f2, f3), f1 = s L20/(L10 L21), f2 = s L31/(L21 L32),
-    f3 = s^2 L30/(L10 L21 L32), times L10 L21 L32 is the integer vector
-    passed to the coordinate change.
+    Every step is in ints, and y coordinates that are not ints raise
+    TypeError.  The series gives 6 exp(n), a multiple with the same
+    unipotent lower factor I + N/D.  The series in N gives
+    L = s log(I + N/D), s = 6D^3.  The gauge point (1, f1, f2, f3),
+    f1 = s L20/(L10 L21), f2 = s L31/(L21 L32), f3 = s^2 L30/(L10 L21 L32),
+    times L10 L21 L32 is the integer vector passed to the coordinate change.
     """
-    q = lcm(*(v.denominator for v in y_coords))
-    y1, y2, y3 = (v.numerator * (q // v.denominator) for v in y_coords)
-    m = [[0, 0, 0, 0], [q, 0, 0, 0], [y1, q, 0, 0], [y3, y2, q, 0]]
-    exp_coeffs = (6 * q**3, 6 * q**2, 3 * q, 1)
+    if not all(isinstance(v, int) for v in y_coords):
+        raise TypeError(f"chart coordinates {y_coords} must be ints")
+    y1, y2, y3 = y_coords
+    m = [[0, 0, 0, 0], [1, 0, 0, 0], [y1, 1, 0, 0], [y3, y2, 1, 0]]
+    exp_coeffs = (6, 6, 3, 1)
     if name == "tau":
         moved = _nilpotent_series(
             [[-m[3 - j][3 - i] for j in range(4)] for i in range(4)], exp_coeffs
@@ -392,10 +389,10 @@ def derive_generator_pointwise(name: str, y_coords) -> tuple[int, ...]:
 def chart_point_to_x(y_point) -> tuple[int, ...]:
     """Apply the coordinate change from chart coordinates to x-coordinates.
 
-    The change is linear, so it is applied to the primitive integer vector
-    along y_point.
+    The change is linear, so it is applied to the primitive vector along the
+    integer y_point.
     """
-    return normalize_point(mat_vec(COORD_CHANGE, scale_to_primitive_integer(y_point)))
+    return normalize_point(mat_vec(COORD_CHANGE, primitive_vector(y_point)))
 
 
 def _sample_until(samples: int, draw, skip) -> tuple[int, int]:

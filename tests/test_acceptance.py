@@ -76,8 +76,8 @@ def test_criterion_04_polytopes():
     weights, hull = quotientfan.fixed_point_weights()
     ok = (
         ample.f_vector() == (10, 15, 7)
-        and len(hull.vertices) == 24
-        and {tuple(int(x) for x in v) for v in hull.vertices} == set(weights.values())
+        and len(hull.cone.rays) == 24
+        and set(hull.lattice_vertices()) == set(weights.values())
     )
     report(4, "ample polytope (10,15,7); permutohedron has all 24 vertices", ok, time.monotonic() - t0, 5)
 

@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tilefold import polyhedra
 from tilefold.cli import EXPECTED_MORI_FVECTOR
 from tilefold.exactlat import (
     dot,
@@ -42,6 +44,8 @@ from tilefold.polyhedra import (
     make_fan,
     polytope_from_inequalities,
 )
+
+from test_exactlat import gauss_jordan_solve  # the tests' Fraction solver
 
 
 def brute_extremal_rays(dim, ineqs):
@@ -407,7 +411,7 @@ def lp_inputs(draw):
 
     d = 1..7, up to d + 6 generators with entries in [-4, 4].  The point is
     random, zero, or a nonnegative combination (its negative half the time);
-    half the inputs give every vector a positive Fraction scale.
+    half the inputs give every vector a positive integer scale.
     """
     d = draw(st.integers(1, 7))
     entries = st.tuples(*[st.integers(-4, 4)] * d)
@@ -423,8 +427,8 @@ def lp_inputs(draw):
         point = tuple(sign * sum(w * g[i] for w, g in zip(weights, gens)) for i in range(d))
     if draw(st.booleans()):
         positive = st.integers(1, 5)
-        gens = [scaled(g, draw(positive), draw(positive)) for g in gens]
-        point = scaled(point, draw(positive), draw(positive))
+        gens = [tuple(draw(positive) * x for x in g) for g in gens]
+        point = tuple(draw(positive) * x for x in point)
     return gens, point
 
 
@@ -673,16 +677,26 @@ class TestCones:
     @settings(max_examples=60, deadline=None)
     @given(general_cones(), st.data())
     def test_lp_with_fractions_agrees_with_contains(self, cone, data):
+        # lp_in_cone takes integer vectors: Fraction input raises TypeError,
+        # and once the caller clears its denominators, a positive scale, the
+        # verdict is the one contains gives
         d, gens = cone
         c = Cone.from_rays(d, gens)
         positive = st.integers(1, 5)
         frac_gens = [scaled(g, data.draw(positive), data.draw(positive)) for g in gens]
+        cleared = [scale_to_primitive_integer(g) for g in frac_gens]
         point = data.draw(st.tuples(*[st.integers(-4, 4)] * d))
         frac_point = scaled(point, 1, data.draw(positive))
-        assert lp_in_cone(frac_gens, frac_point) == c.contains(frac_point)
+        assert lp_in_cone(cleared, scale_to_primitive_integer(frac_point)) == c.contains(point)
         weights = data.draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
         inside = tuple(sum(Fraction(w, 2) * g[i] for w, g in zip(weights, frac_gens)) for i in range(d))
-        assert lp_in_cone(frac_gens, inside) and c.contains(inside)
+        inside = scale_to_primitive_integer(inside)
+        assert lp_in_cone(cleared, inside) and c.contains(inside)
+        with pytest.raises(TypeError):
+            lp_in_cone(frac_gens, frac_point)
+
+    def test_bool_entries_count_as_ints(self):
+        assert Cone.from_rays(2, [(True, False), (0, 1)]) == Cone.from_rays(2, [(1, 0), (0, 1)])
 
     def test_simplex_does_not_cycle(self):
         # degenerate pivots here cycle when ties leave by the largest basic index
@@ -704,7 +718,7 @@ class TestCones:
     @example(inputs=CYCLING_LP)
     @example(inputs=([], (0, 0, 0)))
     @example(inputs=([], (0, 1, 0)))
-    @example(inputs=([(1, 2), (Fraction(-1, 3), 0)], (0, 0)))
+    @example(inputs=([(2, 4), (-3, 0)], (0, 0)))
     def test_lp_matches_reference_simplex(self, inputs):
         # one common denominator gives the verdicts of per-row divisors
         gens, point = inputs
@@ -931,23 +945,37 @@ class TestFaceLattice:
         assert face_lattice_fvector(c) == (24, 36, 14)
 
 
+def fraction_vertices(n, rows) -> set:
+    """Reference: the vertices of {x : b + a.x >= 0 for (b, *a) in rows}, as Fractions.
+
+    Each n rows whose normals are independent meet in one point, solved by
+    Gauss-Jordan elimination over Fraction; the feasible ones are the vertices.
+    """
+    out = set()
+    for sub in itertools.combinations(rows, n):
+        x, rank = gauss_jordan_solve([list(r[1:]) for r in sub], [-r[0] for r in sub])
+        if rank == n and all(r[0] + dot(r[1:], x) >= 0 for r in rows):
+            out.add(x)
+    return out
+
+
 class TestHull:
     def test_single_point(self):
         p = convex_hull([(1, 2, 3)])
-        assert p.vertices == ((1, 2, 3),)
+        assert p.lattice_vertices() == ((1, 2, 3),)
         assert p.f_vector() == ()
 
     def test_square(self):
-        pts = [(0, 0), (1, 0), (0, 1), (1, 1), (Fraction(1, 2), Fraction(1, 2))]
+        pts = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
         p = convex_hull(pts)
-        assert len(p.vertices) == 4
+        assert len(p.cone.rays) == 4
         assert p.f_vector() == (4, 4)
 
     def test_interior_points_do_not_change_vertices(self):
         pts = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
         p = convex_hull(pts)
-        q = convex_hull(pts + [(1, 0, 0), (Fraction(1, 2),) * 3])
-        assert p.vertices == q.vertices
+        q = convex_hull(pts + [(1, 0, 0), (1, 1, 0), (0, 1, 1)])
+        assert p == q and p.lattice_vertices() == q.lattice_vertices()
         assert p.f_vector() == q.f_vector() == (4, 6, 4)
 
     def test_lower_dimensional_hull(self):
@@ -959,11 +987,98 @@ class TestHull:
     def test_polytope_from_inequalities_point(self):
         # x >= 0, -x >= 0 forces the single point 0
         p = polytope_from_inequalities(1, [(0, 1), (0, -1)])
-        assert p is not None and p.vertices == ((0,),)
+        assert p is not None and p.lattice_vertices() == ((0,),)
 
     def test_polytope_empty(self):
         p = polytope_from_inequalities(1, [(-1, 1), (-1, -1)])  # x>=1, x<=-1
         assert p is None
+
+    def test_unbounded_polyhedron_rejected(self):
+        with pytest.raises(ValueError, match="unbounded"):
+            polytope_from_inequalities(1, [(0, 1)])  # x >= 0
+        with pytest.raises(ValueError, match="unbounded"):
+            polytope_from_inequalities(2, [(0, 1, 0), (0, -1, 0)])  # the line x = 0
+
+    def test_non_lattice_vertex_is_not_read_as_a_lattice_point(self):
+        # the segment [0, 1/2], from 1 - 2x >= 0 and x >= 0: its vertex 1/2 is
+        # the ray (2, 1), and no integer vector stands for it
+        p = polytope_from_inequalities(1, [(1, -2), (0, 1)])
+        assert p.cone.rays == ((1, 0), (2, 1)) and not p.is_lattice_polytope()
+        with pytest.raises(ValueError, match="not a lattice point"):
+            p.lattice_vertices()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hull_and_facets_give_the_polytope_back(self, n):
+        # seeded integer point sets, full-dimensional or not: the hull of the
+        # vertices and the polytope cut out by the facets and both signs of
+        # the equations are the polytope itself
+        rng = random.Random(n)
+        for _ in range(20):
+            pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 4))]
+            p = convex_hull(pts)
+            assert set(p.lattice_vertices()) <= set(pts)
+            assert convex_hull(p.lattice_vertices()) == p
+            eqs = p.cone.equations
+            rows = p.cone.facets + eqs + tuple(tuple(-x for x in e) for e in eqs)
+            assert polytope_from_inequalities(n, rows) == p
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lattice_test_matches_fraction_vertices(self, n):
+        # the box |x_i| <= 2 and random cuts through it that keep the origin
+        rng = random.Random(10 + n)
+        box = [(2,) + tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+        seen = set()
+        for _ in range(20):
+            cuts = [(rng.randint(0, 4),) + tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            p = polytope_from_inequalities(n, box + cuts)
+            vertices = fraction_vertices(n, box + cuts)
+            lattice = all(x.denominator == 1 for v in vertices for x in v)
+            assert p.is_lattice_polytope() == lattice and len(p.cone.rays) == len(vertices)
+            if lattice:
+                assert set(p.lattice_vertices()) == vertices
+            seen.add(lattice)
+        assert seen == {True, False}
+
+
+class TestIntegerInputs:
+    # vectors are tuples of ints; any other entry, integral or not, raises
+    # TypeError before a double description runs, where int() would
+    # truncate it and build a different cone
+    @pytest.fixture(autouse=True)
+    def no_dd(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a DD ran on rejected input")
+
+        monkeypatch.setattr(polyhedra, "_dd_inequalities", refuse)
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), 0.5, Fraction(2), 2.0])
+    def test_cone_constructors(self, x):
+        with pytest.raises(TypeError):
+            Cone.from_rays(2, [(x, 1), (1, 0)])  # int() made the ray (1/2, 1) into (0, 1)
+        with pytest.raises(TypeError):
+            Cone.from_inequalities(2, [(x, 1)])
+        with pytest.raises(TypeError):
+            Cone.from_inequalities(2, [(1, 0)], [(x, 1)])
+
+    def test_polytopes(self):
+        with pytest.raises(TypeError):
+            polytope_from_inequalities(1, [(Fraction(1, 2), -1), (0, 1)])  # not the point 0
+        with pytest.raises(TypeError):
+            convex_hull([(0,), (Fraction(1, 2),)])
+
+    def test_fans(self):
+        with pytest.raises(TypeError):
+            make_fan(2, [(1.7, 1), (0, 1)], [{0, 1.9}])
+        with pytest.raises(TypeError):
+            make_fan(2, [(1, 1), (0, 1)], [{0, 1.9}])  # not the cone on rays 0 and 1
+        with pytest.raises(TypeError):
+            make_fan(2, [(1, 1), (0, Fraction(1))], [{0, 1}])
+
+    def test_lp(self):
+        with pytest.raises(TypeError):
+            lp_in_cone([(1, 0), (Fraction(1, 3), 1)], (1, 1))
+        with pytest.raises(TypeError):
+            lp_in_cone([(1, 0)], (1.0, 0))
 
 
 class TestFans:

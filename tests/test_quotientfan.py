@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -593,7 +594,7 @@ class TestPolytopes:
     def test_ample_polytope(self):
         poly = chart_ample_polytope()
         assert poly.f_vector() == (10, 15, 7)
-        assert len(poly.facets) == 7
+        assert len(poly.cone.facets) == 7
         assert poly.is_lattice_polytope()
 
     def test_zero_divisor_on_p3_is_a_point(self):
@@ -603,20 +604,32 @@ class TestPolytopes:
             [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}],
         )
         poly = divisor_polytope(p3, [0, 0, 0, 0])
-        assert poly is not None and poly.vertices == ((0, 0, 0),)
+        assert poly is not None and poly.lattice_vertices() == ((0, 0, 0),)
+
+    def test_divisor_coefficients_are_ints(self):
+        # a coefficient that is not an int raises TypeError; int() truncated
+        # 1/2 to 0 and gave the point polytope of the zero divisor
+        p3 = make_fan(
+            3,
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+            [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}],
+        )
+        for a in (Fraction(1, 2), 0.5, Fraction(1)):
+            with pytest.raises(TypeError):
+                divisor_polytope(p3, [a, 0, 0, 0])
 
     def test_ample_facet_normals_match_rays(self):
         fan = chart_quotient_fan()
         poly = chart_ample_polytope()
-        normals = {primitive_vector(n[1:]) for n in poly.facets}
+        normals = {primitive_vector(n[1:]) for n in poly.cone.facets}
         assert normals == set(fan.rays)
 
     def test_ample_vertices_saturate_enough_facets(self):
         poly = chart_ample_polytope()
-        for v in poly.vertices:
+        for v in poly.lattice_vertices():
             tight = sum(
                 1
-                for n in poly.facets
+                for n in poly.cone.facets
                 if n[0] + sum(a * b for a, b in zip(n[1:], v)) == 0
             )
             assert tight >= len(poly.f_vector())
@@ -630,8 +643,7 @@ class TestFixedPointWeights:
     def test_all_weights_distinct_and_vertices(self):
         weights, hull = fixed_point_weights()
         assert len(set(weights.values())) == 24
-        vs = {tuple(int(x) for x in v) for v in hull.vertices}
-        assert vs == set(weights.values())
+        assert set(hull.lattice_vertices()) == set(weights.values())
 
     def test_hull_f_vector(self):
         _, hull = fixed_point_weights()

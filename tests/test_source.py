@@ -125,6 +125,24 @@ def test_fan_covers_are_proved_in_one_place():
     assert len(definitions) == 1 and definitions[0].startswith("polyhedra.py:")
 
 
+def test_rationals_stay_in_the_lineality_projection():
+    # every other path takes and returns integer vectors: exactlat alone
+    # imports fractions, for the rational solve that projects a ray off a
+    # cone's lineality, and the projected ray is scaled back to integers in
+    # polyhedra's _canonical_rays, the one reader of scale_to_primitive_integer
+    importers = []
+    for path in sorted(Path(tilefold.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions" or (
+                isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+            ):
+                importers.append(path.name)
+    assert importers == ["exactlat.py"]
+    readers, definitions = _uses("scale_to_primitive_integer")
+    assert readers == ["polyhedra.py:_canonical_rays"]
+    assert len(definitions) == 1 and definitions[0].startswith("exactlat.py:")
+
+
 def test_no_stage_is_released_in_the_package():
     # a kept result lives until a test clears it; one that a single section
     # reads comes from a plain function run under `stages.timed`, so it dies

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tilefold import tilegroup
 from tilefold.exactlat import mat_mul
 from tilefold.tilegroup import (
     GENERATORS,
@@ -137,7 +138,7 @@ class TestRationalMaps:
         with pytest.raises(BasePointError):
             evaluate(generator_map("r2"), (1, 1, 1, 1))
         # the error names the normalized point
-        for p, point in (((-2, -2, -2, -2), (1, 1, 1, 1)), ((0, 0, Fraction(-3, 2), 3), (0, 0, 1, -2))):
+        for p, point in (((-2, -2, -2, -2), (1, 1, 1, 1)), ((0, 0, -3, 6), (0, 0, 1, -2))):
             with pytest.raises(BasePointError) as exc:
                 evaluate(generator_map("r2"), p)
             assert exc.value.point == point
@@ -154,11 +155,16 @@ class TestRationalMaps:
                     evaluate(m, p)
 
     def test_normalize_point(self):
-        assert normalize_point((Fraction(1, 2), Fraction(1, 3), 0, 0)) == (3, 2, 0, 0)
         assert normalize_point((-2, 4, 0, 0)) == (1, -2, 0, 0)
-        # the integer path and the Fraction path agree
-        assert normalize_point((Fraction(4), Fraction(-6), 0, 0)) == (2, -3, 0, 0)
         assert normalize_point((4, -6, 0, 0)) == (2, -3, 0, 0)
+        assert normalize_point((0, True, 0, 0)) == (0, 1, 0, 0)  # a bool is an int
+        # points are integer vectors; a Fraction or float entry is not scaled
+        # to an integer but rejected, integral or not
+        for p in ((Fraction(1, 2), Fraction(1, 3), 0, 0), (Fraction(4), -6, 0, 0), (1.0, 0, 0, 0)):
+            with pytest.raises(TypeError):
+                normalize_point(p)
+            with pytest.raises(TypeError):
+                evaluate(generator_map("r1"), p)
 
     def test_generator_maps_built_once(self):
         for name in GENERATORS:
@@ -185,11 +191,11 @@ class TestRationalMaps:
     @settings(max_examples=60, deadline=None)
     @given(
         st.tuples(*[st.integers(-20, 20)] * 4).filter(any),
-        st.fractions(-30, 30, max_denominator=12).filter(bool),
+        st.integers(-30, 30).filter(bool),
     )
     def test_evaluate_is_projective(self, name, p, scale):
         # evaluate works on the primitive representative of p, so every
-        # nonzero multiple of p, negative or fractional, gives the same result
+        # nonzero integer multiple of p, negative too, gives the same result
         m = generator_map(name)
         scaled = tuple(scale * x for x in p)
         try:
@@ -205,6 +211,8 @@ class TestRationalMaps:
     def test_evaluate_rejects_zero_vector(self):
         for name in GENERATORS:
             with pytest.raises(ValueError, match="zero vector"):
+                evaluate(generator_map(name), (0, 0, 0, 0))
+            with pytest.raises(TypeError):
                 evaluate(generator_map(name), (0, Fraction(0), 0, 0))
 
     def test_relations_as_maps(self):
@@ -218,11 +226,22 @@ class TestDerivation:
             rep = derivation_agreement(name, samples=40, seed=0)
             assert rep["all_agree"] and rep["samples"] == 40
 
-    def test_degenerate_sample_detected(self):
+    def test_degenerate_sample_detected(self, monkeypatch):
         # the gauge normalization fails where a subdiagonal of the logarithm
-        # vanishes; for the generators this happens at half-integer points
-        with pytest.raises(DegenerateSampleError):
-            derive_generator_pointwise("r1", (Fraction(1, 2), 0, 0))
+        # vanishes: at y1 = 1/2 for r1, y1 = -1/2 or y2 = 1/2 for r2 and
+        # y2 = -1/2 for r3, never for tau, and the leading minors are
+        # constants.  No integer chart point is degenerate, so the Fraction
+        # reference finds these points and the derivation rejects them by type
+        half = Fraction(1, 2)
+        for name, y in (("r1", (half, 0, 0)), ("r2", (-half, 0, 0)), ("r2", (0, half, 0)), ("r3", (0, -half, 0))):
+            with pytest.raises(DegenerateSampleError, match="vanishing subdiagonal"):
+                reference_derive(name, y)
+            with pytest.raises(TypeError):
+                derive_generator_pointwise(name, y)
+        # the derivation's own check, reached through a lower factor of zero
+        monkeypatch.setattr(tilegroup, "_lu_unipotent_lower", lambda a: ([[0] * 4 for _ in range(4)], 1))
+        with pytest.raises(DegenerateSampleError, match="vanishing subdiagonal"):
+            derive_generator_pointwise("r1", (0, 0, 0))
 
     def test_vanishing_principal_minor_detected(self):
         for a in (
@@ -259,21 +278,14 @@ class TestDerivation:
 
     @pytest.mark.parametrize("name", ["r1", "r2", "r3", "tau"])
     @settings(max_examples=150, deadline=None)
-    @given(st.tuples(*[st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=12))] * 3))
-    @example(y=(Fraction(1, 2), 0, 0))
-    @example(y=(Fraction(1, 2), -6, -6))
-    @example(y=(-6, Fraction(1, 2), -6))
-    @example(y=(-6, Fraction(-1, 2), -6))
+    @given(st.tuples(*[st.integers(-20, 20)] * 3))
     @example(y=(0, 0, 0))
+    @example(y=(1, -6, -6))
+    @example(y=(-6, 1, -6))
+    @example(y=(-6, -1, -6))
     def test_matches_fraction_reference(self, name, y):
-        try:
-            expected = reference_derive(name, y)
-        except DegenerateSampleError as exc:
-            with pytest.raises(DegenerateSampleError) as again:
-                derive_generator_pointwise(name, y)
-            assert str(again.value) == str(exc)
-            return
-        assert derive_generator_pointwise(name, y) == expected
+        # no integer point is degenerate (test_degenerate_sample_detected)
+        assert derive_generator_pointwise(name, y) == reference_derive(name, y)
 
     @pytest.mark.parametrize("name", ["r1", "r2", "r3", "tau"])
     def test_integer_points_build_no_fraction(self, name, monkeypatch):
@@ -295,12 +307,19 @@ class TestDerivation:
     @settings(max_examples=40, deadline=None)
     @given(st.tuples(*[st.fractions(-20, 20, max_denominator=12)] * 3))
     def test_agreement_at_rational_points(self, name, y):
+        # chart points are integer vectors, so the derivation rejects a
+        # Fraction one by type, integral or not; the closed form meets the
+        # rational chart point (1, y) as its integer multiple (q, q y), and
+        # there agrees with the Fraction reference derivation
+        with pytest.raises(TypeError):
+            derive_generator_pointwise(name, y)
+        q = lcm(*(v.denominator for v in y))
         try:
-            derived = derive_generator_pointwise(name, y)
-            expected = evaluate(generator_map(name), chart_point_to_x((1,) + y))
+            expected = reference_derive(name, y)
+            closed = evaluate(generator_map(name), chart_point_to_x((q,) + tuple(int(q * v) for v in y)))
         except (DegenerateSampleError, BasePointError):
             return
-        assert derived == expected
+        assert closed == expected
 
     def test_specific_point(self):
         y = (2, 3, 5)
@@ -366,7 +385,8 @@ def reference_derive(name, y_coords):
     f1 = logm[2][0] / (m10 * m21)
     f2 = logm[3][1] / (m21 * m32)
     f3 = logm[3][0] / (m10 * m21 * m32)
-    return chart_point_to_x((Fraction(1), f1, f2, f3))
+    den = lcm(f1.denominator, f2.denominator, f3.denominator)
+    return chart_point_to_x(tuple(int(f * den) for f in (Fraction(1), f1, f2, f3)))
 
 
 def _series_reference(n, coeffs):

@@ -18,6 +18,7 @@ and zero on the relation lattice.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import prod
 
 from .exactlat import (
     hermite_normal_form,
@@ -74,10 +75,12 @@ QH_SUBSTITUTION_ROW = "C02"
 
 
 def expr(**coeffs) -> tuple[int, ...]:
-    """Divisor expression from symbol=coefficient keywords (qH for qH)."""
+    """Divisor expression from symbol=coefficient keywords (qH for qH), each an int."""
     v = [0] * len(SYMBOLS)
     for sym, c in coeffs.items():
-        v[SYMBOL_INDEX[sym]] = int(c)
+        if not isinstance(c, int):
+            raise TypeError(f"coefficient {sym}={c!r} must be an int")
+        v[SYMBOL_INDEX[sym]] = c
     return tuple(v)
 
 
@@ -667,27 +670,16 @@ def _line_basis(lab: str) -> list[tuple[int, ...]]:
 
 
 def _binary_restriction_rows(lab: str, monomials) -> list[list[int]]:
-    """Five condition rows: coefficients of the restriction to the line."""
+    """Five condition rows: the monomials at the points s p + t q of the line.
+
+    A binary quartic in (s, t) is zero when it vanishes at five pairwise
+    non-proportional (s, t): these rows are an invertible Vandermonde matrix
+    times the coefficient rows of the restriction, and span the same space.
+    """
     p, q = _line_basis(lab)
-    rows = [[0] * len(monomials) for _ in range(5)]
-    for col, exps in enumerate(monomials):
-        # expand prod_i (s p_i + t q_i)^{e_i} as a binary quartic in (s, t)
-        poly = {0: 1}  # degree in s -> coefficient, total degree 4 implied
-        deg = 0
-        for pi, qi, e in zip(p, q, exps):
-            for _ in range(e):
-                nxt: dict[int, int] = {}
-                for ds, c in poly.items():
-                    if c:
-                        nxt[ds + 1] = nxt.get(ds + 1, 0) + c * pi
-                        nxt[ds] = nxt.get(ds, 0) + c * qi
-                poly = nxt
-                deg += 1
-        if deg != 4:
-            raise RuntimeError(f"monomial {exps} is not a quartic")
-        for ds, c in poly.items():
-            rows[ds][col] = c
-    return rows
+    pairs = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
+    points = [[s * a + t * b for a, b in zip(p, q)] for s, t in pairs]
+    return [[prod(x**e for x, e in zip(pt, exps)) for exps in monomials] for pt in points]
 
 
 @stage

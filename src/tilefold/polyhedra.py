@@ -830,6 +830,15 @@ def fan_face_index_sets(fan: Fan) -> dict[frozenset[int], int]:
     return out
 
 
+def ray_masks(fan: Fan, cone: Cone) -> tuple[int, list[int]]:
+    """Bit i set when fan ray i lies in the cone, and the same mask for each facet's hyperplane."""
+
+    def mask(test) -> int:
+        return sum(1 << i for i, r in enumerate(fan.rays) if test(r))
+
+    return mask(cone.contains), [mask(lambda r: dot(n, r) == 0) for n in cone.facets]
+
+
 def uncovered_cone(fan: Fan, cones) -> Cone | None:
     """The first of the cones that is not a union of faces of the fan, or None.
 
@@ -843,13 +852,8 @@ def uncovered_cone(fan: Fan, cones) -> Cone | None:
     for a complete fan.  The fan's faces are walked once for all cones.
     """
     faces = [(sum(1 << i for i in s), dim) for s, dim in fan_face_index_sets(fan).items()]
-
-    def mask(test) -> int:
-        return sum(1 << i for i, r in enumerate(fan.rays) if test(r))
-
     for c in cones:
-        inside = mask(c.contains)
-        boundary = [mask(lambda r: dot(n, r) == 0) for n in c.facets]
+        inside, boundary = ray_masks(fan, c)
         members = [m for m, dim in faces if dim == c.dim and m & inside == m]
         walls = [w for w, dim in faces if dim == c.dim - 1 and all(w & z != w for z in boundary)]
         if not members or any(sum(w & m == w for m in members) == 1 for w in walls):

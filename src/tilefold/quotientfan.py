@@ -31,10 +31,10 @@ from .polyhedra import (
     convex_hull,
     fan_face_index_sets,
     fan_is_smooth,
-    intersect_cones,
     is_complete_fan,
     make_fan,
     polytope_from_inequalities,
+    ray_masks,
     uncovered_cone,
 )
 from .stages import stage
@@ -284,15 +284,8 @@ def relevant_pairs() -> list[dict]:
     fan = chart_quotient_fan()
     faces = chart_projected_faces()
     distinct = {c.key(): c for _, c in faces}
-
-    def mask(test) -> int:
-        return sum(1 << i for i, r in enumerate(fan.rays) if test(r))
-
     # per distinct cone: its ray mask and the zero mask of each facet
-    masks = {
-        key: (mask(c.contains), [mask(lambda r: dot(n, r) == 0) for n in c.facets])
-        for key, c in distinct.items()
-    }
+    masks = {key: ray_masks(fan, c) for key, c in distinct.items()}
     meet_rays: dict[int, tuple] = {}  # one DD per distinct relevant meet
     # the records share one index tuple per face, not one per record
     rows = [(tuple(sorted(s)),) + masks[c.key()] for s, c in faces]
@@ -347,25 +340,30 @@ def _orthant_subfan(name: str) -> list[frozenset[int]]:
     return sorted(maximal, key=sorted)
 
 
-def common_refinement(fan_a: Fan, fan_b: Fan) -> set[Cone]:
-    """The full-dimensional cones of the common refinement of two fans with equal support."""
-    if fan_a.ambient_dim != fan_b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    meets = (intersect_cones(ca, cb) for ca in fan_a.cones for cb in fan_b.cones)
-    return {meet for meet in meets if meet.dim == fan_a.ambient_dim}
-
-
 def git_subfans() -> dict:
     """The three GIT subfans of the orthant fan and the flip structure.
 
     Verifies that each subfan projects bijectively to a fan downstairs (a
     face does when its projected cone has one dimension per ray), that the
     common refinement of the plus and minus quotients is the quotient fan,
-    and that the locus modified by the exchange is the divisor of the extra
-    ray rho_6.  The projected faces are the chart's.
+    that the cones they exchange tile the flip base and their walls meet in
+    the extra ray rho_6, and that the locus modified by the exchange is the
+    divisor of rho_6.  The projected faces are the chart's.
+
+    Every verdict rests on `_chamber_fan`'s proof that each projected cone
+    is a union of quotient cones, its pieces: those whose rays its mask
+    holds, as in `relevant_pairs`.  So the full-dimensional meet of two is
+    the union of the pieces they share, and cones meet in the fan faces
+    whose rays they all hold.
     """
     projected = dict(chart_projected_faces())
     quotient = chart_quotient_fan()
+    piece_masks = [sum(1 << i for i in s) for s in quotient.maximal_cones]
+
+    def pieces(*cones) -> frozenset[int]:
+        """The quotient cones inside one of the cones, by index."""
+        masks = [ray_masks(quotient, c)[0] for c in cones]
+        return frozenset(k for k, q in enumerate(piece_masks) if any(q & m == q for m in masks))
 
     faces = {name: _orthant_subfan(name) for name in ("plus", "minus", "zero")}
     bijective = {
@@ -373,38 +371,39 @@ def git_subfans() -> dict:
     }
     fans = {name: _fan_of(3, [projected[s] for s in fs]) for name, fs in faces.items()}
 
-    refinement = common_refinement(fans["plus"], fans["minus"])
-
-    # exchanged maximal cones and the local flip structure
+    # the meets are the quotient cones: each side covers them, no pair shares two
     plus_cones, minus_cones = fans["plus"].cones, fans["minus"].cones
+    minus_pieces = [pieces(m) for m in minus_cones]
+    meets = {p & m for p in map(pieces, plus_cones) for m in minus_pieces}
+    refinement = meets - {frozenset()} == {frozenset([k]) for k in range(len(piece_masks))}
+
+    # the exchanged maximal cones tile the flip base on both sides
     only_plus = [c for c in plus_cones if c not in minus_cones]
     only_minus = [c for c in minus_cones if c not in plus_cones]
-    flip_base = projected[FLIP_SOURCE_FACE]
-    union_plus = Cone.from_rays(3, [r for c in only_plus for r in c.rays])
-    union_minus = Cone.from_rays(3, [r for c in only_minus for r in c.rays])
-    local_flip = union_plus == flip_base and union_minus == flip_base
+    base_pieces = pieces(projected[FLIP_SOURCE_FACE])
+    local_flip = pieces(*only_plus) == base_pieces == pieces(*only_minus)
 
-    # exchanged walls meet exactly in the extra ray
-    wall_plus = intersect_cones(only_plus[0], only_plus[1])
-    wall_minus = intersect_cones(only_minus[0], only_minus[1])
-    exchanged_meet = intersect_cones(wall_plus, wall_minus)
-    rho6 = QUOTIENT_RAYS[6]
+    # the two exchanged walls meet exactly in the extra ray
+    rho6 = 1 << quotient.rays.index(QUOTIENT_RAYS[6])
+    shared = -1
+    for c in only_plus + only_minus:
+        shared &= ray_masks(quotient, c)[0]
+    exchanged_meet = len(only_plus) == len(only_minus) == 2 and shared == rho6
 
     # modified locus: exactly the quotient cones through rho_6 sit inside the
     # flip base; all others are cones of both one-sided quotients
-    star = [c for c in quotient.cones if rho6 in c.rays]
-    others = [c for c in quotient.cones if rho6 not in c.rays]
-    star_inside = all(flip_base.contains_cone(c) for c in star)
+    star = {k for k, q in enumerate(piece_masks) if q & rho6}
+    others = [c for c, q in zip(quotient.cones, piece_masks) if not q & rho6]
     both_sides = all(c in plus_cones and c in minus_cones for c in others)
 
     return {
         "fans": fans,
         "face_counts": {name: len(fs) for name, fs in faces.items()},
         "bijective": bijective,
-        "refinement_equals_quotient": refinement == set(quotient.cones),
+        "refinement_equals_quotient": refinement,
         "local_flip_over_projected_face": local_flip,
-        "exchanged_walls_meet_in_extra_ray": exchanged_meet.rays == (rho6,),
-        "modified_locus_is_extra_ray_divisor": star_inside and both_sides,
+        "exchanged_walls_meet_in_extra_ray": exchanged_meet,
+        "modified_locus_is_extra_ray_divisor": star <= base_pieces and both_sides,
     }
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
@@ -143,6 +144,13 @@ class TestPicardLattice:
         )
         via_boundary = class_of(expr(A1=1, B2=1, C02=1, C23=1, D03=-1))
         assert via_quartic == via_boundary
+
+    def test_expr_takes_int_coefficients_only(self):
+        # a rational or float coefficient is rejected, not truncated; a bool is an int
+        for coeffs in ({"A0": Fraction(1, 2)}, {"A1": 2.7}, {"A1": 2.0}, {"qH": Fraction(2)}):
+            with pytest.raises(TypeError, match="must be an int"):
+                expr(**coeffs)
+        assert class_of(expr(qH=True)) == class_of(expr(qH=1))
 
     def test_h_class_expression(self):
         # the strict plane transform: qH - C01 - D02 - D13 in the lattice
@@ -457,6 +465,25 @@ class TestCurveClasses:
             assert diff == (0,) * RANK
 
 
+def reference_binary_restriction_rows(lab: str, monomials) -> list[list[int]]:
+    """Five condition rows, the coefficients of each monomial's restriction to the line: the reference."""
+    p, q = divcalc._line_basis(lab)
+    rows = [[0] * len(monomials) for _ in range(5)]
+    for col, exps in enumerate(monomials):
+        # expand prod_i (s p_i + t q_i)^{e_i} as a binary quartic in (s, t)
+        poly = {0: 1}  # degree in s -> coefficient, total degree 4 implied
+        for pi, qi, e in zip(p, q, exps):
+            for _ in range(e):
+                nxt: dict[int, int] = {}
+                for ds, c in poly.items():
+                    nxt[ds + 1] = nxt.get(ds + 1, 0) + c * pi
+                    nxt[ds] = nxt.get(ds, 0) + c * qi
+                poly = nxt
+        for ds, c in poly.items():
+            rows[ds][col] = c
+    return rows
+
+
 class TestQuarticSystem:
     def test_dimensions(self):
         q = quartic_system()
@@ -477,6 +504,22 @@ class TestQuarticSystem:
 
     def test_single_line_dimension(self):
         assert quartic_system()["single_line_projective_dimension"] == 29
+
+    def test_point_values_span_the_coefficient_rows(self):
+        # on each line the five point-value rows and the five coefficient
+        # rows of the restriction have rank 5 and span the same space
+        from tilefold.divcalc import QUARTIC_LINES, _binary_restriction_rows, _quartic_monomials
+        from tilefold.exactlat import rational_rank
+
+        monomials = _quartic_monomials()
+        values, coefficients = [], []
+        for lab in QUARTIC_LINES:
+            v = _binary_restriction_rows(lab, monomials)
+            c = reference_binary_restriction_rows(lab, monomials)
+            assert rational_rank(v) == rational_rank(c) == rational_rank(v + c) == 5, lab
+            values += v
+            coefficients += c
+        assert rational_rank(values) == rational_rank(coefficients) == rational_rank(values + coefficients) == 21
 
     def test_conditions_via_random_points(self):
         # independent route: a quartic in the system vanishes at random

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 
 import pytest
 
-from tilefold import cli, polyhedra, stages
+from tilefold import cli, polyhedra, quotientfan, stages
 from tilefold.exactlat import dot, mat_mul, mat_vec, primitive_vector, smith_invariants, transpose
 from tilefold.polyhedra import (
     Cone,
@@ -23,6 +24,7 @@ from tilefold.polyhedra import (
 )
 from tilefold.quotientfan import (
     COKERNEL_MATRIX,
+    FLIP_SOURCE_FACE,
     PARTITION_FACE,
     QUOTIENT_RAYS,
     WEIGHT_MATRIX,
@@ -259,13 +261,14 @@ class TestQuotientFan:
 
     def test_cold_fan_section_double_description_budget(self, monkeypatch):
         # each chamber is split from its parent's facets, by walls that can
-        # separate generic points: 389 double descriptions in all
+        # separate generic points, and the GIT subfans' verdicts are read off
+        # ray masks: 320 double descriptions in all
         runs = []
         real = polyhedra._solve_hrep
         monkeypatch.setattr(polyhedra, "_solve_hrep", lambda *a: runs.append(a) or real(*a))
         stages.clear()
         cli.section_fan_quotient()
-        assert len(runs) <= 395
+        assert len(runs) <= 320
 
     def test_identity_projection_returns_input(self):
         fan = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}])
@@ -549,7 +552,47 @@ class TestRelevance:
         assert ((0,), (1, 4)) not in got
 
 
+def reference_common_refinement(fan_a, fan_b) -> set[Cone]:
+    """The full-dimensional cones of the common refinement of two fans with equal support, by DD: the reference."""
+    meets = (intersect_cones(ca, cb) for ca in fan_a.cones for cb in fan_b.cones)
+    return {meet for meet in meets if meet.dim == fan_a.ambient_dim}
+
+
+def reference_git_verdicts(rep) -> dict:
+    """The refinement, flip and wall verdicts of a git_subfans report, by DD: the reference."""
+    plus, minus = rep["fans"]["plus"].cones, rep["fans"]["minus"].cones
+    only_plus = [c for c in plus if c not in minus]
+    only_minus = [c for c in minus if c not in plus]
+    flip_base = dict(chart_projected_faces())[FLIP_SOURCE_FACE]
+    return {
+        "refinement_equals_quotient": reference_common_refinement(rep["fans"]["plus"], rep["fans"]["minus"])
+        == set(chart_quotient_fan().cones),
+        "local_flip_over_projected_face": all(
+            Cone.from_rays(3, [r for c in side for r in c.rays]) == flip_base for side in (only_plus, only_minus)
+        ),
+        "exchanged_walls_meet_in_extra_ray": len(only_plus) == len(only_minus) == 2
+        and reduce(intersect_cones, only_plus + only_minus).rays == (QUOTIENT_RAYS[6],),
+    }
+
+
 class TestGitSubfans:
+    def test_mask_verdicts_match_double_description(self):
+        rep = git_subfans()
+        want = reference_git_verdicts(rep)
+        assert want == {k: rep[k] for k in want}
+        assert all(want.values())
+
+    @pytest.mark.parametrize("name", ["plus", "zero"])
+    def test_a_wrong_minus_subfan_fails_every_flip_verdict(self, monkeypatch, name):
+        # with the plus or zero exclusions on the minus side, no cone or only
+        # two are exchanged: the verdicts read False without raising, as the
+        # DD reference does
+        monkeypatch.setitem(quotientfan.SUBFAN_EXCLUSIONS, "minus", quotientfan.SUBFAN_EXCLUSIONS[name])
+        rep = git_subfans()
+        want = reference_git_verdicts(rep)
+        assert want == {k: rep[k] for k in want}
+        assert not any(want.values())
+
     def test_report(self):
         rep = git_subfans()
         assert rep["bijective"] == {"plus": True, "minus": True, "zero": True}

@@ -125,6 +125,15 @@ def test_fan_covers_are_proved_in_one_place():
     assert len(definitions) == 1 and definitions[0].startswith("polyhedra.py:")
 
 
+def test_cones_meet_by_double_description_in_one_place():
+    # the fan axioms are the one check that meets cones by DD; the quotient
+    # fan's analyses read meets off ray masks instead
+    for name in ("intersect_cones", "is_face"):
+        readers, definitions = _uses(name)
+        assert set(readers) == {"polyhedra.py:check_fan"}, name
+        assert len(definitions) == 1 and definitions[0].startswith("polyhedra.py:")
+
+
 def test_rationals_stay_in_the_lineality_projection():
     # every other path takes and returns integer vectors: exactlat alone
     # imports fractions, for the rational solve that projects a ray off a

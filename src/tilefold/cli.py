@@ -97,7 +97,7 @@ def section_fan_quotient() -> dict:
         p for p in pairs if (p["cone"], p["companion"]) == (face["C12"], face["C03"])
     )
     checks.append(
-        check("relevance_c12_c03_meets_in_rho6", [[0, 0, -1]], c12_c03["intersection_rays"])
+        check("relevance_c12_c03_meets_in_rho6", [[0, 0, -1]], [r for i, r in enumerate(fan.rays) if c12_c03["meet"] >> i & 1])
     )
     checks.append(
         check(

@@ -894,7 +894,7 @@ def fan_to_text(fan: Fan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fan_from_text(text: str, ambient_dim: int | None = None) -> Fan:
+def fan_from_text(text: str) -> Fan:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "RAYS":
         raise ValueError("fan text must start with a RAYS block")
@@ -904,8 +904,6 @@ def fan_from_text(text: str, ambient_dim: int | None = None) -> Fan:
         raise ValueError("fan text must contain a CONES block") from None
     rays = [tuple(map(int, ln.split())) for ln in lines[1:split]]
     cones = [frozenset(map(int, ln.split())) for ln in lines[split + 1 :]]
-    if ambient_dim is None:
-        if not rays:
-            raise ValueError("cannot infer ambient dimension")
-        ambient_dim = len(rays[0])
-    return make_fan(ambient_dim, rays, cones)
+    if not rays:
+        raise ValueError("cannot infer ambient dimension")
+    return make_fan(len(rays[0]), rays, cones)

@@ -266,44 +266,42 @@ def verify_quotient_fan(fan: Fan) -> dict:
 # relevance analysis
 
 
+def _meets_in_face(meet: int, mask: int, zeros) -> bool:
+    """Whether a meet inside a cone is a face of it, both given as quotient-ray masks.
+
+    `mask` and `zeros` are a projected cone's `ray_masks`.  The smallest
+    face of the cone holding the meet is cut out by its facets vanishing on
+    the meet; its mask is the cone's mask & each of their zero masks
+    (Kaibel & Pfetsch, 2002).  The meet is a face iff it is this closure.
+    """
+    for z in zeros:
+        if meet & z == meet:
+            mask &= z
+    return mask == meet
+
+
 def relevant_pairs() -> list[dict]:
     """All chart face pairs whose projections meet in a non-face of the first.
 
     Returns records, in face order, with the ray index sets of both orthant
-    faces and the canonical rays of the offending intersection.
+    faces and the mask of the quotient-fan rays in their meet (`meet`).
 
     `_chamber_fan` proved, when it built the chart quotient fan, that each
     projected cone is a union of cones of the fan.  So is each face of it
     and each meet of two of them, as each piece is a face of one fan cone:
-    each such cone is spanned by the fan rays it holds, and is its ray mask.  A
-    pair meets in the mask m1 & m2.  The smallest face of the first cone
-    holding the meet is cut out by its facets vanishing on the meet; its
-    mask is m1 & each of their zero masks (Kaibel & Pfetsch, 2002).  The
-    pair is relevant iff this closure is not the meet.
+    each such cone is spanned by the fan rays it holds, and is its ray mask.
+    A pair meets in the mask m1 & m2, and is relevant iff `_meets_in_face`
+    rejects it.
     """
     fan = chart_quotient_fan()
-    faces = chart_projected_faces()
-    distinct = {c.key(): c for _, c in faces}
-    # per distinct cone: its ray mask and the zero mask of each facet
-    masks = {key: ray_masks(fan, c) for key, c in distinct.items()}
-    meet_rays: dict[int, tuple] = {}  # one DD per distinct relevant meet
     # the records share one index tuple per face, not one per record
-    rows = [(tuple(sorted(s)),) + masks[c.key()] for s, c in faces]
-    out = []
-    for s1, m1, zeros in rows:
-        for s2, m2, _ in rows:
-            meet = m1 & m2
-            closure = m1
-            for z in zeros:
-                if meet & z == meet:
-                    closure &= z
-            if closure == meet:
-                continue
-            if meet not in meet_rays:
-                gens = [r for i, r in enumerate(fan.rays) if meet >> i & 1]
-                meet_rays[meet] = Cone.from_rays(fan.ambient_dim, gens).rays
-            out.append({"cone": s1, "companion": s2, "intersection_rays": meet_rays[meet]})
-    return out
+    rows = [(tuple(sorted(s)),) + ray_masks(fan, c) for s, c in chart_projected_faces()]
+    return [
+        {"cone": s1, "companion": s2, "meet": m1 & m2}
+        for s1, m1, zeros in rows
+        for s2, m2, _ in rows
+        if not _meets_in_face(m1 & m2, m1, zeros)
+    ]
 
 
 def non_projected_rays(fan: Fan, proj, source_fan: Fan) -> list[tuple[int, ...]]:
@@ -343,61 +341,64 @@ def _orthant_subfan(name: str) -> list[frozenset[int]]:
 def git_subfans() -> dict:
     """The three GIT subfans of the orthant fan and the flip structure.
 
-    Verifies that each subfan projects bijectively to a fan downstairs (a
-    face does when its projected cone has one dimension per ray), that the
-    common refinement of the plus and minus quotients is the quotient fan,
-    that the cones they exchange tile the flip base and their walls meet in
-    the extra ray rho_6, and that the locus modified by the exchange is the
-    divisor of rho_6.  The projected faces are the chart's.
+    Verifies that each subfan projects bijectively to a fan downstairs, that
+    the common refinement of the plus and minus quotients is the quotient
+    fan, that the cones they exchange tile the flip base and their walls
+    meet in the extra ray rho_6, and that the locus modified by the exchange
+    is the divisor of rho_6.  The projected faces are the chart's.
 
     Every verdict rests on `_chamber_fan`'s proof that each projected cone
-    is a union of quotient cones, its pieces: those whose rays its mask
-    holds, as in `relevant_pairs`.  So the full-dimensional meet of two is
-    the union of the pieces they share, and cones meet in the fan faces
-    whose rays they all hold.
+    is a union of quotient cones, its pieces: so each projected cone, and
+    each meet of two, is the cone spanned by the quotient rays its mask
+    holds, as in `relevant_pairs`.  A subfan projects bijectively to a fan
+    when each maximal face projects to a cone with one dimension per ray,
+    so a pointed one, no two have nested masks, and every meet is a face of
+    each cone by `_meets_in_face`: the fan axioms, read off the masks.  The
+    full-dimensional meet of two cones is the union of the pieces they
+    share, and cones meet in the fan faces whose rays they all hold.
     """
     projected = dict(chart_projected_faces())
     quotient = chart_quotient_fan()
+    masks = {s: ray_masks(quotient, c) for s, c in projected.items()}
     piece_masks = [sum(1 << i for i in s) for s in quotient.maximal_cones]
 
-    def pieces(*cones) -> frozenset[int]:
-        """The quotient cones inside one of the cones, by index."""
-        masks = [ray_masks(quotient, c)[0] for c in cones]
-        return frozenset(k for k, q in enumerate(piece_masks) if any(q & m == q for m in masks))
+    def pieces(*cone_masks) -> frozenset[int]:
+        """The quotient cones inside one of the masked cones, by index."""
+        return frozenset(k for k, q in enumerate(piece_masks) if any(q & m == q for m in cone_masks))
+
+    def is_fan(fs) -> bool:
+        meets = ((masks[s], masks[s][0] & masks[t][0]) for s in fs for t in fs if s != t)
+        return all(projected[s].dim == len(s) for s in fs) and all(
+            meet != m and _meets_in_face(meet, m, zeros) for (m, zeros), meet in meets
+        )
 
     faces = {name: _orthant_subfan(name) for name in ("plus", "minus", "zero")}
-    bijective = {
-        name: all(projected[s].dim == len(s) for s in fs) for name, fs in faces.items()
-    }
-    fans = {name: _fan_of(3, [projected[s] for s in fs]) for name, fs in faces.items()}
+    bijective = {name: is_fan(fs) for name, fs in faces.items()}
+    plus, minus = ({masks[s][0] for s in faces[side]} for side in ("plus", "minus"))
 
     # the meets are the quotient cones: each side covers them, no pair shares two
-    plus_cones, minus_cones = fans["plus"].cones, fans["minus"].cones
-    minus_pieces = [pieces(m) for m in minus_cones]
-    meets = {p & m for p in map(pieces, plus_cones) for m in minus_pieces}
+    minus_pieces = [pieces(m) for m in minus]
+    meets = {p & m for p in map(pieces, plus) for m in minus_pieces}
     refinement = meets - {frozenset()} == {frozenset([k]) for k in range(len(piece_masks))}
 
     # the exchanged maximal cones tile the flip base on both sides
-    only_plus = [c for c in plus_cones if c not in minus_cones]
-    only_minus = [c for c in minus_cones if c not in plus_cones]
-    base_pieces = pieces(projected[FLIP_SOURCE_FACE])
+    only_plus, only_minus = plus - minus, minus - plus
+    base_pieces = pieces(masks[FLIP_SOURCE_FACE][0])
     local_flip = pieces(*only_plus) == base_pieces == pieces(*only_minus)
 
     # the two exchanged walls meet exactly in the extra ray
     rho6 = 1 << quotient.rays.index(QUOTIENT_RAYS[6])
     shared = -1
-    for c in only_plus + only_minus:
-        shared &= ray_masks(quotient, c)[0]
+    for m in only_plus | only_minus:
+        shared &= m
     exchanged_meet = len(only_plus) == len(only_minus) == 2 and shared == rho6
 
     # modified locus: exactly the quotient cones through rho_6 sit inside the
     # flip base; all others are cones of both one-sided quotients
     star = {k for k, q in enumerate(piece_masks) if q & rho6}
-    others = [c for c, q in zip(quotient.cones, piece_masks) if not q & rho6]
-    both_sides = all(c in plus_cones and c in minus_cones for c in others)
+    both_sides = all(q in plus and q in minus for q in piece_masks if not q & rho6)
 
     return {
-        "fans": fans,
         "face_counts": {name: len(fs) for name, fs in faces.items()},
         "bijective": bijective,
         "refinement_equals_quotient": refinement,

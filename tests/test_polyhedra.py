@@ -1158,6 +1158,8 @@ class TestFans:
     def test_text_rejects_garbage(self):
         with pytest.raises(ValueError):
             fan_from_text("CONES\n0 1\n")
+        with pytest.raises(ValueError, match="cannot infer ambient dimension"):
+            fan_from_text("RAYS\nCONES\n")
 
     def test_rays_of_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length 2"):

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -31,6 +31,7 @@ from tilefold.quotientfan import (
     _arrangement_normals,
     _chambers,
     _fan_of,
+    _orthant_subfan,
     _projected_faces,
     _project_cone,
     chart_ample_polytope,
@@ -261,14 +262,26 @@ class TestQuotientFan:
 
     def test_cold_fan_section_double_description_budget(self, monkeypatch):
         # each chamber is split from its parent's facets, by walls that can
-        # separate generic points, and the GIT subfans' verdicts are read off
-        # ray masks: 320 double descriptions in all
+        # separate generic points, and the relevance analysis and the GIT
+        # subfans read every verdict off ray masks: 185 double descriptions
+        # in all
         runs = []
         real = polyhedra._solve_hrep
         monkeypatch.setattr(polyhedra, "_solve_hrep", lambda *a: runs.append(a) or real(*a))
         stages.clear()
         cli.section_fan_quotient()
-        assert len(runs) <= 320
+        assert len(runs) <= 185
+
+    def test_masked_analyses_run_no_double_description(self, monkeypatch):
+        # once the quotient fan is kept, relevance and the GIT subfans' fan
+        # axioms and flip verdicts are mask operations
+        chart_quotient_fan()
+        runs = []
+        real = polyhedra._solve_hrep
+        monkeypatch.setattr(polyhedra, "_solve_hrep", lambda *a: runs.append(a) or real(*a))
+        relevant_pairs()
+        git_subfans()
+        assert runs == []
 
     def test_identity_projection_returns_input(self):
         fan = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}])
@@ -397,10 +410,21 @@ def reference_relevant_pairs(fan, proj) -> list[dict]:
                     {
                         "cone": tuple(sorted(s1)),
                         "companion": tuple(sorted(s2)),
-                        "intersection_rays": meet.rays,
+                        "meet": meet,
                     }
                 )
     return out
+
+
+def meet_rays(meet: int) -> tuple:
+    """The quotient-fan rays in a meet mask of `relevant_pairs`."""
+    return tuple(r for i, r in enumerate(chart_quotient_fan().rays) if meet >> i & 1)
+
+
+def reference_subfans() -> dict:
+    """The projections of the plus, minus and zero subfans as Fans, checked by DD meets: the reference."""
+    projected = dict(chart_projected_faces())
+    return {name: _fan_of(3, [projected[s] for s in _orthant_subfan(name)]) for name in ("plus", "minus", "zero")}
 
 
 def reference_certify_refinement(cones, fan) -> None:
@@ -452,8 +476,13 @@ def random_cone(rng, fan):
 class TestRelevance:
     def test_mask_rule_matches_pairwise_intersections(self):
         pairs = relevant_pairs()
+        want = reference_relevant_pairs(source_data(), COKERNEL_MATRIX)
         assert len(pairs) == 1373
-        assert pairs == reference_relevant_pairs(source_data(), COKERNEL_MATRIX)
+        assert [(p["cone"], p["companion"]) for p in pairs] == [(w["cone"], w["companion"]) for w in want]
+        # each meet is the cone spanned by the fan rays its mask holds
+        meets = {m: Cone.from_rays(3, meet_rays(m)) for m in {p["meet"] for p in pairs}}
+        assert [meets[p["meet"]] for p in pairs] == [w["meet"] for w in want]
+        assert sum(bool(w["meet"].lineality) for w in want) == 100
 
     @staticmethod
     def _projected_cones():
@@ -469,7 +498,7 @@ class TestRelevance:
     def test_certificate_rejects_a_coarser_fan(self):
         # the plus subfan is complete, but projected cones cut its cones;
         # the certificate and the DD reference reject the same ones
-        plus = git_subfans()["fans"]["plus"]
+        plus = reference_subfans()["plus"]
         rejected = []
         for c in self._projected_cones():
             try:
@@ -531,14 +560,14 @@ class TestRelevance:
         rec = next(
             p for p in pairs if p["cone"] == (2, 4) and p["companion"] == (0, 3)
         )
-        assert rec["intersection_rays"] == ((0, 0, -1),)
+        assert meet_rays(rec["meet"]) == ((0, 0, -1),)
 
     def test_a1_b1_meet_in_rho0(self):
         pairs = relevant_pairs()
         rec = next(
             p for p in pairs if p["cone"] == (1, 4) and p["companion"] == (0,)
         )
-        assert rec["intersection_rays"] == ((-1, 0, -1),)
+        assert meet_rays(rec["meet"]) == ((-1, 0, -1),)
 
     def test_rho6_unique_non_projected(self):
         fan = chart_quotient_fan()
@@ -558,14 +587,14 @@ def reference_common_refinement(fan_a, fan_b) -> set[Cone]:
     return {meet for meet in meets if meet.dim == fan_a.ambient_dim}
 
 
-def reference_git_verdicts(rep) -> dict:
-    """The refinement, flip and wall verdicts of a git_subfans report, by DD: the reference."""
-    plus, minus = rep["fans"]["plus"].cones, rep["fans"]["minus"].cones
+def reference_git_verdicts(fans) -> dict:
+    """The refinement, flip and wall verdicts of the plus and minus subfans, by DD: the reference."""
+    plus, minus = fans["plus"].cones, fans["minus"].cones
     only_plus = [c for c in plus if c not in minus]
     only_minus = [c for c in minus if c not in plus]
     flip_base = dict(chart_projected_faces())[FLIP_SOURCE_FACE]
     return {
-        "refinement_equals_quotient": reference_common_refinement(rep["fans"]["plus"], rep["fans"]["minus"])
+        "refinement_equals_quotient": reference_common_refinement(fans["plus"], fans["minus"])
         == set(chart_quotient_fan().cones),
         "local_flip_over_projected_face": all(
             Cone.from_rays(3, [r for c in side for r in c.rays]) == flip_base for side in (only_plus, only_minus)
@@ -578,7 +607,7 @@ def reference_git_verdicts(rep) -> dict:
 class TestGitSubfans:
     def test_mask_verdicts_match_double_description(self):
         rep = git_subfans()
-        want = reference_git_verdicts(rep)
+        want = reference_git_verdicts(reference_subfans())
         assert want == {k: rep[k] for k in want}
         assert all(want.values())
 
@@ -589,7 +618,7 @@ class TestGitSubfans:
         # DD reference does
         monkeypatch.setitem(quotientfan.SUBFAN_EXCLUSIONS, "minus", quotientfan.SUBFAN_EXCLUSIONS[name])
         rep = git_subfans()
-        want = reference_git_verdicts(rep)
+        want = reference_git_verdicts(reference_subfans())
         assert want == {k: rep[k] for k in want}
         assert not any(want.values())
 
@@ -602,10 +631,45 @@ class TestGitSubfans:
         assert rep["modified_locus_is_extra_ray_divisor"]
 
     def test_zero_fan_has_six_maximal_cones(self):
-        rep = git_subfans()
-        assert len(rep["fans"]["zero"].maximal_cones) == 6
-        assert len(rep["fans"]["plus"].maximal_cones) == 8
-        assert len(rep["fans"]["minus"].maximal_cones) == 8
+        fans = reference_subfans()
+        assert len(fans["zero"].maximal_cones) == 6
+        assert len(fans["plus"].maximal_cones) == 8
+        assert len(fans["minus"].maximal_cones) == 8
+
+    def test_mask_fan_axioms_match_double_description(self, monkeypatch):
+        # zero subfans excluding random edges and GIT triangles: a subfan
+        # projects bijectively to a fan when each maximal face keeps one
+        # dimension per ray and the Fan of the projected cones passes the DD
+        # fan axioms; the non-fans with simplicial projections are the ones
+        # the mask closure rule alone decides
+        projected = dict(chart_projected_faces())
+        pool = [set(e) for e in combinations(range(6), 2)] + [{0, 2, 5}, {0, 3, 5}, {2, 4, 5}]
+        rng = random.Random(30)
+        kinds = {}
+        for _ in range(200):
+            monkeypatch.setitem(quotientfan.SUBFAN_EXCLUSIONS, "zero", tuple(e for e in pool if rng.random() < 0.5))
+            faces = tuple(_orthant_subfan("zero"))
+            if faces in kinds:
+                continue
+            simplicial = all(projected[s].dim == len(s) for s in faces)
+            try:
+                _fan_of(3, [projected[s] for s in faces])
+                kinds[faces] = "fan" if simplicial else "not simplicial"
+            except ValueError:
+                kinds[faces] = "simplicial, no fan" if simplicial else "not simplicial"
+            assert git_subfans()["bijective"]["zero"] == (kinds[faces] == "fan"), faces
+        assert Counter(kinds.values()) == {"fan": 31, "not simplicial": 83, "simplicial, no fan": 86}
+
+    def test_a_zero_subfan_that_is_not_a_fan_reads_false(self, monkeypatch):
+        # six simplicial faces whose projections meet off a common face: the
+        # verdict reads False where the Fan of the projected cones raises
+        monkeypatch.setitem(quotientfan.SUBFAN_EXCLUSIONS, "zero", ({1, 2}, {1, 4}, {2, 4}, {2, 4, 5}, {3, 5}))
+        faces = _orthant_subfan("zero")
+        projected = dict(chart_projected_faces())
+        assert len(faces) == 6 and all(projected[s].dim == len(s) for s in faces)
+        with pytest.raises(ValueError, match="do not meet in a common face"):
+            reference_subfans()
+        assert git_subfans()["bijective"] == {"plus": True, "minus": True, "zero": False}
 
 
 class TestClassGroup:

@@ -125,6 +125,14 @@ def test_fan_covers_are_proved_in_one_place():
     assert len(definitions) == 1 and definitions[0].startswith("polyhedra.py:")
 
 
+def test_projected_cones_make_one_fan():
+    # the quotient fan is the one Fan made from projected cones: the GIT
+    # subfans' fan axioms are read off its ray masks, with no second Fan
+    readers, definitions = _uses("_fan_of")
+    assert readers == ["quotientfan.py:_chamber_fan"]
+    assert len(definitions) == 1 and definitions[0].startswith("quotientfan.py:")
+
+
 def test_cones_meet_by_double_description_in_one_place():
     # the fan axioms are the one check that meets cones by DD; the quotient
     # fan's analyses read meets off ray masks instead

@@ -26,7 +26,8 @@ independent route: an all-integer simplex, pivoting with one common
 denominator (Edmonds' integer pivoting) by Dantzig's rule, and by Bland's
 after a degenerate pivot, whose verdicts carry certificates.  A fan keeps
 the cone of each maximal cone and checks itself: the fan axioms are checked
-exactly, once, when a Fan is made.
+exactly, once, when a Fan is made, each pair of cones by a separating
+functional that dot products re-check.
 """
 
 from __future__ import annotations
@@ -384,27 +385,6 @@ def dual_cone(c: Cone) -> Cone:
     """Swap the ray and facet descriptions and transpose the incidence; an exact involution."""
     incidence = tuple(_transpose(c.incidence, len(c.facets)))
     return Cone(c.ambient_dim, c.facets, c.equations, c.rays, c.lineality, incidence)
-
-
-def intersect_cones(a: Cone, b: Cone) -> Cone:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Cone.from_inequalities(
-        a.ambient_dim, a.facets + b.facets, a.equations + b.equations
-    )
-
-
-def is_face(f: Cone, c: Cone) -> bool:
-    """Exact test that f equals c cut by some supporting hyperplane.
-
-    The cone itself and (for pointed cones) the zero cone count as faces.
-    Raises if f is not even a subset of c.
-    """
-    if not c.contains_cone(f):
-        raise ValueError("first cone is not contained in the second")
-    tight = sum(1 << h for h, n in enumerate(c.facets) if all(dot(n, r) == 0 for r in f.rays))
-    generated_rays = tuple(r for r, m in zip(c.rays, c.incidence) if m & tight == tight)
-    return generated_rays == f.rays and f.lineality == c.lineality
 
 
 # ---------------------------------------------------------------------------
@@ -797,25 +777,32 @@ def make_fan(ambient_dim: int, rays, maximal_cones) -> Fan:
 def check_fan(fan: Fan) -> None:
     """Exact fan axioms, on the cones the fan keeps.
 
-    Each cone is pointed and spanned by its listed rays, none lies in
-    another, and any two meet in a common face.
+    Each cone is pointed and spanned by its listed rays, and none lies in
+    another.  Two such cones s and t then meet in the common face spanned
+    by their shared rays exactly when some functional h is positive on the
+    rays only s has, zero on the shared rays and negative on the rays only
+    t has (the Separation Lemma; Cox, Little & Schenck, Toric Varieties,
+    Lemma 1.2.13).  Those h form the relative interior of the cone
+    {h : h.r >= 0 on the rays of s, h.r <= 0 on the rays of t}, so the sum
+    of its rays is such an h whenever there is one: one DD per pair finds
+    it, and dot products check it.
     """
-    cones = fan.cones
-    for s, c in zip(fan.maximal_cones, cones, strict=True):
+    for s, c in zip(fan.maximal_cones, fan.cones, strict=True):
         if c.lineality or c.rays != tuple(sorted(fan.rays[k] for k in s)):
             raise ValueError(f"cone {sorted(s)} is not pointed or has non-extremal generators")
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            if fan.maximal_cones[i] <= fan.maximal_cones[j] or fan.maximal_cones[
-                j
-            ] <= fan.maximal_cones[i]:
+    for i, s in enumerate(fan.maximal_cones):
+        for t in fan.maximal_cones[i + 1 :]:
+            if s <= t or t <= s:
                 raise ValueError("maximal cone contained in another")
-            meet = intersect_cones(cones[i], cones[j])
-            if not (is_face(meet, cones[i]) and is_face(meet, cones[j])):
-                raise ValueError(
-                    f"cones {sorted(fan.maximal_cones[i])} and "
-                    f"{sorted(fan.maximal_cones[j])} do not meet in a common face"
-                )
+            rows = [fan.rays[k] for k in s] + [tuple(-x for x in fan.rays[k]) for k in t]
+            separation = Cone.from_inequalities(fan.ambient_dim, rows)
+            h = [sum(r[x] for r in separation.rays) for x in range(fan.ambient_dim)]
+            if not (
+                all(dot(h, fan.rays[k]) > 0 for k in s - t)
+                and all(dot(h, fan.rays[k]) == 0 for k in s & t)
+                and all(dot(h, fan.rays[k]) < 0 for k in t - s)
+            ):
+                raise ValueError(f"cones {sorted(s)} and {sorted(t)} do not meet in a common face")
 
 
 def fan_face_index_sets(fan: Fan) -> dict[frozenset[int], int]:

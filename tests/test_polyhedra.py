@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tilefold import polyhedra
 from tilefold.cli import EXPECTED_MORI_FVECTOR
@@ -37,9 +37,7 @@ from tilefold.polyhedra import (
     fan_from_text,
     fan_is_smooth,
     fan_to_text,
-    intersect_cones,
     is_complete_fan,
-    is_face,
     lp_in_cone,
     make_fan,
     polytope_from_inequalities,
@@ -461,6 +459,65 @@ def tight_sets(rays, facets) -> tuple[int, ...]:
     )
 
 
+def reference_intersect_cones(a: Cone, b: Cone) -> Cone:
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return Cone.from_inequalities(
+        a.ambient_dim, a.facets + b.facets, a.equations + b.equations
+    )
+
+
+def reference_is_face(f: Cone, c: Cone) -> bool:
+    """Exact test that f equals c cut by some supporting hyperplane.
+
+    The cone itself and (for pointed cones) the zero cone count as faces.
+    Raises if f is not even a subset of c.
+    """
+    if not c.contains_cone(f):
+        raise ValueError("first cone is not contained in the second")
+    tight = sum(1 << h for h, n in enumerate(c.facets) if all(dot(n, r) == 0 for r in f.rays))
+    generated_rays = tuple(r for r, m in zip(c.rays, c.incidence) if m & tight == tight)
+    return generated_rays == f.rays and f.lineality == c.lineality
+
+
+def reference_fan_axioms(fan) -> bool:
+    """Whether no maximal cone lies in another and any two meet in a common face, by DD meets: the reference."""
+    for (s, a), (t, b) in itertools.combinations(zip(fan.maximal_cones, fan.cones), 2):
+        if s <= t or t <= s:
+            return False
+        meet = reference_intersect_cones(a, b)
+        if not (reference_is_face(meet, a) and reference_is_face(meet, b)):
+            return False
+    return True
+
+
+def unchecked_fan(build, *args) -> Fan:
+    """build(*args) with the Fan's own axiom check switched off, for the reference to judge."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(polyhedra, "check_fan", lambda fan: None)
+        return build(*args)
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two pointed cones on a pool of 8 primitive vectors in R^d, d = 2..4.
+
+    Each cone is spanned by up to d + 1 pool vectors and listed by the pool
+    indices of its extremal rays, so it may be lower-dimensional or not
+    simplicial.
+    """
+    d = draw(st.integers(2, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * d).filter(any).map(primitive_vector)
+    pool = draw(st.lists(vector, min_size=8, max_size=8, unique=True))
+    pair = []
+    for _ in range(2):
+        picks = draw(st.lists(st.integers(0, 7), min_size=1, max_size=d + 1, unique=True))
+        cone = Cone.from_rays(d, [pool[i] for i in picks])
+        assume(cone.is_pointed())
+        pair.append({pool.index(r) for r in cone.rays})
+    return d, pool, pair
+
+
 # cone over the square with vertices (+-1, +-1); its rays sort as
 # (-1,-1), (-1,1), (1,-1), (1,1)
 SQUARE = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
@@ -502,7 +559,7 @@ class TestCones:
         a = Cone.from_rays(2, [(1, 0)])
         b = Cone.from_rays(3, [(1, 0, 0)])
         with pytest.raises(ValueError):
-            intersect_cones(a, b)
+            reference_intersect_cones(a, b)
 
     def test_lp_rejects_generator_of_wrong_length(self):
         # a longer generator used to be cut to the point's length, a shorter
@@ -513,7 +570,7 @@ class TestCones:
 
     def test_intersection_idempotent(self):
         c = Cone.from_rays(3, [(1, 0, 0), (1, 1, 0), (1, 1, 1)])
-        assert intersect_cones(c, c) == c
+        assert reference_intersect_cones(c, c) == c
 
     @settings(max_examples=120, deadline=None)
     @given(vectors3)
@@ -729,27 +786,27 @@ class TestFaces:
     def test_zero_cone_is_face_of_pointed(self):
         zero = Cone.from_rays(3, [])
         orthant = Cone.from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert is_face(zero, orthant)
+        assert reference_is_face(zero, orthant)
 
     def test_interior_ray_is_not_a_face(self):
         big = Cone.from_rays(3, [(-1, -1, -1), (0, 1, 0)])
         inner = Cone.from_rays(3, [(-1, 0, -1)])  # the sum of the rays
         assert big.contains((-1, 0, -1))
-        assert not is_face(inner, big)
+        assert not reference_is_face(inner, big)
 
     def test_generating_ray_is_a_face(self):
         big = Cone.from_rays(3, [(-1, -1, -1), (0, 1, 0)])
-        assert is_face(Cone.from_rays(3, [(-1, -1, -1)]), big)
+        assert reference_is_face(Cone.from_rays(3, [(-1, -1, -1)]), big)
 
     def test_not_contained_raises(self):
         orthant = Cone.from_rays(2, [(1, 0), (0, 1)])
         outside = Cone.from_rays(2, [(-1, 0)])
         with pytest.raises(ValueError):
-            is_face(outside, orthant)
+            reference_is_face(outside, orthant)
 
     def test_cone_is_its_own_face(self):
         c = Cone.from_rays(3, [(1, 0, 0), (1, 1, 0), (1, 1, 1)])
-        assert is_face(c, c)
+        assert reference_is_face(c, c)
 
 
 class TestFaceLattice:
@@ -1102,6 +1159,60 @@ class TestFans:
         # a generator inside the cone of the others
         with pytest.raises(ValueError, match="non-extremal"):
             make_fan(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}])
+        # a cone beside one of its own faces: the pair has a separating
+        # functional, so only the nesting clause rejects it
+        with pytest.raises(ValueError, match="contained in another"):
+            make_fan(2, [(1, 0), (0, 1)], [{0, 1}, {0}])
+
+    @pytest.mark.parametrize(
+        "witness",
+        [[], [(1, 0), (0, 1)], [(1, -1)], [(1, -2)], [(1, 1), (-1, 1), (1, -1)]],
+        ids=["zero", "orthant", "ray", "skew", "halfplane"],
+    )
+    def test_an_acceptance_rests_on_the_checked_witness(self, monkeypatch, witness):
+        # whatever cone the separation DD returns, check_fan accepts a pair
+        # only when the sum of its rays passes the dot products, and no
+        # functional separates two overlapping cones; in the second pair one
+        # cone holds the other and they share a ray, so the skew witness
+        # passes the strict signs and only its zero on the shared ray fails
+        cone = Cone.from_rays(2, witness)
+        monkeypatch.setattr(Cone, "from_inequalities", staticmethod(lambda *a: cone))
+        with pytest.raises(ValueError, match="common face"):
+            make_fan(2, [(1, 0), (0, 1), (1, 1), (-1, 1)], [{0, 1}, {2, 3}])
+        with pytest.raises(ValueError, match="common face"):
+            make_fan(2, [(1, 0), (0, 1), (1, 1)], [{0, 1}, {1, 2}])
+
+    def test_separation_matches_the_double_description_meet(self):
+        # random pairs of pointed cones: a Fan accepts the pair exactly when
+        # the DD meet is a face of both.  The first examples lie in the plane
+        # z = 0 of R^3, where the separation cone has lineality, one a fan
+        # and one not.  In the last two a cone over a square shares a
+        # diagonal with a cone off its span, once as the first cone of the
+        # pair and once as the second: only the square's own rays are
+        # forced to zero, so each sign test is needed
+        seen = set()
+        plane = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 1, 0), (-1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]
+        square = [(1, 0, 1, 0), (-1, 0, 1, 0), (0, 1, 1, 0), (0, -1, 1, 0)]
+        others = [(0, 0, 0, 1), (1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0)]
+
+        @settings(max_examples=150, deadline=None)
+        @given(cone_pairs())
+        @example((3, plane, [{0, 1}, {1, 2}]))
+        @example((3, plane, [{0, 1}, {3, 4}]))
+        @example((4, square + others, [{0, 1, 2, 3}, {0, 1, 4}]))
+        @example((4, others + square, [{0, 4, 5}, {4, 5, 6, 7}]))
+        def agree(pair):
+            d, pool, (s, t) = pair
+            try:
+                make_fan(d, pool, [s, t])
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == reference_fan_axioms(unchecked_fan(make_fan, d, pool, [s, t]))
+            seen.add(accepted)
+
+        agree()
+        assert seen == {True, False}
 
     def test_a_fan_made_directly_checks_itself(self):
         a = Cone.from_rays(2, [(1, 0), (0, 1)])

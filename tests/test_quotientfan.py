@@ -15,9 +15,7 @@ from tilefold.exactlat import dot, mat_mul, mat_vec, primitive_vector, smith_inv
 from tilefold.polyhedra import (
     Cone,
     fan_face_index_sets,
-    intersect_cones,
     is_complete_fan,
-    is_face,
     lp_in_cone,
     make_fan,
     uncovered_cone,
@@ -47,6 +45,13 @@ from tilefold.quotientfan import (
     relevant_pairs,
     source_data,
     verify_quotient_fan,
+)
+
+from test_polyhedra import (  # the tests' DD meet reference
+    reference_fan_axioms,
+    reference_intersect_cones,
+    reference_is_face,
+    unchecked_fan,
 )
 
 
@@ -262,9 +267,10 @@ class TestQuotientFan:
 
     def test_cold_fan_section_double_description_budget(self, monkeypatch):
         # each chamber is split from its parent's facets, by walls that can
-        # separate generic points, and the relevance analysis and the GIT
-        # subfans read every verdict off ray masks: 185 double descriptions
-        # in all
+        # separate generic points, the relevance analysis and the GIT
+        # subfans read every verdict off ray masks, and the fan axioms run
+        # one separation DD per pair of maximal cones: 185 double
+        # descriptions in all
         runs = []
         real = polyhedra._solve_hrep
         monkeypatch.setattr(polyhedra, "_solve_hrep", lambda *a: runs.append(a) or real(*a))
@@ -403,9 +409,9 @@ def reference_relevant_pairs(fan, proj) -> list[dict]:
             ckey = (c1.key(), c2.key())
             meet = meet_cache.get(ckey)
             if meet is None:
-                meet = intersect_cones(c1, c2)
+                meet = reference_intersect_cones(c1, c2)
                 meet_cache[ckey] = meet
-            if not is_face(meet, c1):
+            if not reference_is_face(meet, c1):
                 out.append(
                     {
                         "cone": tuple(sorted(s1)),
@@ -440,8 +446,8 @@ def reference_certify_refinement(cones, fan) -> None:
             # a nested pair meets in the smaller cone: no intersection DD
             if c.contains_cone(sigma):
                 continue
-            meet = c if sigma.contains_cone(c) else intersect_cones(c, sigma)
-            if not is_face(meet, sigma):
+            meet = c if sigma.contains_cone(c) else reference_intersect_cones(c, sigma)
+            if not reference_is_face(meet, sigma):
                 raise RuntimeError(f"cone {c.rays} meets fan cone {sorted(s)} in a non-face")
 
 
@@ -583,7 +589,7 @@ class TestRelevance:
 
 def reference_common_refinement(fan_a, fan_b) -> set[Cone]:
     """The full-dimensional cones of the common refinement of two fans with equal support, by DD: the reference."""
-    meets = (intersect_cones(ca, cb) for ca in fan_a.cones for cb in fan_b.cones)
+    meets = (reference_intersect_cones(ca, cb) for ca in fan_a.cones for cb in fan_b.cones)
     return {meet for meet in meets if meet.dim == fan_a.ambient_dim}
 
 
@@ -600,7 +606,7 @@ def reference_git_verdicts(fans) -> dict:
             Cone.from_rays(3, [r for c in side for r in c.rays]) == flip_base for side in (only_plus, only_minus)
         ),
         "exchanged_walls_meet_in_extra_ray": len(only_plus) == len(only_minus) == 2
-        and reduce(intersect_cones, only_plus + only_minus).rays == (QUOTIENT_RAYS[6],),
+        and reduce(reference_intersect_cones, only_plus + only_minus).rays == (QUOTIENT_RAYS[6],),
     }
 
 
@@ -639,9 +645,10 @@ class TestGitSubfans:
     def test_mask_fan_axioms_match_double_description(self, monkeypatch):
         # zero subfans excluding random edges and GIT triangles: a subfan
         # projects bijectively to a fan when each maximal face keeps one
-        # dimension per ray and the Fan of the projected cones passes the DD
-        # fan axioms; the non-fans with simplicial projections are the ones
-        # the mask closure rule alone decides
+        # dimension per ray and the Fan of the projected cones passes the
+        # fan axioms, whose verdict the DD meet reference shares; the
+        # non-fans with simplicial projections are the ones the mask closure
+        # rule alone decides
         projected = dict(chart_projected_faces())
         pool = [set(e) for e in combinations(range(6), 2)] + [{0, 2, 5}, {0, 3, 5}, {2, 4, 5}]
         rng = random.Random(30)
@@ -652,11 +659,14 @@ class TestGitSubfans:
             if faces in kinds:
                 continue
             simplicial = all(projected[s].dim == len(s) for s in faces)
+            cones = [projected[s] for s in faces]
             try:
-                _fan_of(3, [projected[s] for s in faces])
-                kinds[faces] = "fan" if simplicial else "not simplicial"
+                _fan_of(3, cones)
+                accepted = True
             except ValueError:
-                kinds[faces] = "simplicial, no fan" if simplicial else "not simplicial"
+                accepted = False
+            assert reference_fan_axioms(unchecked_fan(_fan_of, 3, cones)) == accepted, faces
+            kinds[faces] = ("fan" if accepted else "simplicial, no fan") if simplicial else "not simplicial"
             assert git_subfans()["bijective"]["zero"] == (kinds[faces] == "fan"), faces
         assert Counter(kinds.values()) == {"fan": 31, "not simplicial": 83, "simplicial, no fan": 86}
 

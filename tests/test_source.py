@@ -133,13 +133,13 @@ def test_projected_cones_make_one_fan():
     assert len(definitions) == 1 and definitions[0].startswith("quotientfan.py:")
 
 
-def test_cones_meet_by_double_description_in_one_place():
-    # the fan axioms are the one check that meets cones by DD; the quotient
-    # fan's analyses read meets off ray masks instead
+def test_no_cone_meets_or_face_tests_in_the_package():
+    # the fan axioms decide each pair of cones by a separating functional
+    # that dot products check, and the quotient fan's analyses read meets
+    # off ray masks: no DD meet or face test is left, and the tests keep
+    # both as their reference
     for name in ("intersect_cones", "is_face"):
-        readers, definitions = _uses(name)
-        assert set(readers) == {"polyhedra.py:check_fan"}, name
-        assert len(definitions) == 1 and definitions[0].startswith("polyhedra.py:")
+        assert _uses(name) == ([], []), name
 
 
 def test_rationals_stay_in_the_lineality_projection():

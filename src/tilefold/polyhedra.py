@@ -890,7 +890,12 @@ def fan_from_text(text: str) -> Fan:
     except ValueError:
         raise ValueError("fan text must contain a CONES block") from None
     rays = [tuple(map(int, ln.split())) for ln in lines[1:split]]
-    cones = [frozenset(map(int, ln.split())) for ln in lines[split + 1 :]]
+    cones = []
+    for ln in lines[split + 1 :]:
+        cone = frozenset(map(int, ln.split()))
+        if len(cone) != len(ln.split()) or cone in cones:
+            raise ValueError(f"cone line {ln!r} repeats a ray index or an earlier cone")
+        cones.append(cone)
     if not rays:
         raise ValueError("cannot infer ambient dimension")
     return make_fan(len(rays[0]), rays, cones)

@@ -1,21 +1,22 @@
 """The order-48 tile group: label action and birational self-maps of P^3.
 
 The group is S4 extended by an involution `tau` (octahedral symmetry).  It
-acts on the 20 boundary labels and, through explicit rational maps in the
-coordinates x0..x3, by birational transformations of P^3.  The pointwise
-derivation pipeline (matrix exponential, LU factorization, matrix logarithm,
-torus gauge fixing, coordinate change) recomputes the generators from the
-nilpotent chart and is checked against the closed forms on random samples.
+acts on the 20 boundary labels and, through the four functions of
+`GENERATOR_MAPS` in the coordinates x0..x3, by birational transformations
+of P^3.  The pointwise derivation pipeline (matrix exponential, LU
+factorization, matrix logarithm, torus gauge fixing, coordinate change)
+recomputes the generators from the nilpotent chart and is checked against
+the closed forms on random samples.
 
-Integer arithmetic throughout: the maps are evaluated at the primitive
-integer representative of a point (their components are homogeneous of one
-degree), so polynomial evaluation, renormalization, the subvariety equations
-and the coordinate change run on plain ints.  The derivation is
-fraction-free as well: it forms 6 exp(n) for the integer chart matrix n,
-reads the lower factor I + N/D off `exactlat.echelon`, and forms
-6D^3 log(I + N/D); exponential and logarithm form the powers of a strictly
-lower triangular matrix from their subdiagonal terms alone.  Points and
-chart coordinates are integer vectors, and any other entry raises TypeError.
+Integer arithmetic throughout: a map is called on the primitive integer
+representative of a point (its components are homogeneous of one degree),
+so the maps, renormalization, the subvariety equations and the coordinate
+change run on plain ints.  The derivation is fraction-free as well: it
+forms 6 exp(n) for the integer chart matrix n, reads the lower factor
+I + N/D off `exactlat.echelon`, and forms 6D^3 log(I + N/D); exponential
+and logarithm form the powers of a strictly lower triangular matrix from
+their subdiagonal terms alone.  Points and chart coordinates are integer
+vectors, and any other entry raises TypeError.
 """
 
 from __future__ import annotations
@@ -177,85 +178,32 @@ def action_is_faithful() -> bool:
 # ---------------------------------------------------------------------------
 # rational maps in the x-coordinates
 
-# monomial representation: tuple of (coefficient, exponent 4-tuple)
-Poly = tuple[tuple[int, tuple[int, int, int, int]], ...]
-
-
-def _linear_poly(row) -> Poly:
-    return tuple(
-        (c, tuple(1 if k == j else 0 for k in range(4)))
-        for j, c in enumerate(row)
-        if c
-    )
-
-
-def poly_eval(poly: Poly, p):
-    total = 0
-    for coeff, exps in poly:
-        for x, e in zip(p, exps):
-            if e:
-                coeff *= x**e
-        total += coeff
-    return total
-
-
-@dataclass(frozen=True)
-class RationalMap:
-    """Four coprime homogeneous polynomials of a common degree."""
-
-    components: tuple[Poly, Poly, Poly, Poly]
-    name: str = ""
-
-    def __post_init__(self):
-        # evaluate() rescales points, which needs one common degree
-        exps = [e for c in self.components for _, e in c]
-        if (
-            len(self.components) != 4
-            or any(len(e) != 4 for e in exps)
-            or len({sum(e) for e in exps}) != 1
-        ):
-            raise ValueError(f"map {self.name!r} needs four homogeneous components of one degree")
-
-
-R1_MATRIX = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-R3_MATRIX = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
-TAU_MATRIX = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
-
-R2_COMPONENTS: tuple[Poly, ...] = (
-    # (x1 - x0)(x2 - x0)
-    (
-        (1, (0, 1, 1, 0)),
-        (-1, (1, 1, 0, 0)),
-        (-1, (1, 0, 1, 0)),
-        (1, (2, 0, 0, 0)),
+# Each generator as its four components in plain arithmetic, so a map takes
+# ints or any polynomial type alike.  r1, r3 and tau permute coordinates
+# (degree 1); r2 is a quadratic involution (degree 2).
+GENERATOR_MAPS = {
+    "r1": lambda x0, x1, x2, x3: (x1, x0, x3, x2),
+    "r2": lambda x0, x1, x2, x3: (
+        (x1 - x0) * (x2 - x0),
+        x1 * (x2 - x0),
+        x2 * (x1 - x0),
+        x1 * x2 - x0 * x3,
     ),
-    # x1 (x2 - x0)
-    ((1, (0, 1, 1, 0)), (-1, (1, 1, 0, 0))),
-    # x2 (x1 - x0)
-    ((1, (0, 1, 1, 0)), (-1, (1, 0, 1, 0))),
-    # x1 x2 - x0 x3
-    ((1, (0, 1, 1, 0)), (-1, (1, 0, 0, 1))),
-)
-
-
-_GENERATOR_MAPS = {
-    name: RationalMap(tuple(_linear_poly(r) for r in matrix), name)
-    for name, matrix in (("r1", R1_MATRIX), ("r3", R3_MATRIX), ("tau", TAU_MATRIX))
+    "r3": lambda x0, x1, x2, x3: (x2, x3, x0, x1),
+    "tau": lambda x0, x1, x2, x3: (x0, x2, x1, x3),
 }
-_GENERATOR_MAPS["r2"] = RationalMap(R2_COMPONENTS, "r2")
-
-
-def generator_map(name: str) -> RationalMap:
-    return _GENERATOR_MAPS[name]
 
 
 def normalize_point(p) -> tuple[int, ...]:
-    """Canonical projective representative of an integer point.
+    """Canonical projective representative of an integer point of P^3.
 
     The point is divided by the gcd of its entries, with the sign of its
     first nonzero entry, so the result is primitive with that entry
-    positive.  An entry that is not an int raises TypeError from the gcd.
+    positive.  A point without four entries raises ValueError, and an entry
+    that is not an int raises TypeError from the gcd.
     """
+    if len(p) != 4:
+        raise ValueError(f"point {tuple(p)} of P^3 needs four entries")
     g = gcd(*p)
     if not g:
         raise ValueError("zero vector is not a projective point")
@@ -264,18 +212,19 @@ def normalize_point(p) -> tuple[int, ...]:
     return tuple([x // g for x in p])
 
 
-def evaluate(m: RationalMap, p) -> tuple[int, ...]:
-    """Evaluate and renormalize; raises BasePointError when all components vanish.
+def evaluate(m, p) -> tuple[int, ...]:
+    """Evaluate a map such as a GENERATOR_MAPS value and renormalize.
 
-    The components are homogeneous of one degree, so the map is evaluated at
-    the primitive integer representative of p, in integer arithmetic.
+    m takes x0..x3 and returns four components, homogeneous of one degree,
+    so it is called on the primitive integer representative of p, in integer
+    arithmetic.  Raises BasePointError when all components vanish.
     """
     return _evaluate_normalized(m, normalize_point(p))
 
 
-def _evaluate_normalized(m: RationalMap, p: tuple[int, ...]) -> tuple[int, ...]:
+def _evaluate_normalized(m, p: tuple[int, ...]) -> tuple[int, ...]:
     """`evaluate` at a point that is already a normalize_point output."""
-    image = tuple(poly_eval(c, p) for c in m.components)
+    image = m(*p)
     if not any(image):
         raise BasePointError(p)
     return normalize_point(image)
@@ -289,7 +238,7 @@ def evaluate_word(names, p) -> tuple[int, ...]:
     """
     q = normalize_point(p)
     for name in reversed(names):
-        q = _evaluate_normalized(generator_map(name), q)
+        q = _evaluate_normalized(GENERATOR_MAPS[name], q)
     return q
 
 
@@ -422,7 +371,7 @@ def _sample_until(samples: int, draw, skip) -> tuple[int, int]:
 def derivation_agreement(name: str, samples: int = 100, seed: int = 0) -> dict:
     """Check the derivation pipeline against the closed form on random samples."""
     rng = random.Random(seed)
-    gen = generator_map(name)
+    gen = GENERATOR_MAPS[name]
 
     def draw():
         y = tuple(rng.randint(-20, 20) for _ in range(3))
@@ -486,10 +435,10 @@ def sample_point(sub: Subvariety, rng: random.Random) -> tuple[int, ...]:
     raise RuntimeError("failed to sample a nonzero point")
 
 
-def verify_subvariety_image(
-    m: RationalMap, source: Subvariety, target: Subvariety, samples: int, rng
-) -> dict:
-    """Sampled check that m maps the source into the target.
+def verify_subvariety_image(m, source: Subvariety, target: Subvariety, samples: int, rng) -> dict:
+    """Sampled check that the map m maps the source into the target.
+
+    m is a function of x0..x3 as in GENERATOR_MAPS, applied by `evaluate`.
 
     Base-locus hits are resampled (bounded retries); the verdict requires
     every surviving image to satisfy the target equations and at least one
@@ -604,7 +553,7 @@ def boundary_image_table(samples: int = 25, seed: int = 0) -> tuple[dict, dict]:
         if act_on_label(GENERATORS[gname], src) != dst:
             raise RuntimeError(f"{gname} does not send {src} to {dst}")
         rep = verify_subvariety_image(
-            generator_map(gname), TABLE1[src], TABLE1[dst], samples, rng
+            GENERATOR_MAPS[gname], TABLE1[src], TABLE1[dst], samples, rng
         )
         checks.append({"generator": gname, "source": src, "target": dst, **rep})
     covered = (

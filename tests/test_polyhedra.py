@@ -1272,6 +1272,15 @@ class TestFans:
         with pytest.raises(ValueError, match="cannot infer ambient dimension"):
             fan_from_text("RAYS\nCONES\n")
 
+    def test_text_rejects_repeated_cone_data(self):
+        # a repeated index or a repeated cone is malformed text, not a
+        # smaller cone or a single cone
+        text = "RAYS\n1 0\n0 1\nCONES\n"
+        fan_from_text(text + "0 1\n")
+        for cones, line in (("0 0 1\n", "0 0 1"), ("0 1\n1 0\n", "1 0"), ("0 1\n0 1\n", "0 1")):
+            with pytest.raises(ValueError, match=f"cone line '{line}' repeats"):
+                fan_from_text(text + cones)
+
     def test_rays_of_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length 2"):
             fan_from_text("RAYS\n1 0\n0 1 0\nCONES\n0\n1\n")

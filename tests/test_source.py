@@ -142,6 +142,13 @@ def test_no_cone_meets_or_face_tests_in_the_package():
         assert _uses(name) == ([], []), name
 
 
+def test_generator_maps_are_plain_functions():
+    # the four generators are functions of x0..x3 in tilegroup.GENERATOR_MAPS,
+    # called directly on ints: no polynomial encoding, evaluator or map class
+    for name in ("RationalMap", "poly_eval", "_linear_poly", "generator_map"):
+        assert _uses(name) == ([], []), name
+
+
 def test_rationals_stay_in_the_lineality_projection():
     # every other path takes and returns integer vectors: exactlat alone
     # imports fractions, for the rational solve that projects a ray off a

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from tilefold import tilegroup
 from tilefold.exactlat import mat_mul
 from tilefold.tilegroup import (
+    GENERATOR_MAPS,
     GENERATORS,
     IDENTITY,
     LABELS,
@@ -18,8 +19,6 @@ from tilefold.tilegroup import (
     TABLE1,
     BasePointError,
     DegenerateSampleError,
-    RationalMap,
-    _linear_poly,
     _lu_unipotent_lower,
     _nilpotent_series,
     _perm_inv,
@@ -31,8 +30,8 @@ from tilefold.tilegroup import (
     derivation_agreement,
     derive_generator_pointwise,
     evaluate,
+    evaluate_word,
     full_group,
-    generator_map,
     normalize_point,
     relations_hold_pointwise,
     sample_point,
@@ -122,30 +121,30 @@ class TestLabelAction:
 
 class TestRationalMaps:
     def test_r1_swaps_pairs(self):
-        m = generator_map("r1")
+        m = GENERATOR_MAPS["r1"]
         assert evaluate(m, (1, 2, 3, 4)) == (2, 1, 4, 3)
 
     def test_tau_swaps_middle(self):
-        m = generator_map("tau")
+        m = GENERATOR_MAPS["tau"]
         assert evaluate(m, (1, 2, 3, 4)) == (1, 3, 2, 4)
 
     def test_r2_worked_example(self):
-        m = generator_map("r2")
+        m = GENERATOR_MAPS["r2"]
         assert evaluate(m, (1, 2, 3, 5)) == (2, 4, 3, 1)
         assert evaluate(m, (2, 4, 3, 1)) == (1, 2, 3, 5)
 
     def test_r2_base_point(self):
         with pytest.raises(BasePointError):
-            evaluate(generator_map("r2"), (1, 1, 1, 1))
+            evaluate(GENERATOR_MAPS["r2"], (1, 1, 1, 1))
         # the error names the normalized point
         for p, point in (((-2, -2, -2, -2), (1, 1, 1, 1)), ((0, 0, -3, 6), (0, 0, 1, -2))):
             with pytest.raises(BasePointError) as exc:
-                evaluate(generator_map("r2"), p)
+                evaluate(GENERATOR_MAPS["r2"], p)
             assert exc.value.point == point
 
     def test_r2_base_conic(self):
         rng = random.Random(0)
-        m = generator_map("r2")
+        m = GENERATOR_MAPS["r2"]
         for _ in range(40):
             s, t = rng.randint(-20, 20), rng.randint(-20, 20)
             for p in ((0, 0, s, t), (0, s, 0, t)):
@@ -164,28 +163,33 @@ class TestRationalMaps:
             with pytest.raises(TypeError):
                 normalize_point(p)
             with pytest.raises(TypeError):
-                evaluate(generator_map("r1"), p)
+                evaluate(GENERATOR_MAPS["r1"], p)
 
-    def test_generator_maps_built_once(self):
-        for name in GENERATORS:
-            assert generator_map(name) is generator_map(name)
-            assert generator_map(name).name == name
+    def test_generator_maps_match_generators(self):
+        assert set(GENERATOR_MAPS) == set(GENERATORS)
         with pytest.raises(KeyError):
-            generator_map("r4")
+            GENERATOR_MAPS["r4"]
 
-    def test_map_needs_four_components_of_one_degree(self):
-        linear = tuple(_linear_poly(row) for row in (
-            (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-        ))
-        RationalMap(linear, "id")
-        quadric = ((1, (1, 0, 0, 1)), (-1, (0, 1, 1, 0)))
-        with pytest.raises(ValueError):
-            RationalMap((quadric,) + linear[1:], "mixed")
-        with pytest.raises(ValueError):
-            inhomogeneous = ((1, (2, 0, 0, 0)), (1, (0, 1, 0, 0)))
-            RationalMap((inhomogeneous,) + linear[1:], "inhomogeneous")
-        with pytest.raises(ValueError):
-            RationalMap(linear[:3], "three")
+    @pytest.mark.parametrize("name, degree", [("r1", 1), ("r2", 2), ("r3", 1), ("tau", 1)])
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[st.integers(-20, 20)] * 4), st.integers(-30, 30))
+    def test_map_is_homogeneous(self, name, degree, p, scale):
+        # evaluate rescales points, which needs four components of one degree
+        m = GENERATOR_MAPS[name]
+        scaled = m(*(scale * x for x in p))
+        assert len(scaled) == 4
+        assert scaled == tuple(scale**degree * x for x in m(*p))
+
+    def test_points_need_four_entries(self):
+        # a short point is not padded and a long one not truncated
+        for p in ((1, 2, 3), (1, 2, 3, 5, 7)):
+            for name in GENERATORS:
+                with pytest.raises(ValueError, match="four entries"):
+                    evaluate(GENERATOR_MAPS[name], p)
+            with pytest.raises(ValueError, match="four entries"):
+                evaluate_word(("r1", "r2"), p)
+            with pytest.raises(ValueError, match="four entries"):
+                evaluate_word((), p)
 
     @pytest.mark.parametrize("name", ["r1", "r2", "r3", "tau"])
     @settings(max_examples=60, deadline=None)
@@ -196,7 +200,7 @@ class TestRationalMaps:
     def test_evaluate_is_projective(self, name, p, scale):
         # evaluate works on the primitive representative of p, so every
         # nonzero integer multiple of p, negative too, gives the same result
-        m = generator_map(name)
+        m = GENERATOR_MAPS[name]
         scaled = tuple(scale * x for x in p)
         try:
             expected = evaluate(m, p)
@@ -211,9 +215,9 @@ class TestRationalMaps:
     def test_evaluate_rejects_zero_vector(self):
         for name in GENERATORS:
             with pytest.raises(ValueError, match="zero vector"):
-                evaluate(generator_map(name), (0, 0, 0, 0))
+                evaluate(GENERATOR_MAPS[name], (0, 0, 0, 0))
             with pytest.raises(TypeError):
-                evaluate(generator_map(name), (0, Fraction(0), 0, 0))
+                evaluate(GENERATOR_MAPS[name], (0, Fraction(0), 0, 0))
 
     def test_relations_as_maps(self):
         rep = relations_hold_pointwise(samples=30, seed=0)
@@ -316,7 +320,7 @@ class TestDerivation:
         q = lcm(*(v.denominator for v in y))
         try:
             expected = reference_derive(name, y)
-            closed = evaluate(generator_map(name), chart_point_to_x((q,) + tuple(int(q * v) for v in y)))
+            closed = evaluate(GENERATOR_MAPS[name], chart_point_to_x((q,) + tuple(int(q * v) for v in y)))
         except (DegenerateSampleError, BasePointError):
             return
         assert closed == expected
@@ -326,7 +330,7 @@ class TestDerivation:
         from tilefold.tilegroup import chart_point_to_x
 
         derived = derive_generator_pointwise("r1", y)
-        expected = evaluate(generator_map("r1"), chart_point_to_x((1,) + y))
+        expected = evaluate(GENERATOR_MAPS["r1"], chart_point_to_x((1,) + y))
         assert derived == expected
 
 
@@ -443,27 +447,27 @@ class TestSubvarieties:
     def test_identity_maps_variety_to_itself(self):
         rng = random.Random(0)
         sub = TABLE1["B0"]
-        rep = verify_subvariety_image(generator_map("r1"), sub, TABLE1["B1"], 10, rng)
+        rep = verify_subvariety_image(GENERATOR_MAPS["r1"], sub, TABLE1["B1"], 10, rng)
         assert rep["verified"]
 
     def test_r2_plane_to_line(self):
         rng = random.Random(0)
         rep = verify_subvariety_image(
-            generator_map("r2"), TABLE1["A2"], TABLE1["A1"], 20, rng
+            GENERATOR_MAPS["r2"], TABLE1["A2"], TABLE1["A1"], 20, rng
         )
         assert rep["verified"]
 
     def test_r2_quadric_to_plane(self):
         rng = random.Random(0)
         rep = verify_subvariety_image(
-            generator_map("r2"), TABLE1["C23"], TABLE1["C13"], 20, rng
+            GENERATOR_MAPS["r2"], TABLE1["C23"], TABLE1["C13"], 20, rng
         )
         assert rep["verified"]
 
     def test_wrong_target_fails(self):
         rng = random.Random(0)
         rep = verify_subvariety_image(
-            generator_map("r1"), TABLE1["A2"], TABLE1["A1"], 10, rng
+            GENERATOR_MAPS["r1"], TABLE1["A2"], TABLE1["A1"], 10, rng
         )
         assert not rep["verified"]
 
@@ -472,19 +476,13 @@ class TestSubvarieties:
         rng = random.Random(0)
         with pytest.raises(RuntimeError, match="budget"):
             verify_subvariety_image(
-                generator_map("r2"), TABLE1["A1"], TABLE1["A0"], 3, rng
+                GENERATOR_MAPS["r2"], TABLE1["A1"], TABLE1["A0"], 3, rng
             )
 
     def test_identity_map_fixes_every_variety(self):
-        identity = RationalMap(
-            tuple(_linear_poly(row) for row in (
-                (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-            )),
-            "id",
-        )
         rng = random.Random(0)
         for lab, sub in TABLE1.items():
-            rep = verify_subvariety_image(identity, sub, sub, 5, rng)
+            rep = verify_subvariety_image(lambda *x: x, sub, sub, 5, rng)
             assert rep["verified"], lab
 
 
@@ -513,13 +511,14 @@ class TestBoundaryImageTable:
         # computed exactly (transformed equations and points), and must be
         # the row of the acted label; this ties the whole table to the
         # abstract label action with no sampling involved
-        from tilefold.tilegroup import (
-            R1_MATRIX,
-            R3_MATRIX,
-            TAU_MATRIX,
-            Subvariety,
-            table_key,
-        )
+        from tilefold.tilegroup import Subvariety, table_key
+
+        # each map's matrix, column j the image of the unit vector e_j
+        units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+        matrices = {
+            name: tuple(zip(*(GENERATOR_MAPS[name](*e) for e in units)))
+            for name in ("r1", "r3", "tau")
+        }
 
         def transform(sub, mat):
             # permutation-style matrices: inverse equals transpose here
@@ -539,17 +538,19 @@ class TestBoundaryImageTable:
             )
             return Subvariety(sub.kind, rows)
 
-        for name, mat in (("r1", R1_MATRIX), ("r3", R3_MATRIX), ("tau", TAU_MATRIX)):
+        for name, mat in matrices.items():
             g = GENERATORS[name]
             for lab, sub in TABLE1.items():
                 target = TABLE1[act_on_label(g, lab)]
                 assert table_key(transform(sub, mat)) == table_key(target), (name, lab)
 
-        # the quadric form composed with each linear generator is +- itself
-        for mat in (R1_MATRIX, R3_MATRIX, TAU_MATRIX):
+        # the quadric form composed with each linear generator is +- itself,
+        # and each map is its matrix
+        for name, mat in matrices.items():
             def q(p):
                 return p[0] * p[3] - p[1] * p[2]
 
             for p in ((1, 2, 3, 4), (1, 0, 0, 1), (5, -1, 2, 7)):
                 img = tuple(sum(row[j] * p[j] for j in range(4)) for row in mat)
+                assert img == GENERATOR_MAPS[name](*p)
                 assert abs(q(img)) == abs(q(p))

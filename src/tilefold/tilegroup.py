@@ -257,21 +257,23 @@ def _nilpotent_series(n, coeffs):
     """sum_k coeffs[k] n^k for a strictly lower triangular 4x4 matrix n.
 
     Powers of n stay strictly lower triangular (so n^4 = 0), and
-    (ab)[i][j] is the sum of a[i][k] b[k][j] over j < k < i; only those
-    terms are formed, and only the subdiagonal entries are computed.
+    (ab)[i][j] is the sum of a[i][k] b[k][j] over j < k < i; so n^2 has
+    three nonzero entries and n^3 one, and each is written out as its
+    products.  Per call only those products and the subdiagonal entries of
+    the sum are formed, in plain ring arithmetic on the entries.
     """
-    if any(n[i][j] for i in range(4) for j in range(i, 4)):
+    if any(n[0]) or any(n[1][1:]) or any(n[2][2:]) or n[3][3]:
         raise ValueError("nilpotent series needs a strictly lower triangular matrix")
-
-    def times_n(a):
-        return [[sum(a[i][k] * n[k][j] for k in range(j + 1, i)) for j in range(i)] for i in range(4)]
-
-    n2 = times_n(n)
-    n3 = times_n(n2)
     c0, c1, c2, c3 = coeffs
+    n10, n20, n21, n30, n31, n32 = n[1][0], n[2][0], n[2][1], n[3][0], n[3][1], n[3][2]
+    n2_20, n2_31 = n21 * n10, n32 * n21
+    n2_30 = n31 * n10 + n32 * n20
+    n3_30 = n2_31 * n10
     return [
-        [c1 * n[i][j] + c2 * n2[i][j] + c3 * n3[i][j] for j in range(i)] + [c0] + [0] * (3 - i)
-        for i in range(4)
+        [c0, 0, 0, 0],
+        [c1 * n10, c0, 0, 0],
+        [c1 * n20 + c2 * n2_20, c1 * n21, c0, 0],
+        [c1 * n30 + c2 * n2_30 + c3 * n3_30, c1 * n31 + c2 * n2_31, c1 * n32, c0],
     ]
 
 
@@ -395,17 +397,53 @@ def derivation_agreement(name: str, samples: int = 100, seed: int = 0) -> dict:
 # subvarieties of P^3 and the boundary image table
 
 
+# dimension of the integer kernel of a linear subvariety's equation rows
+_KERNEL_RANK = {"line": 2, "plane": 3}
+
+
+def _is_int_vector(v) -> bool:
+    return isinstance(v, tuple) and len(v) == 4 and all(isinstance(x, int) for x in v)
+
+
 @dataclass(frozen=True)
 class Subvariety:
     """kind is point, line, plane or quadric; data holds the point
     coordinates or the linear equation rows (the quadric x0*x3 - x1*x2 = 0
-    needs no data)."""
+    needs no data).
+
+    A point is 4 ints, not all zero; a line is 2 rows and a plane 1 row,
+    each of 4 ints; a quadric has no data.  Other data raises ValueError.
+    Whether the rows of a line or plane are independent is checked where
+    their kernel is computed, in `sample_points`.
+    """
 
     kind: str
     data: tuple
 
+    def __post_init__(self):
+        if self.kind == "point":
+            ok = _is_int_vector(self.data) and any(self.data)
+        elif self.kind in _KERNEL_RANK:
+            ok = (
+                isinstance(self.data, tuple)
+                and len(self.data) == 4 - _KERNEL_RANK[self.kind]
+                and all(map(_is_int_vector, self.data))
+            )
+        elif self.kind == "quadric":
+            ok = self.data == ()
+        else:
+            raise ValueError(f"unknown subvariety kind {self.kind!r}")
+        if not ok:
+            raise ValueError(f"malformed {self.kind} data {self.data!r}")
+
 
 def subvariety_equations_satisfied(sub: Subvariety, p) -> bool:
+    """Whether the point p of P^3 satisfies the equations of sub.
+
+    A point without four entries raises ValueError, as in `normalize_point`.
+    """
+    if len(p) != 4:
+        raise ValueError(f"point {tuple(p)} of P^3 needs four entries")
     if sub.kind == "point":
         return normalize_point(p) == normalize_point(sub.data)
     if sub.kind == "quadric":
@@ -413,40 +451,58 @@ def subvariety_equations_satisfied(sub: Subvariety, p) -> bool:
     return all(sum(c * x for c, x in zip(row, p)) == 0 for row in sub.data)
 
 
-def sample_point(sub: Subvariety, rng: random.Random) -> tuple[int, ...]:
-    """A random rational point of the subvariety, coordinates in [-20, 20]."""
-    for _ in range(100):
-        if sub.kind == "point":
-            return normalize_point(sub.data)
-        if sub.kind == "quadric":
-            a, b = rng.randint(-20, 20), rng.randint(-20, 20)
-            c, d = rng.randint(-20, 20), rng.randint(-20, 20)
-            p = (a * c, a * d, b * c, b * d)
-            if any(p):
-                return normalize_point(p)
-            continue
+def sample_points(sub: Subvariety, rng: random.Random):
+    """Random rational points of the subvariety, coordinates in [-20, 20].
+
+    A generator.  Once, when sampling starts: a point subvariety's point is
+    normalized, or the integer kernel basis of a line's or plane's equations
+    is computed, which must have 2 or 3 vectors (ValueError otherwise).  Per
+    yielded point: the random draws (one coefficient per basis vector, or a
+    quadric point's four factors a, b, c, d of (ac, ad, bc, bd)), their
+    combination and its normalization.  A zero combination is redrawn, at
+    most 100 times per point.  A point subvariety draws nothing.
+    """
+    if sub.kind == "point":
+        p = normalize_point(sub.data)
+        while True:
+            yield p
+    if sub.kind != "quadric":
         basis = integer_kernel([list(row) for row in sub.data])
-        coeffs = [rng.randint(-20, 20) for _ in basis]
-        p = tuple(
-            sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(4)
-        )
-        if any(p):
-            return normalize_point(p)
-    raise RuntimeError("failed to sample a nonzero point")
+        if len(basis) != _KERNEL_RANK[sub.kind]:
+            raise ValueError(f"the equations of {sub} do not cut out a {sub.kind}")
+        columns = list(zip(*basis))
+    while True:
+        for _ in range(100):
+            if sub.kind == "quadric":
+                a, b, c, d = [rng.randint(-20, 20) for _ in range(4)]
+                p = (a * c, a * d, b * c, b * d)
+            else:
+                coeffs = [rng.randint(-20, 20) for _ in basis]
+                p = tuple([sum(c * x for c, x in zip(coeffs, col)) for col in columns])
+            if any(p):
+                break
+        else:
+            raise RuntimeError("failed to sample a nonzero point")
+        yield normalize_point(p)
 
 
 def verify_subvariety_image(m, source: Subvariety, target: Subvariety, samples: int, rng) -> dict:
     """Sampled check that the map m maps the source into the target.
 
     m is a function of x0..x3 as in GENERATOR_MAPS, applied by `evaluate`.
+    Once per call the source's `sample_points` generator starts, which
+    computes a line's or plane's kernel basis; per sample one point is
+    drawn from it and checked on the source, and its image is evaluated and
+    checked against the target equations.
 
     Base-locus hits are resampled (bounded retries); the verdict requires
     every surviving image to satisfy the target equations and at least one
     sample to have a well-defined image.
     """
+    points = sample_points(source, rng)
 
     def draw():
-        p = sample_point(source, rng)
+        p = next(points)
         if not subvariety_equations_satisfied(source, p):
             raise RuntimeError(f"sampled point {p} is off the source {source}")
         return lambda: subvariety_equations_satisfied(target, evaluate(m, p))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tilefold import tilegroup
-from tilefold.exactlat import mat_mul
+from tilefold.exactlat import integer_kernel, mat_mul
 from tilefold.tilegroup import (
     GENERATOR_MAPS,
     GENERATORS,
@@ -34,7 +34,8 @@ from tilefold.tilegroup import (
     full_group,
     normalize_point,
     relations_hold_pointwise,
-    sample_point,
+    Subvariety,
+    sample_points,
     verify_subvariety_image,
     word,
     subvariety_equations_satisfied,
@@ -416,6 +417,10 @@ strictly_lower = st.lists(
 class TestNilpotentSeries:
     @settings(max_examples=60, deadline=None)
     @given(strictly_lower)
+    # integer chart matrices, as derive_generator_pointwise passes them
+    @example([[0, 0, 0, 0], [1, 0, 0, 0], [3, 1, 0, 0], [-7, 5, 1, 0]])
+    @example([[0, 0, 0, 0], [2, 0, 0, 0], [-3, 5, 0, 0], [11, -13, 17, 0]])
+    @example([[0, 0, 0, 0], [0, 0, 0, 0], [4, 0, 0, 0], [0, -6, 0, 0]])
     def test_matches_general_products(self, n):
         for coeffs in (_EXP, _LOG):
             assert _nilpotent_series(n, coeffs) == _series_reference(n, coeffs)
@@ -436,13 +441,124 @@ class TestNilpotentSeries:
             _nilpotent_series(n, _EXP)
 
 
+def _sample_point_reference(sub, rng):
+    """One point per call, the kernel basis recomputed for every draw."""
+    for _ in range(100):
+        if sub.kind == "point":
+            return normalize_point(sub.data)
+        if sub.kind == "quadric":
+            a, b = rng.randint(-20, 20), rng.randint(-20, 20)
+            c, d = rng.randint(-20, 20), rng.randint(-20, 20)
+            p = (a * c, a * d, b * c, b * d)
+            if any(p):
+                return normalize_point(p)
+            continue
+        basis = integer_kernel([list(row) for row in sub.data])
+        coeffs = [rng.randint(-20, 20) for _ in basis]
+        p = tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(4))
+        if any(p):
+            return normalize_point(p)
+    raise RuntimeError("failed to sample a nonzero point")
+
+
 class TestSubvarieties:
     def test_sampling_stays_on_variety(self):
         rng = random.Random(0)
         for lab, sub in TABLE1.items():
+            points = sample_points(sub, rng)
             for _ in range(10):
-                p = sample_point(sub, rng)
+                p = next(points)
                 assert subvariety_equations_satisfied(sub, p), lab
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampler_matches_per_draw_reference(self, seed):
+        # same points from the same Random state, and the same state after
+        for lab, sub in TABLE1.items():
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            points = sample_points(sub, rng)
+            for _ in range(30):
+                assert next(points) == _sample_point_reference(sub, ref_rng), lab
+            assert rng.getstate() == ref_rng.getstate(), lab
+
+    def test_zero_combination_is_redrawn(self):
+        # from the same stream as the reference, and at most 100 times
+        class Scripted:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def randint(self, lo, hi):
+                return next(self.values)
+
+        for lab, values in (("C23", [0, 0, 3, -4, 1, 2, 3, 4]), ("A0", [0, 0, 2, -3]), ("A2", [0, 0, 0, 1, 2, 3])):
+            sub = TABLE1[lab]
+            got = next(sample_points(sub, Scripted(values)))
+            assert got == _sample_point_reference(sub, Scripted(values)), lab
+            with pytest.raises(RuntimeError, match="nonzero"):
+                next(sample_points(sub, Scripted([0] * 400)))
+
+    def test_kernel_basis_computed_once_per_source(self, monkeypatch):
+        calls = []
+
+        def counting_kernel(rows):
+            calls.append(rows)
+            return integer_kernel(rows)
+
+        monkeypatch.setattr(tilegroup, "integer_kernel", counting_kernel)
+        _, rep = boundary_image_table(50, 0)
+        assert rep["all_rows_verified"]
+        # 12 linear chain sources and 3 linear seed rows; per sample it was 612
+        assert len(calls) <= 15
+
+    def test_sampler_rejects_dependent_equations(self):
+        # rows of the right count and shape whose kernel has the wrong rank
+        for sub in (
+            Subvariety("line", ((1, 0, 0, 0), (2, 0, 0, 0))),
+            Subvariety("line", ((1, 1, 0, 0), (0, 0, 0, 0))),
+            Subvariety("plane", ((0, 0, 0, 0),)),
+        ):
+            rng = random.Random(0)
+            with pytest.raises(ValueError, match="do not cut out"):
+                next(sample_points(sub, rng))
+            assert rng.getstate() == random.Random(0).getstate()
+
+    @pytest.mark.parametrize(
+        "kind, data",
+        [
+            ("cubic", ((1, 0, 0, 0),)),
+            ("Line", ((1, 0, 0, 0), (0, 1, 0, 0))),
+            ("point", (0, 0, 0, 0)),
+            ("point", (1, 2, 3)),
+            ("point", (1, 2, 3, 4, 5)),
+            ("point", (Fraction(1, 2), 1, 0, 0)),
+            ("point", ((1, 0, 0, 0),)),
+            ("line", ((1, 0, 0, 0),)),
+            ("line", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))),
+            ("line", ((1, 0, 0, 0), (0, 1, 0))),
+            ("line", (1, 0, 0, 0)),
+            ("plane", ((1, 0, 0),)),
+            ("plane", ((1, 0, 0, 0), (0, 1, 0, 0))),
+            ("plane", ((1.0, 0, 0, 0),)),
+            ("plane", [(1, 0, 0, 0)]),
+            ("quadric", ((1, 0, 0, 0),)),
+            ("quadric", None),
+        ],
+    )
+    def test_rejects_malformed_data(self, kind, data):
+        with pytest.raises(ValueError):
+            Subvariety(kind, data)
+
+    def test_equations_need_four_entries(self):
+        # zip would truncate or pad nothing: a short or long point is refused
+        cases = [
+            (TABLE1["A2"], (1, 1, 5)),
+            (TABLE1["A0"], (1, 0, 7, 0, 9)),
+            (TABLE1["C23"], (1, 0, 0, 0, 5)),
+            (TABLE1["C01"], (1, 1, 1)),
+            (TABLE1["D01"], (1, 1)),
+        ]
+        for sub, p in cases:
+            with pytest.raises(ValueError, match="four entries"):
+                subvariety_equations_satisfied(sub, p)
 
     def test_identity_maps_variety_to_itself(self):
         rng = random.Random(0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exactlat import integer_kernel, primitive_vector, rational_rank
+from .exactlat import dot, integer_kernel, primitive_vector, rational_rank
 from .polyhedra import (
     Cone,
     dual_cone,
@@ -29,7 +29,6 @@ from .divcalc import (
     curve_class,
     intersect_classes,
     orbit,
-    pair_class_curve,
     picard_lattice,
     ray_permutations,
     solve_petersen,
@@ -86,7 +85,7 @@ def mori_cone() -> dict:
     if set(cone.rays) != set(gens.values()):
         raise RuntimeError("a listed curve class is not extremal")
     k = anticanonical()["class"]
-    degrees = {ray: pair_class_curve(k, ray) for ray in cone.rays}
+    degrees = {ray: dot(k, ray) for ray in cone.rays}
     k_negative = sorted(r for r, d in degrees.items() if d > 0)
     k_trivial = sorted(r for r, d in degrees.items() if d == 0)
     if any(d < 0 for d in degrees.values()):
@@ -142,14 +141,14 @@ def nef_cone() -> dict:
     squares, cubes = {}, {}
     for r in rays:
         squares[r] = intersect_classes(r, r)
-        c = cubes[r] = pair_class_curve(r, squares[r])
+        c = cubes[r] = dot(r, squares[r])
         histogram[c] = histogram.get(c, 0) + 1
     k = anticanonical()["class"]
-    k_pairings = [pair_class_curve(k, g) for g in mori["cone"].rays]
+    k_pairings = [dot(k, g) for g in mori["cone"].rays]
     duality = all(
-        pair_class_curve(r, g) >= 0 for r in rays for g in mori["cone"].rays
+        dot(r, g) >= 0 for r in rays for g in mori["cone"].rays
     ) and all(
-        any(pair_class_curve(r, g) == 0 for g in mori["cone"].rays) for r in rays
+        any(dot(r, g) == 0 for g in mori["cone"].rays) for r in rays
     )
     return {
         "cone": cone,
@@ -338,12 +337,12 @@ def partial_flag_cones() -> dict:
         b = f"B{i}"
         nodes, _ = graphs[b]
         for e in nodes:
-            if pair_class_curve(l2, curve_class(b, e)) <= 0:
+            if dot(l2, curve_class(b, e)) <= 0:
                 positivity = False
         a = f"A{i}"
         nodes, _ = graphs[a]
         for e in nodes:
-            if pair_class_curve(l2p, curve_class(a, e)) <= 0:
+            if dot(l2p, curve_class(a, e)) <= 0:
                 positivity = False
 
     return {
@@ -482,8 +481,8 @@ def pairing_checks() -> dict:
     gens = effective_generators()
     lc = picard_lattice()["label_class"]
 
-    g1_boundary = {lab: pair_class_curve(lc[lab], g1) for lab in LABELS}
-    g2_boundary = {lab: pair_class_curve(lc[lab], g2) for lab in LABELS}
+    g1_boundary = {lab: dot(lc[lab], g1) for lab in LABELS}
+    g2_boundary = {lab: dot(lc[lab], g2) for lab in LABELS}
     # degree one on every D divisor: forced by anticanonical degree 2
     # together with the twelve boundary expressions of the anticanonical class
     expected_g1 = {lab: (1 if lab[0] == "D" else 0) for lab in LABELS}
@@ -492,8 +491,8 @@ def pairing_checks() -> dict:
         for lab in LABELS
     }
     return {
-        "s_dot_gamma1": pair_class_curve(gens["S"], g1),
-        "h0123_dot_gamma2": pair_class_curve(gens["H{01}{23}"], g2),
+        "s_dot_gamma1": dot(gens["S"], g1),
+        "h0123_dot_gamma2": dot(gens["H{01}{23}"], g2),
         "gamma1_boundary_degrees": g1_boundary,
         "gamma2_boundary_degrees": g2_boundary,
         "gamma1_degrees_expected": g1_boundary == expected_g1,
@@ -523,12 +522,12 @@ def multican_nonnegative_on_mori() -> dict:
     mori = mori_cone()
     lc = picard_lattice()["label_class"]
     expr_ok = all(
-        pair_class_curve(class_of_labels(labels), ray) >= 0
+        dot(class_of_labels(labels), ray) >= 0
         for labels in MULTICAN_LABEL_SETS
         for ray in mori["cone"].rays
     )
     trivial_negative = all(
-        any(pair_class_curve(lc[lab], ray) < 0 for lab in LABELS)
+        any(dot(lc[lab], ray) < 0 for lab in LABELS)
         for ray in mori["k_trivial"]
     )
     return {

@@ -21,6 +21,7 @@ from itertools import combinations, product
 from math import prod
 
 from .exactlat import (
+    dot,
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
@@ -472,7 +473,7 @@ def intersect_classes(e, f) -> tuple[int, ...]:
 
 def triple(e, f, g) -> int:
     """Trilinear intersection number of three classes in basis coordinates."""
-    return pair_class_curve(g, intersect_classes(e, f))
+    return dot(g, intersect_classes(e, f))
 
 
 def triple_labels(a: str, b: str, c: str) -> int:
@@ -638,10 +639,6 @@ def curve_class(e: str, f: str) -> tuple[int, ...]:
     """The curve class e.f of two labels."""
     lc = picard_lattice()["label_class"]
     return intersect_classes(lc[e], lc[f])
-
-
-def pair_class_curve(divisor_class, curve) -> int:
-    return sum(d * c for d, c in zip(divisor_class, curve))
 
 
 # ---------------------------------------------------------------------------

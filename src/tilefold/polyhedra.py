@@ -4,8 +4,8 @@ Cones carry both descriptions (extremal rays and facet normals) and the
 ray-facet incidence between them.  Both constructors run one routine: the
 double description (DD) method, once, over arbitrary-precision integers,
 with each equation entered as a pair of opposite inequalities.  The DD
-tracks the zero set of every ray it keeps, so the incidence of its input
-with its output comes with the output; the constructor reads the other
+tracks the zero set of every ray it keeps, so the incidence of its distinct
+rows with its output comes with the output; the constructor reads the other
 description off it (Fukuda & Prodon, 1996) and keeps the incidence of the
 result, with no inner product taken again.  A cone from generators is the
 dual of the one their inequalities cut out, so it takes that result with
@@ -177,18 +177,6 @@ def _saturated_kernel(dim: int, rows) -> tuple[Vec, ...]:
     return tuple(integer_kernel(rows))
 
 
-def _prepare_inequalities(ineqs) -> tuple[list[Vec], list[int]]:
-    """The distinct primitive nonzero inequalities, sorted, and where each input went.
-
-    Entry i of the second list is the index of input i's primitive vector in
-    the first, or -1 for a zero input, which is tight everywhere.
-    """
-    prims = [primitive_vector(a) for a in ineqs]
-    rows = sorted({a for a in prims if any(a)})
-    index = {a: k for k, a in enumerate(rows)}
-    return rows, [index.get(a, -1) for a in prims]
-
-
 def _transpose(masks, width: int) -> list[int]:
     """Bit j of entry h of the result is bit h of masks[j], for h < width."""
     out = [0] * width
@@ -201,42 +189,22 @@ def _transpose(masks, width: int) -> list[int]:
     return out
 
 
-def _solve_hrep(dim: int, ineqs, eqs) -> tuple[tuple[Vec, ...], tuple[Vec, ...], list[int]]:
-    """Canonical (rays, lineality, tight) of an H-representation, by one DD run.
-
-    Each equation e enters the DD as the inequality pair e, -e.  `tight[i]`
-    is the bitmask of the rays on which ineqs[i] is tight, bit k for
-    rays[k], read off the DD's zero sets; a zero inequality is tight on
-    every ray.  The lineality space is the kernel of all inequalities and
-    equations, so its saturated lattice is read off them rather than the
-    DD's basis.
-    """
-    ineqs = list(ineqs)
-    pairs = [v for e in eqs for v in (tuple(e), tuple(-x for x in e))]
-    rows, index = _prepare_inequalities(ineqs + pairs)
-    found, lin = _dd_inequalities(dim, rows)
-    lineality = _saturated_kernel(dim, rows) if lin else ()
-    rays, zero_sets = _canonical_rays(found, lineality)
-    by_row = _transpose(zero_sets, len(rows))
-    every_ray = (1 << len(rays)) - 1
-    return rays, lineality, [by_row[k] if k >= 0 else every_ray for k in index[: len(ineqs)]]
-
-
 def _extremal(dim: int, vectors, tight, normals, normal_eqs):
     """Canonical (extremal rays, lineality, incidence) of the cone the vectors generate.
 
-    `normals` and `normal_eqs` are the canonical facets and saturated
-    equations of that cone (or, read the other way round, its rays and
-    lineality when the vectors are valid inequalities and equations), and
-    `tight[i]` is the bitmask of the normals tight at vectors[i], as
-    `_solve_hrep` gives it.  The lineality is the saturated kernel of
-    normals and equations.  A vector spans an extremal ray exactly when its
-    set of tight normals is maximal among the vectors' sets other than the
-    full one, which only vectors in the lineality have (Fukuda & Prodon,
-    1996); that maximal set is the ray's entry of the incidence.  The
-    lineality is the cone's smallest face, spanned by the vectors lying in
-    it, so when no vector has the full set it is zero and the kernel is not
-    computed.
+    The vectors are the rows of a DD run, and `normals` and `normal_eqs` the
+    canonical rays and lineality it found: read the other way round, the
+    facets and saturated equations of the cone the rows generate.
+    `tight[i]` is the bitmask of the normals tight at vectors[i], bit k for
+    normals[k], read off the DD's zero sets.  The lineality is the
+    saturated kernel of normals and equations.  A vector spans an extremal
+    ray exactly when its set of tight normals is maximal among the vectors'
+    sets other than the full one, which only vectors in the lineality have
+    (Fukuda & Prodon, 1996); that maximal set is the ray's entry of the
+    incidence.  Which of the vectors with one mask stands for it never
+    shows, as the ray is returned canonical.  The lineality is the cone's
+    smallest face, spanned by the vectors lying in it, so when no vector has
+    the full set it is zero and the kernel is not computed.
     """
     full = (1 << len(normals)) - 1
     first: dict[int, Vec] = {}  # tight-normal mask -> one vector with it
@@ -259,24 +227,30 @@ def _extremal(dim: int, vectors, tight, normals, normal_eqs):
 def _double_description(dim: int, inequalities, equations, noun: str):
     """(rays, lineality, facets, span equations, facet rays) of {x : a.x >= 0, e.x == 0}.
 
-    The inputs must have length `dim` (ValueError naming `noun` otherwise)
-    and int entries: any other entry raises TypeError, from the gcd that
-    makes each input primitive before the DD starts.  One DD run gives the
-    rays and the lineality, and its zero sets give each inequality's
-    tight-ray set (an equation is tight on every ray).  The span equations
-    are the saturated annihilator of both, and the facets are the
-    inequalities whose tight-ray set is maximal among those short of all
-    rays; entry h of the facet rays is the mask of the rays tight at
-    facets[h], bit k for rays[k].
+    The inputs must have length `dim` (ValueError naming `noun`, or
+    "equation" for an equation, otherwise) and int entries: any other entry
+    raises TypeError, from the gcd that makes each input primitive.  The DD
+    runs once, over the distinct primitive nonzero rows in sorted order: the
+    inequalities and each equation as the pair e, -e.  It gives the rays, the
+    lineality (the saturated kernel of the rows) and, in its zero sets, each
+    row's tight-ray set.  The span equations are the saturated annihilator of
+    rays and lineality, and the facets are the rows whose tight-ray set is
+    maximal among those short of all rays; entry h of the facet rays is the
+    mask of the rays tight at facets[h], bit k for rays[k].
     """
-    inequalities = [tuple(a) for a in inequalities]
-    equations = [tuple(e) for e in equations]
-    for a in inequalities + equations:
-        if len(a) != dim:
-            raise ValueError(f"{noun} has wrong length")
-    rays, lineality, tight = _solve_hrep(dim, inequalities, equations)
-    tight += [(1 << len(rays)) - 1] * len(equations)
-    facets, span_eqs, facet_rays = _extremal(dim, inequalities + equations, tight, rays, lineality)
+    rows = set()
+    for vectors, name, signs in ((inequalities, noun, (1,)), (equations, "equation", (1, -1))):
+        for a in vectors:
+            if len(a) != dim:
+                raise ValueError(f"{name} has wrong length")
+            a = primitive_vector(a)
+            rows.update(tuple(s * x for x in a) for s in signs)
+    rows = sorted(a for a in rows if any(a))
+    found, lin = _dd_inequalities(dim, rows)
+    lineality = _saturated_kernel(dim, rows) if lin else ()
+    rays, zero_sets = _canonical_rays(found, lineality)
+    tight = _transpose(zero_sets, len(rows))
+    facets, span_eqs, facet_rays = _extremal(dim, rows, tight, rays, lineality)
     return rays, lineality, facets, span_eqs, facet_rays
 
 
@@ -291,6 +265,9 @@ class Cone:
     equations: HNF basis of the integer points of the annihilator of the span
     incidence: entry j is the bitmask of the facets tight at rays[j], bit h
                for facets[h], as the constructors read it off their DD run
+
+    Every field is canonical, so two cones are equal, with equal hashes,
+    exactly when they are the same set, whatever route built them.
     """
 
     ambient_dim: int
@@ -366,15 +343,6 @@ class Cone:
         for r in self.rays:
             acc = [a + b for a, b in zip(acc, r)]
         return tuple(acc)
-
-    def key(self):
-        return (self.ambient_dim, self.rays, self.lineality)
-
-    def __eq__(self, other):
-        return isinstance(other, Cone) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def _chamber_fan(dim: int, projected) -> Fan:
     raised unless `uncovered_cone` proves each projected cone a union of
     cones of the result.
     """
-    distinct = list({c.key(): c for _, c in projected}.values())
+    distinct = list(dict.fromkeys(c for _, c in projected))
     vectors = [v for c in distinct for v in c.rays + c.lineality]
     span_eqs = integer_kernel(vectors or [[0] * dim])  # no vector: the span is 0
     span_dim = dim - len(span_eqs)

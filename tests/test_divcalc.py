@@ -37,7 +37,6 @@ from tilefold.divcalc import (
     label_relations_in_label_space,
     label_tensor,
     orbit,
-    pair_class_curve,
     picard_action,
     picard_lattice,
     act_on_class,
@@ -51,7 +50,7 @@ from tilefold.divcalc import (
     triple,
     triple_labels,
 )
-from tilefold.exactlat import identity_matrix, mat_vec, primitive_vector
+from tilefold.exactlat import dot, identity_matrix, mat_vec, primitive_vector
 from tilefold.polyhedra import Cone, dual_cone
 from tilefold.tilegroup import GENERATORS, IDENTITY, TAU, act_on_label, compose, full_group
 
@@ -452,9 +451,19 @@ class TestCurveClasses:
     def test_a0_d01_pairings(self):
         lc = picard_lattice()["label_class"]
         gamma = curve_class("A0", "D01")
-        assert pair_class_curve(lc["D01"], gamma) == -1
+        assert dot(lc["D01"], gamma) == -1
         assert curve_class("A0", "D01") == curve_class("A1", "D01")
-        assert pair_class_curve(anticanonical()["class"], gamma) == 1
+        assert dot(anticanonical()["class"], gamma) == 1
+
+    def test_a_class_and_a_curve_of_different_lengths_raise(self, monkeypatch):
+        # the pairing used to zip the two vectors, so a short curve cut the
+        # class to its length and gave a number
+        lc = picard_lattice()["label_class"]
+        real = divcalc.intersect_classes
+        monkeypatch.setattr(divcalc, "intersect_classes", lambda e, f: real(e, f)[:-1])
+        assert len(lc["A1"]) == 12 and len(divcalc.intersect_classes(lc["A0"], lc["D01"])) == 11
+        with pytest.raises(ValueError, match="length mismatch"):
+            triple(lc["A0"], lc["D01"], lc["A1"])
 
     def test_curve_annihilates_relations(self):
         # built from classes in the rank-12 lattice, so relation vectors

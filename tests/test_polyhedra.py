@@ -25,9 +25,7 @@ from tilefold.polyhedra import (
     _image_tables,
     _lanes,
     _packed_images,
-    _prepare_inequalities,
     _saturated_kernel,
-    _solve_hrep,
     _transpose,
     convex_hull,
     dual_cone,
@@ -224,23 +222,44 @@ def general_cones(draw, min_dim=4, max_dim=6):
     return d, gens + [tuple(-x for x in g) for g in gens[:flip]]
 
 
+def distinct_rows(vectors):
+    """The distinct primitive nonzero vectors, sorted, and where each input went.
+
+    Entry i of the second list is the index of input i's primitive vector in
+    the first, or -1 for a zero input, which is tight everywhere.
+    """
+    prims = [primitive_vector(a) for a in vectors]
+    rows = sorted({a for a in prims if any(a)})
+    index = {a: k for k, a in enumerate(rows)}
+    return rows, [index.get(a, -1) for a in prims]
+
+
+def dd_rays(d, ineqs, eqs=()):
+    """Canonical (rays, lineality) of {x : a.x >= 0, e.x == 0}, by one DD run and no facet selection."""
+    rows, _ = distinct_rows(list(ineqs) + [v for e in eqs for v in (e, tuple(-x for x in e))])
+    found, lin = _dd_inequalities(d, rows)
+    lineality = _saturated_kernel(d, rows) if lin else ()
+    return _canonical_rays(found, lineality)[0], lineality
+
+
 def two_dd_from_rays(d, gens) -> Cone:
     """Reference constructor: a second DD run recovers the rays from the facets."""
-    facets, equations, _ = _solve_hrep(d, gens, ())
-    rays, lineality, _ = _solve_hrep(d, facets, equations)
+    facets, equations = dd_rays(d, gens)
+    rays, lineality = dd_rays(d, facets, equations)
     return Cone(d, rays, lineality, facets, equations, tight_sets(rays, facets))
 
 
 def two_dd_from_inequalities(d, ineqs, eqs=()) -> Cone:
     """Reference constructor: a second DD run recovers the facets from the rays."""
-    rays, lineality, _ = _solve_hrep(d, ineqs, eqs)
-    facets, equations, _ = _solve_hrep(d, rays, lineality)
+    rays, lineality = dd_rays(d, ineqs, eqs)
+    facets, equations = dd_rays(d, rays, lineality)
     return Cone(d, rays, lineality, facets, equations, tight_sets(rays, facets))
 
 
 # The DD as it was before equations entered it as inequality pairs: it ran
 # in coordinates of a saturated basis of the equations' kernel, and the rays
-# were lifted back.
+# were lifted back.  Facet selection then ran over the inputs, each with its
+# own tight set, an equation's and a zero input's being every ray.
 def kernel_coordinate_solve_hrep(dim, ineqs, eqs):
     """Canonical (rays, lineality, tight) of an H-representation, by one DD run.
 
@@ -249,13 +268,13 @@ def kernel_coordinate_solve_hrep(dim, ineqs, eqs):
     every ray.
     """
     eqs = [tuple(e) for e in eqs if any(e)]
-    rows, index = _prepare_inequalities(ineqs)
+    rows, index = distinct_rows(ineqs)
     if eqs:
         kernel = integer_kernel(eqs)
         if not kernel:
             return (), (), [0] * len(index)
         # a row's product with a lifted ray is its kernel row's with the coordinates
-        sub, sub_index = _prepare_inequalities([tuple(dot(a, k) for k in kernel) for a in rows])
+        sub, sub_index = distinct_rows([tuple(dot(a, k) for k in kernel) for a in rows])
         found, lin = _dd_inequalities(len(kernel), sub)
         found = [
             (tuple(sum(w * k[j] for w, k in zip(r, kernel)) for j in range(dim)), zeros)
@@ -273,7 +292,7 @@ def kernel_coordinate_solve_hrep(dim, ineqs, eqs):
 
 
 def kernel_coordinate_cone(d, ineqs, eqs) -> Cone:
-    """Reference constructor: `Cone.from_inequalities` on the kernel-coordinate DD."""
+    """Reference constructor: the kernel-coordinate DD, then facet selection over the inputs."""
     rays, lineality, tight = kernel_coordinate_solve_hrep(d, ineqs, eqs)
     tight += [(1 << len(rays)) - 1] * len(eqs)
     facets, span_eqs, facet_rays = _extremal(d, ineqs + eqs, tight, rays, lineality)
@@ -643,6 +662,10 @@ class TestCones:
             Cone.from_rays(3, [(1, 1, -1), (0, 5, -3), (-1, -6, 4)]),
         ]
         assert all(fields(c) == fields(routes[0]) for c in routes)
+        assert all(c == routes[0] and hash(c) == hash(routes[0]) for c in routes)
+        assert all(c.incidence == routes[0].incidence for c in routes)
+        # one generator dropped leaves a half-plane
+        assert Cone.from_rays(3, [(1, 6, -4), (-1, -6, 4), (0, 10, -6)]) not in routes
         assert routes[0].lineality == tuple(integer_kernel([(2, 3, 5)])) == ((1, 1, -1), (0, 5, -3))
         assert routes[0].equations == ((2, 3, 5),) and not routes[0].rays
 
@@ -651,13 +674,23 @@ class TestCones:
     def test_one_dd_matches_two_dd_reference(self, cone, data):
         d, gens = cone
         c = Cone.from_rays(d, gens)
-        assert fields(c) == fields(two_dd_from_rays(d, gens))
-        assert fields(Cone.from_inequalities(d, c.facets, c.equations)) == fields(c)
+        reference = two_dd_from_rays(d, gens)
+        back = Cone.from_inequalities(d, c.facets, c.equations)
+        assert fields(c) == fields(reference)
+        assert fields(back) == fields(c)
+        for other in (reference, back):
+            assert other == c and hash(other) == hash(c) and other.incidence == c.incidence
+        if c.rays:
+            # an extremal ray is no combination of the others and the lineality
+            lines = list(c.lineality) + [tuple(-x for x in l) for l in c.lineality]
+            assert Cone.from_rays(d, list(c.rays[1:]) + lines) not in (c, reference, back)
         # a random H-representation: implicit equations and lineality arise
         ineqs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=d + 3))
         eqs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=2))
         h = Cone.from_inequalities(d, ineqs + gens[:1], eqs)
-        assert fields(h) == fields(two_dd_from_inequalities(d, ineqs + gens[:1], eqs))
+        reference = two_dd_from_inequalities(d, ineqs + gens[:1], eqs)
+        assert fields(h) == fields(reference)
+        assert h == reference and hash(h) == hash(reference) and h.incidence == reference.incidence
 
     @settings(max_examples=80, deadline=None)
     @given(general_cones(3, 5), st.data())
@@ -676,19 +709,14 @@ class TestCones:
     @given(general_cones(3, 5), st.data())
     def test_kept_incidence_is_the_tight_sets(self, cone, data):
         # the DD's zero sets must survive the deduplication of duplicate and
-        # scaled inputs, zero inputs (tight everywhere), the equations'
-        # inequality pairs and the lineality projection
+        # scaled inputs, dropped zero inputs, the equations' inequality pairs
+        # and the lineality projection
         d, gens = cone
         again = data.draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else []
         gens = gens + again + [tuple(3 * x for x in g) for g in again] + [(0,) * d]
         ineqs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=d + 3))
         ineqs = ineqs + [tuple(2 * x for x in a) for a in ineqs[:2]] + [(0,) * d]
         eqs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=2))
-        for vectors, equations in ((gens, ()), (ineqs, eqs), (ineqs, ())):
-            rays, _, tight = _solve_hrep(d, vectors, equations)
-            assert tight == [
-                sum(1 << k for k, r in enumerate(rays) if dot(a, r) == 0) for a in vectors
-            ]
         for c in (
             Cone.from_rays(d, gens),
             Cone.from_inequalities(d, ineqs, eqs),
@@ -723,6 +751,16 @@ class TestCones:
         c = Cone.from_rays(d, gens)
         dual = dual_cone(Cone.from_inequalities(d, gens))
         assert fields(c) == fields(dual) and c.incidence == dual.incidence
+
+    def test_an_input_of_wrong_length_is_named(self):
+        # an equation of the wrong length used to be reported as an inequality
+        for build, noun in (
+            (lambda: Cone.from_inequalities(3, [(1, 0, 0)], [(1, 0)]), "equation"),
+            (lambda: Cone.from_inequalities(3, [(1, 0)], [(1, 0, 0)]), "inequality"),
+            (lambda: Cone.from_rays(3, [(1, 0, 0), (0, 1, 0, 0)]), "generator"),
+        ):
+            with pytest.raises(ValueError, match=f"^{noun} has wrong length$"):
+                build()
 
     def test_span_equation_with_no_tight_inequality(self):
         # {x1 >= 0, x3 == 0}: no inequality is tight on the whole cone, yet

@@ -122,7 +122,7 @@ def reference_chamber_fan(dim: int, projected):
     cones that hold it.  No witness in a projected cone means that no cone
     is full-dimensional in the span.
     """
-    distinct = list({c.key(): c for _, c in projected}.values())
+    distinct = list(dict.fromkeys(c for _, c in projected))
     vectors = [v for c in distinct for v in c.rays + c.lineality]
     span = Cone.from_rays(dim, vectors + [tuple(-x for x in v) for v in vectors])
     normals = set()
@@ -164,7 +164,7 @@ def reference_chamber_fan(dim: int, projected):
         ineqs = [n for k in containing for n in distinct[k].facets]
         eqs = [e for k in containing for e in distinct[k].equations]
         minimal = Cone.from_inequalities(dim, ineqs, eqs)
-        candidates[minimal.key()] = minimal
+        candidates[minimal] = minimal
     return _fan_of(dim, candidates.values())
 
 
@@ -224,7 +224,7 @@ class TestQuotientFan:
                 want = exc
             if not isinstance(want, Exception) and (uncovered := uncovered_vectors(want, projected)):
                 # the chambers cover only the cones of the span's dimension
-                distinct = {c.key(): c for _, c in projected}.values()
+                distinct = dict.fromkeys(c for _, c in projected)
                 c = next(c for c in distinct if any(c.contains(v) for v in uncovered))
                 want = ValueError(
                     f"the projected cone with rays {c.rays} and lineality {c.lineality}"
@@ -260,7 +260,7 @@ class TestQuotientFan:
             quotient_fan(fan, proj)
 
     def test_chart_is_cut_by_seven_hyperplanes_into_32_chambers(self):
-        distinct = list({c.key(): c for _, c in chart_projected_faces()}.values())
+        distinct = list(dict.fromkeys(c for _, c in chart_projected_faces()))
         normals = _arrangement_normals(distinct, 3)
         assert len(normals) == 7
         assert len(_chambers(3, normals)) == 32
@@ -272,8 +272,8 @@ class TestQuotientFan:
         # one separation DD per pair of maximal cones: 185 double
         # descriptions in all
         runs = []
-        real = polyhedra._solve_hrep
-        monkeypatch.setattr(polyhedra, "_solve_hrep", lambda *a: runs.append(a) or real(*a))
+        real = polyhedra._dd_inequalities
+        monkeypatch.setattr(polyhedra, "_dd_inequalities", lambda *a: runs.append(a) or real(*a))
         stages.clear()
         cli.section_fan_quotient()
         assert len(runs) <= 185
@@ -283,8 +283,8 @@ class TestQuotientFan:
         # axioms and flip verdicts are mask operations
         chart_quotient_fan()
         runs = []
-        real = polyhedra._solve_hrep
-        monkeypatch.setattr(polyhedra, "_solve_hrep", lambda *a: runs.append(a) or real(*a))
+        real = polyhedra._dd_inequalities
+        monkeypatch.setattr(polyhedra, "_dd_inequalities", lambda *a: runs.append(a) or real(*a))
         relevant_pairs()
         git_subfans()
         assert runs == []
@@ -350,8 +350,8 @@ class TestQuotientFan:
             [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}],
         )
         runs = []
-        real = polyhedra._solve_hrep
-        monkeypatch.setattr(polyhedra, "_solve_hrep", lambda *a: runs.append(a) or real(*a))
+        real = polyhedra._dd_inequalities
+        monkeypatch.setattr(polyhedra, "_dd_inequalities", lambda *a: runs.append(a) or real(*a))
         rep = verify_quotient_fan(fan)
         assert rep["smooth"] and rep["complete"]
         assert is_complete_fan(fan)
@@ -406,7 +406,7 @@ def reference_relevant_pairs(fan, proj) -> list[dict]:
         c1 = projected[s1]
         for s2 in face_sets:
             c2 = projected[s2]
-            ckey = (c1.key(), c2.key())
+            ckey = (c1, c2)
             meet = meet_cache.get(ckey)
             if meet is None:
                 meet = reference_intersect_cones(c1, c2)
@@ -493,7 +493,7 @@ class TestRelevance:
     @staticmethod
     def _projected_cones():
         faces = _projected_faces(source_data(), tuple(map(tuple, COKERNEL_MATRIX)))
-        return list({c.key(): c for _, c in faces}.values())
+        return list(dict.fromkeys(c for _, c in faces))
 
     def test_certificate_holds_on_the_quotient_fan(self):
         cones = self._projected_cones()

@@ -167,6 +167,19 @@ def test_rationals_stay_in_the_lineality_projection():
     assert len(definitions) == 1 and definitions[0].startswith("exactlat.py:")
 
 
+def test_one_path_from_rows_to_cone():
+    # the DD hands its distinct rows, each with its tight-ray mask, to facet
+    # selection, so no per-input solve or remap is left; every field of a
+    # Cone is canonical, so the dataclass's own equality and hash are the
+    # cone's identity
+    for name in ("_solve_hrep", "_prepare_inequalities"):
+        assert _uses(name) == ([], []), name
+    tree = ast.parse((Path(tilefold.__file__).parent / "polyhedra.py").read_text())
+    cone = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Cone")
+    methods = {node.name for node in cone.body if isinstance(node, DEFINITIONS)}
+    assert not methods & {"key", "__eq__", "__hash__"}
+
+
 def test_no_stage_is_released_in_the_package():
     # a kept result lives until a test clears it; one that a single section
     # reads comes from a plain function run under `stages.timed`, so it dies

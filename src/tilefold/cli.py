@@ -175,7 +175,6 @@ def section_group_verify(samples: int, seed: int) -> dict:
         )
         derivations[gen] = rep
         checks.append(check(f"derivation_agrees_{gen}", True, rep["all_agree"]))
-        checks.append(check(f"derivation_samples_{gen}", samples, rep["samples"]))
 
     table, trep = stages.timed(
         "tilegroup.boundary_image_table", tilegroup.boundary_image_table, max(10, samples // 4), seed

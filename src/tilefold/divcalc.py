@@ -461,6 +461,8 @@ def basis_tensor() -> tuple:
 
 def intersect_classes(e, f) -> tuple[int, ...]:
     """The curve class e.f of two classes: the functional g -> e.f.g in dual coordinates."""
+    if len(e) != RANK or len(f) != RANK:
+        raise ValueError(f"classes need {RANK} entries, not {len(e)} and {len(f)}")
     t = basis_tensor()
     out = [0] * RANK
     for i, ci in enumerate(e):

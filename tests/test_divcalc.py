@@ -374,6 +374,19 @@ class TestTrilinearForm:
         assert triple(e, f, g) == expected
         assert intersect_classes(e, f) == tuple(triple(e, f, b) for b in identity_matrix(RANK))
 
+    def test_classes_of_another_length_raise(self):
+        # a class of another length is no class: contracted as it stands, a
+        # short one reads as zero-padded and a long one loses its tail, a
+        # wrong curve or intersection number with no error
+        lc = picard_lattice()["label_class"]
+        for bad in (lc["A0"][:11], lc["A0"] + (0,), lc["A0"] + (1,)):
+            for e, f in ((bad, lc["D01"]), (lc["D01"], bad)):
+                with pytest.raises(ValueError, match=f"need {RANK} entries"):
+                    intersect_classes(e, f)
+                with pytest.raises(ValueError, match=f"need {RANK} entries"):
+                    triple(e, f, lc["A0"])
+
+
 class TestGroupActionOnClasses:
     def test_matrices_are_homomorphic(self):
         group = full_group()

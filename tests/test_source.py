@@ -180,6 +180,24 @@ def test_one_path_from_rows_to_cone():
     assert not methods & {"key", "__eq__", "__hash__"}
 
 
+def test_integer_chart_points_are_not_skipped():
+    # every integer chart point is generic, so the derivation raises on a
+    # vanishing minor or logarithm entry instead of skipping the sample, the
+    # sampler redraws base-point hits alone, and no check compares the
+    # requested sample count with itself
+    assert _uses("DegenerateSampleError") == ([], [])
+    package = Path(tilefold.__file__).parent
+    tree = ast.parse((package / "tilegroup.py").read_text())
+    sampler = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_sample_until")
+    assert [a.arg for a in sampler.args.args] == ["samples", "draw"]
+    assert sampler.args.vararg is sampler.args.kwarg is None and not sampler.args.kwonlyargs
+    strings = [
+        node.value for node in ast.walk(ast.parse((package / "cli.py").read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert not [text for text in strings if "derivation_samples_" in text]
+
+
 def test_no_stage_is_released_in_the_package():
     # a kept result lives until a test clears it; one that a single section
     # reads comes from a plain function run under `stages.timed`, so it dies
@@ -232,8 +250,10 @@ def test_every_definition_runs(tmp_path):
     package = Path(tilefold.__file__).parent
     golden = package.parents[1] / "goldens" / "report_all.json"
     pythonpath = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+    # under -O, so the golden run also shows that no check rests on an
+    # assert, which -O strips; CENSUS itself has no assert to lose
     done = subprocess.run(
-        [sys.executable, "-c", CENSUS, str(golden), str(tmp_path)],
+        [sys.executable, "-O", "-c", CENSUS, str(golden), str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=300,

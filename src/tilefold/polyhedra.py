@@ -847,23 +847,3 @@ def fan_to_text(fan: Fan) -> str:
     for s in fan.maximal_cones:
         lines.append(" ".join(str(i) for i in sorted(s)))
     return "\n".join(lines) + "\n"
-
-
-def fan_from_text(text: str) -> Fan:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "RAYS":
-        raise ValueError("fan text must start with a RAYS block")
-    try:
-        split = lines.index("CONES")
-    except ValueError:
-        raise ValueError("fan text must contain a CONES block") from None
-    rays = [tuple(map(int, ln.split())) for ln in lines[1:split]]
-    cones = []
-    for ln in lines[split + 1 :]:
-        cone = frozenset(map(int, ln.split()))
-        if len(cone) != len(ln.split()) or cone in cones:
-            raise ValueError(f"cone line {ln!r} repeats a ray index or an earlier cone")
-        cones.append(cone)
-    if not rays:
-        raise ValueError("cannot infer ambient dimension")
-    return make_fan(len(rays[0]), rays, cones)

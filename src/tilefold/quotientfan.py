@@ -142,7 +142,7 @@ def _arrangement_normals(cones, dim: int) -> list[tuple[int, ...]]:
     return sorted(normals)
 
 
-def _chambers(dim: int, normals, equations=()) -> list[Cone]:
+def _chambers(dim: int, normals, equations) -> list[Cone]:
     """Closed chambers of a central hyperplane arrangement in {x : e.x == 0 for e in equations}."""
     chambers = [Cone.from_inequalities(dim, (), equations)]
     for n in normals:

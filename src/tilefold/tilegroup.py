@@ -364,7 +364,7 @@ def _sample_until(samples: int, draw) -> tuple[int, int]:
     return passed, skipped
 
 
-def derivation_agreement(name: str, samples: int = 100, seed: int = 0) -> dict:
+def derivation_agreement(name: str, samples: int, seed: int) -> dict:
     """Check the derivation pipeline against the closed form on random samples.
 
     `degenerate_skipped` counts closed-form base-point hits, and there are
@@ -598,7 +598,7 @@ def table_key(sub: Subvariety):
     return (sub.kind, rows)
 
 
-def boundary_image_table(samples: int = 25, seed: int = 0) -> tuple[dict, dict]:
+def boundary_image_table(samples: int, seed: int) -> tuple[dict, dict]:
     """Table of boundary images plus its sampled verification report."""
     rng = random.Random(seed)
     checks = []
@@ -648,7 +648,7 @@ def random_projective_point(rng: random.Random) -> tuple[int, ...]:
             return normalize_point(p)
 
 
-def relations_hold_pointwise(samples: int = 100, seed: int = 0) -> dict:
+def relations_hold_pointwise(samples: int, seed: int) -> dict:
     """Every defining relation acts as the identity on sampled points."""
     rng = random.Random(seed)
     out = {}

@@ -263,7 +263,7 @@ class TestQuotientFan:
         distinct = list(dict.fromkeys(c for _, c in chart_projected_faces()))
         normals = _arrangement_normals(distinct, 3)
         assert len(normals) == 7
-        assert len(_chambers(3, normals)) == 32
+        assert len(_chambers(3, normals, ())) == 32
 
     def test_cold_fan_section_double_description_budget(self, monkeypatch):
         # each chamber is split from its parent's facets, by walls that can

@@ -48,15 +48,15 @@ def _names(tree) -> Counter:
 def test_every_definition_is_used():
     # every top-level function, class and method is named somewhere in the
     # package outside its own definition; dunder methods are called by
-    # Python itself, `fan_from_text` reads the `--export` text format, and
-    # `quotient_fan` is the quotient of any fan (the chart runs its two
-    # halves as stages, so the relevance analysis shares the projection).
+    # Python itself, and `quotient_fan` is the quotient of any fan (the
+    # chart runs its two halves as stages, so the relevance analysis shares
+    # the projection).
     # Limit: names are counted, not bindings, so a definition that shares
     # its name with anything the package reads (another method, or a local
     # variable, as `divcalc.orbit` does a loop variable `orbit` in
     # `conelab`) is never reported; `test_every_definition_runs` closes that
     # gap with a census of calls at run time
-    allowed = {"fan_from_text", "quotient_fan"}
+    allowed = {"quotient_fan"}
     trees = {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(Path(tilefold.__file__).parent.glob("*.py"))
@@ -243,10 +243,10 @@ def test_every_definition_runs(tmp_path):
     # a census of calls: every top-level function and method is entered by
     # `report all`, `fan quotient --export`, `intersection table --csv` and
     # `cones mori --csv`, except dunder methods, which Python calls, `main`,
-    # the entry point, `fan_from_text`, which reads the `--export` text
-    # format, `quotient_fan`, the quotient of any fan (the chart runs its two
-    # halves as stages), and `stages.clear`, which no single run needs
-    allowed = {"cli.py:main", "polyhedra.py:fan_from_text", "quotientfan.py:quotient_fan", "stages.py:clear"}
+    # the entry point, `quotient_fan`, the quotient of any fan (the chart
+    # runs its two halves as stages), and `stages.clear`, which no single
+    # run needs
+    allowed = {"cli.py:main", "quotientfan.py:quotient_fan", "stages.py:clear"}
     package = Path(tilefold.__file__).parent
     golden = package.parents[1] / "goldens" / "report_all.json"
     pythonpath = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))

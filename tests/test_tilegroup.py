@@ -325,7 +325,7 @@ class TestDerivation:
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
         assert Fraction(1, 3) + 1 == Fraction(4, 3) and made  # the count works
         made.clear()
-        rep = derivation_agreement(name, samples=40)
+        rep = derivation_agreement(name, samples=40, seed=0)
         assert rep["all_agree"]
         assert made == []
 

@@ -225,7 +225,7 @@ def section_intersection() -> dict:
     checks.append(check("adjacency_forced_edges_present", True, forced <= pet["edges"]))
     checks.append(check("adjacency_is_petersen", True, divcalc._graph_is_petersen(pet["edges"])))
 
-    t = divcalc.label_tensor()["tensor"]
+    t = divcalc.label_tensor()
     n = divcalc.N_LABELS
     idx = divcalc.LABEL_INDEX
     sym = all(
@@ -547,7 +547,7 @@ def compare_golden(report: dict, golden: dict) -> list[dict]:
 def intersection_table_csv() -> str:
     lines = ["e,f,g,value"]
     labels = divcalc.LABELS
-    t = divcalc.label_tensor()["tensor"]
+    t = divcalc.label_tensor()
     for i, a in enumerate(labels):
         for j, b in enumerate(labels):
             for k, c in enumerate(labels):

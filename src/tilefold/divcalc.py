@@ -309,34 +309,27 @@ def _forced_adjacency() -> tuple[dict, list]:
 
 
 def _graph_is_petersen(edges: frozenset) -> bool:
-    """3-regular, 15 edges, girth 5, connected on 10 vertices: the Petersen graph."""
-    nodes = SURFACE_NODES_A0
-    adj = {n: set() for n in nodes}
+    """Whether the edges on SURFACE_NODES_A0 form the Petersen graph.
+
+    Two clauses: every node has degree 3, and every non-adjacent pair has
+    exactly one common neighbour.  They imply the rest: on ten nodes of
+    degree 3 a node u has six walks u-w-x with x != u and six
+    non-neighbours, and each non-neighbour ends exactly one walk, so no
+    walk ends at a neighbour of u (no triangle) and every pair is at
+    distance at most 2.  The graph is then strongly regular with
+    parameters (10, 3, 0, 1), and the Petersen graph is the only one
+    (Brouwer & Haemers, Spectra of Graphs, 2012).
+    """
+    adj = {n: set() for n in SURFACE_NODES_A0}
     for e in edges:
         u, v = tuple(e)
         adj[u].add(v)
         adj[v].add(u)
-    if len(edges) != 15 or any(len(adj[n]) != 3 for n in nodes):
-        return False
-    # no cycles shorter than 5: no common neighbors for adjacent pairs
-    # (girth > 3) and exactly one common neighbor for non-adjacent pairs
-    # (girth > 4 together with 3-regularity on 10 vertices)
-    for u, v in combinations(nodes, 2):
-        common = len(adj[u] & adj[v])
-        if v in adj[u]:
-            if common != 0:
-                return False
-        elif common != 1:
-            return False
-    # connectivity
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nodes)
+    return all(len(adj[n]) == 3 for n in SURFACE_NODES_A0) and all(
+        len(adj[u] & adj[v]) == 1
+        for u, v in combinations(SURFACE_NODES_A0, 2)
+        if v not in adj[u]
+    )
 
 
 def _descent_slice_holds(triple_value) -> bool:
@@ -401,14 +394,7 @@ def solve_petersen() -> dict:
     edges, graphs = solutions[0]
     if not _graph_is_petersen(edges):
         raise RuleConsistencyError("solved adjacency is not the Petersen graph")
-    return {
-        "nodes": SURFACE_NODES_A0,
-        "edges": edges,
-        "graphs": graphs,
-        "forced_edges": forced_edges,
-        "forced_pair_count": len(forced),
-        "unknown_pair_count": len(unknown),
-    }
+    return {"edges": edges, "graphs": graphs, "forced_edges": forced_edges}
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +402,8 @@ def solve_petersen() -> dict:
 
 
 @stage
-def label_tensor() -> dict:
-    """The full 20x20x20 label-level intersection table, with hard checks."""
+def label_tensor() -> list[list[list[int]]]:
+    """The full 20x20x20 label-level intersection table, indexed by LABELS, with hard checks."""
     pet = solve_petersen()
     triple_value = _make_rule_engine(pet["graphs"])
     t = [
@@ -431,12 +417,12 @@ def label_tensor() -> dict:
                     (i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i),
                 ):
                     t[p][q][r] = v
-    return {"tensor": t, "edges": pet["edges"]}
+    return t
 
 
 def substituted_tensor(qh_row: str) -> tuple:
     """12x12x12 intersection tensor on the canonical basis, qH read as PLANE_ROWS[qh_row]."""
-    t20 = label_tensor()["tensor"]
+    t20 = label_tensor()
     qh = [(LABEL_INDEX[lab], 1) for lab in PLANE_ROWS[qh_row]]
     expansions = [qh if sym == "qH" else [(LABEL_INDEX[sym], 1)] for sym in BASIS]
     t = [[[0] * RANK for _ in range(RANK)] for _ in range(RANK)]
@@ -479,7 +465,7 @@ def triple(e, f, g) -> int:
 
 
 def triple_labels(a: str, b: str, c: str) -> int:
-    t = label_tensor()["tensor"]
+    t = label_tensor()
     return t[LABEL_INDEX[a]][LABEL_INDEX[b]][LABEL_INDEX[c]]
 
 

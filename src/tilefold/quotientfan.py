@@ -257,7 +257,6 @@ def verify_quotient_fan(fan: Fan) -> dict:
         "smooth": smooth,
         "complete": complete,
         "picard_number": picard,
-        "ray_count": len(fan.rays),
         "maximal_cone_count": len(fan.maximal_cones),
     }
 
@@ -419,11 +418,7 @@ def toric_class_group(fan: Fan) -> dict:
     relation_rows = [[r[j] for r in rays] for j in range(n)]
     invariants = smith_invariants(relation_rows)
     rank = len(rays) - len(invariants)
-    return {
-        "invariant_factors": invariants,
-        "rank": rank,
-        "torsion_free": all(d == 1 for d in invariants),
-    }
+    return {"rank": rank, "torsion_free": all(d == 1 for d in invariants)}
 
 
 def principal_divisor_witness(fan: Fan, coefficients):

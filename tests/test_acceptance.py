@@ -150,7 +150,7 @@ def test_criterion_09_adjacency():
 
 def test_criterion_10_trilinear_form():
     t0 = time.monotonic()
-    t = divcalc.label_tensor()["tensor"]
+    t = divcalc.label_tensor()
     n = divcalc.N_LABELS
     sym = all(
         t[i][j][k] == t[i][k][j] == t[j][i][k] == t[j][k][i] == t[k][i][j] == t[k][j][i]

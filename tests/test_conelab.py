@@ -224,7 +224,6 @@ class TestEffectiveCone:
     def test_k_trivial_span_rank(self):
         e = effective_cone_analysis()
         assert e["span_ranks_equal"]
-        assert e["k_trivial_span_rank"] == e["ab_span_rank"]
 
     def test_pairings(self):
         p = pairing_checks()

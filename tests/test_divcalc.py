@@ -25,6 +25,7 @@ from tilefold.divcalc import (
     PLANE_ROWS,
     QUADRIC_ROW,
     RANK,
+    SURFACE_NODES_A0,
     NotPermutedError,
     RuleConsistencyError,
     anticanonical,
@@ -169,7 +170,8 @@ class TestPetersen:
     def test_solution_summary(self):
         pet = solve_petersen()
         assert len(pet["edges"]) == 15
-        assert pet["forced_pair_count"] + pet["unknown_pair_count"] == 45
+        forced, unknown = divcalc._forced_adjacency()
+        assert len(forced) + len(unknown) == 45
 
     def test_forced_edges(self):
         pet = solve_petersen()
@@ -193,8 +195,8 @@ class TestPetersen:
 
     def test_three_regular_girth_five(self):
         pet = solve_petersen()
-        deg = {n: 0 for n in pet["nodes"]}
-        adj = {n: set() for n in pet["nodes"]}
+        deg = {n: 0 for n in SURFACE_NODES_A0}
+        adj = {n: set() for n in SURFACE_NODES_A0}
         for e in pet["edges"]:
             u, v = tuple(e)
             deg[u] += 1
@@ -202,11 +204,39 @@ class TestPetersen:
             adj[u].add(v)
             adj[v].add(u)
         assert all(d == 3 for d in deg.values())
-        for u, v in combinations(pet["nodes"], 2):
+        for u, v in combinations(SURFACE_NODES_A0, 2):
             if v in adj[u]:
                 assert not (adj[u] & adj[v])  # triangle-free
             else:
                 assert len(adj[u] & adj[v]) == 1  # square-free, diameter 2
+
+    def test_petersen_predicate_accepts_relabellings(self):
+        edges = solve_petersen()["edges"]
+        nodes = SURFACE_NODES_A0
+        shift = dict(zip(nodes, nodes[1:] + nodes[:1]))
+        shifted = frozenset(frozenset(shift[n] for n in e) for e in edges)
+        assert shifted != edges  # the shift is not an automorphism
+        assert divcalc._graph_is_petersen(edges)
+        assert divcalc._graph_is_petersen(shifted)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            # the first three are 3-regular; only the common-neighbour clause rejects them
+            [(i, (i + 1) % 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)],
+            [(i, (i + 1) % 10) for i in range(10)] + [(i, i + 5) for i in range(5)],
+            list(combinations(range(4), 2)) + [(i, j) for i in range(4, 7) for j in range(7, 10)],
+            # no non-adjacent pair at all; only the degree clause rejects it
+            list(combinations(range(10), 2)),
+        ],
+        ids=["pentagonal_prism", "moebius_ladder", "k4_plus_k33", "k10"],
+    )
+    def test_petersen_predicate_rejects(self, pairs):
+        nodes = SURFACE_NODES_A0
+        edges = frozenset(frozenset((nodes[i], nodes[j])) for i, j in pairs)
+        assert not divcalc._graph_is_petersen(edges)
 
     def test_stabilizer_equivariance(self):
         pet = solve_petersen()
@@ -228,7 +258,7 @@ class TestPetersen:
 
         forced, unknown = _forced_adjacency()
         verts, pedges = petersen_vertices_and_edges()
-        nodes = list(solve_petersen()["nodes"])
+        nodes = list(SURFACE_NODES_A0)
         solutions = set()
 
         def backtrack(i, assignment):
@@ -285,10 +315,10 @@ class TestTrilinearForm:
 
     def test_rule_three_entries(self):
         pet = solve_petersen()
-        for u, v in combinations(pet["nodes"], 2):
+        for u, v in combinations(SURFACE_NODES_A0, 2):
             want = 1 if frozenset((u, v)) in pet["edges"] else 0
             assert triple_labels(u, v, "A0") == want
-        for u in pet["nodes"]:
+        for u in SURFACE_NODES_A0:
             assert triple_labels(u, u, "A0") == -1
 
     def test_repeated_c_label(self):
@@ -315,7 +345,7 @@ class TestTrilinearForm:
         assert triple(rhs, lc["A1"], lc["A1"]) == 0
 
     def test_symmetry_exhaustive(self):
-        t = label_tensor()["tensor"]
+        t = label_tensor()
         n = len(LABELS)
         for i in range(n):
             for j in range(i, n):
@@ -327,7 +357,7 @@ class TestTrilinearForm:
                     )
 
     def test_descent_exhaustive(self):
-        t = label_tensor()["tensor"]
+        t = label_tensor()
         n = len(LABELS)
         for r in label_relations_in_label_space():
             support = [(i, c) for i, c in enumerate(r) if c]
@@ -336,7 +366,7 @@ class TestTrilinearForm:
                     assert sum(c * t[i][e][f] for i, c in support) == 0
 
     def test_equivariance_exhaustive(self):
-        t = label_tensor()["tensor"]
+        t = label_tensor()
         n = len(LABELS)
         for g in full_group():
             p = [LABEL_INDEX[act_on_label(g, lab)] for lab in LABELS]

@@ -20,7 +20,7 @@ with dimensions read off the cover relation rather than ranked face by
 face.  The walk goes up to a group of ray permutations that the incidence
 certifies, the trivial group when none is given; it returns one face per
 orbit with the orbit's size, and a level holds the faces met on it and one
-key per orbit, the least image, read off packed image tables.
+key per orbit, the least image, an OR of one packed integer per ray.
 Face counts must satisfy the Euler relation.  Membership has a second,
 independent route: an all-integer simplex, pivoting with one common
 denominator (Edmonds' integer pivoting) by Dantzig's rule, and by Bland's
@@ -359,14 +359,13 @@ def dual_cone(c: Cone) -> Cone:
 # face lattice enumeration
 
 
-def _packed_images(tables, mask: int) -> int:
+def _packed_images(images, mask: int) -> int:
     """The images of a ray mask under every permutation, packed one to a lane."""
     packed = 0
-    q = 0
     while mask:
-        packed |= tables[q][mask & 15]
-        mask >>= 4
-        q += 1
+        low = mask & -mask
+        packed |= images[low.bit_length() - 1]
+        mask ^= low
     return packed
 
 
@@ -376,15 +375,15 @@ def _lanes(packed: int, count: int, words: int):
     return view if words == 1 else list(zip(*[iter(view)] * words))
 
 
-def _image_tables(perms, facet_rays, nrays: int) -> tuple[list[list[int]], int]:
-    """Packed image tables of certified face-lattice automorphisms, and words per lane.
+def _ray_images(perms, facet_rays, nrays: int) -> tuple[list[int], int]:
+    """Each ray's packed images under certified face-lattice automorphisms, and words per lane.
 
-    Entry v of table q packs the image of the ray mask v << 4q under perms[i]
-    into lane i, of as many 64-bit words as the rays need, so a mask's images
-    are the OR of one entry per group of four rays.  Each permutation must be
-    a bijection of range(nrays) sending the ray set of every facet (the masks
-    in `facet_rays`) onto the ray set of a facet, and the set must be closed
-    under composition; otherwise RuntimeError.  No permutations, no tables.
+    Entry j packs the image of ray j under perms[i] into lane i, of as many
+    64-bit words as the rays need, so a mask's images are the OR of the
+    entries of its rays.  Each permutation must be a bijection of
+    range(nrays) sending the ray set of every facet (the masks in
+    `facet_rays`) onto the ray set of a facet, and the set must be closed
+    under composition; otherwise RuntimeError.  No permutations, no images.
     """
     words = max(1, -(-nrays // 64))
     if not perms:
@@ -397,18 +396,12 @@ def _image_tables(perms, facet_rays, nrays: int) -> tuple[list[list[int]], int]:
     if any(tuple(p[i] for i in q) not in perm_set for p in perms for q in perms):
         raise RuntimeError("ray permutations are not closed under composition")
     width = 64 * words
-    tables = []
-    for low in range(0, nrays, 4):
-        table = [0]
-        for j in range(low, min(low + 4, nrays)):
-            single = sum(1 << (width * i + p[j]) for i, p in enumerate(perms))
-            table += [packed | single for packed in table]
-        tables.append(table)
+    images = [sum(1 << (width * i + p[j]) for i, p in enumerate(perms)) for j in range(nrays)]
     facet_set = {_lanes(f, 1, words)[0] for f in facet_rays}
     for f in facet_rays:
-        if not facet_set.issuperset(_lanes(_packed_images(tables, f), len(perms), words)):
+        if not facet_set.issuperset(_lanes(_packed_images(images, f), len(perms), words)):
             raise RuntimeError("a ray permutation does not map facets onto facets")
-    return tables, words
+    return images, words
 
 
 def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, int]]:
@@ -438,6 +431,8 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
     is its number of distinct images.  The covers of g(F) are the images of
     the covers of F, so every face is still reached and each orbit is
     expanded once.  A level holds only the faces met on it and its keys.
+    Images are packed per ray; the rays all covers of a face keep (its own
+    over rays, none over facets) are packed once, and a cover ORs in the rest.
     """
     if not c.is_pointed():
         raise ValueError("face enumeration requires a pointed cone")
@@ -448,7 +443,7 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
         raise ValueError("cone is not pointed in incidence data")
     by_facets = nfacets < nrays
     facet_rays = _transpose(c.incidence, nfacets) if by_facets or perms else []
-    tables, words = _image_tables(perms, facet_rays, nrays)
+    images, words = _ray_images(perms, facet_rays, nrays)
 
     if by_facets:
         atoms = facet_rays
@@ -481,6 +476,9 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
                         break  # m lies below a cover
                 else:
                     covers.append(m)
+            if images:  # the images of the rays every cover keeps
+                kept = 0 if by_facets else inside
+                kept_images = _packed_images(images, kept)
             for m in covers:
                 walked = inside | joins[m]
                 face = m if by_facets else walked
@@ -488,13 +486,14 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
                     continue
                 met.add(face)
                 size = 1
-                if tables:
-                    images = _lanes(_packed_images(tables, face), len(perms), words)
-                    key = min(images)
+                if images:
+                    packed = kept_images | _packed_images(images, face ^ kept)
+                    lanes = _lanes(packed, len(perms), words)
+                    key = min(lanes)
                     if key in keys:
                         continue  # another face of this orbit was met first
                     keys.add(key)
-                    size = len(set(images))
+                    size = len(set(lanes))
                 faces[face] = single if size == 1 else (dim, size)
                 next_level.append((m, walked))
         level = next_level

@@ -431,11 +431,14 @@ class TestWork:
         assert not FAN_ONLY & set(stages._results)
 
     def test_mori_f_vector_holds_one_level_of_faces(self):
-        # a level holds the faces it met and one key per orbit: the walk peaks
-        # at about 1.1 MB, 1.7 MB with the cone built too; every image of
-        # every orbit on a level took 4.6 MB, and all 189,780 faces at once 20 MB
+        # a level holds the faces it met and one key per orbit: with the cone
+        # built first, the walk alone peaks at 1.09 MB (1.13 MB with packed
+        # tables per four rays); carrying each representative's packed images
+        # into the next level took 2.14 MB, every image of every orbit on a
+        # level 4.6 MB, and all 189,780 faces at once 20 MB
         from tilefold import conelab
 
+        conelab.mori_cone()
         stages.clear(conelab.mori_f_vector)
         tracemalloc.start()
         try:
@@ -444,4 +447,4 @@ class TestWork:
         finally:
             tracemalloc.stop()
         assert fvector == cli.EXPECTED_MORI_FVECTOR
-        assert peak < 2.5e6, f"{peak / 1e6:.1f} MB"
+        assert peak < 1.6e6, f"{peak / 1e6:.2f} MB"

@@ -22,9 +22,9 @@ from tilefold.polyhedra import (
     _canonical_rays,
     _dd_inequalities,
     _extremal,
-    _image_tables,
     _lanes,
     _packed_images,
+    _ray_images,
     _saturated_kernel,
     _transpose,
     convex_hull,
@@ -985,7 +985,7 @@ class TestFaceLattice:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 140), st.integers(1, 6), st.booleans(), st.data())
-    def test_image_tables_match_per_ray_images(self, nrays, order, full, data):
+    def test_ray_images_match_per_permutation_images(self, nrays, order, full, data):
         # up to 140 rays, one to three words a lane: a cyclic group of the
         # given order moving random blocks of rays, or for up to four rays
         # the whole symmetric group
@@ -1000,16 +1000,21 @@ class TestFaceLattice:
             group = [tuple(range(nrays))]
             while (power := tuple(sigma[i] for i in group[-1])) != group[0]:
                 group.append(power)
-        tables, words = _image_tables(group, [], nrays)
+        images, words = _ray_images(group, [], nrays)
         assert words == max(1, math.ceil(nrays / 64))
         width = 64 * words
         masks = data.draw(st.lists(st.integers(0, (1 << nrays) - 1), min_size=1, max_size=8))
         for mask in masks:
             by_ray = [sum(1 << p[j] for j in range(nrays) if mask >> j & 1) for p in group]
-            packed = _packed_images(tables, mask)
+            packed = _packed_images(images, mask)
             assert [packed >> (width * i) & (1 << width) - 1 for i in range(len(group))] == by_ray
             lanes = _lanes(packed, len(group), words)
             assert sorted(lanes) == sorted(_lanes(image, 1, words)[0] for image in by_ray)
+            # the walk packs the rays a face's covers keep once and ORs in
+            # the rays each cover adds: a kept part and the rest of a mask
+            # give the mask's images
+            kept = mask & data.draw(st.integers(0, (1 << nrays) - 1))
+            assert _packed_images(images, kept) | _packed_images(images, mask & ~kept) == packed
 
     def test_a_dropped_facet_breaks_the_euler_relation(self):
         # the cones over the 3-cube and over the octahedron, each rebuilt

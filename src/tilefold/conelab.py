@@ -112,8 +112,9 @@ def all_pair_functionals_report() -> dict:
     """Every E*F functional against the 31-ray cone (survey, not assertion)."""
     cone = mori_cone()["cone"]
     outside = []
-    zero = 0
+    zero = pairs = 0
     for e, f in combinations(LABELS, 2):
+        pairs += 1
         v = curve_class(e, f)
         if not any(v):
             zero += 1
@@ -121,7 +122,7 @@ def all_pair_functionals_report() -> dict:
         if not cone.contains(v):
             outside.append(f"{e}*{f}")
     return {
-        "pairs_checked": 190,
+        "pairs_checked": pairs,
         "zero_functionals": zero,
         "outside_cone": outside,
     }

@@ -231,11 +231,6 @@ def _chamber_fan(dim: int, projected) -> Fan:
     return fan
 
 
-def quotient_fan(fan: Fan, proj) -> Fan:
-    """Quotient fan: cones are the minimal intersections of projected cones."""
-    return _chamber_fan(len(proj), _projected_faces(fan, proj))
-
-
 @stage
 def chart_projected_faces() -> tuple[tuple[frozenset[int], Cone], ...]:
     """The 64 orthant faces of the chart with their projections."""

@@ -175,7 +175,7 @@ class TestReports:
         doc = json.loads(out.read_text())
         checks = {c["name"]: c for c in doc["sections"]["quartics"]["checks"]}
         assert checks["quartic_projective_dimension"]["computed"] == 13
-        assert checks["quartic_reference_dimension"]["expected"] == 14
+        assert doc["sections"]["quartics"]["data"]["reference_dimension"] == 14
         assert checks["quartic_discrepancy_flagged"]["pass"]
         assert doc["pass"] is True
 
@@ -230,6 +230,13 @@ class TestReports:
             "_anticanonical", "_quartic_system", "_mori_cone", "_nef_cone",
             "_flag_sections", "_effective_cone", "_determinism",
         ], start=1)]
+
+    def test_check_names_are_unique_across_sections(self):
+        # perfbench's judge reads checks by name alone, and the list of
+        # failing checks on stderr names them, so a name picks out one check
+        rep = cli.build_report("report all", samples=10, seed=0)
+        names = Counter(c["name"] for s in rep["sections"].values() for c in s["checks"])
+        assert [n for n, k in names.items() if k > 1] == []
 
 
 class TestGoldenComparison:

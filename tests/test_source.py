@@ -48,15 +48,12 @@ def _names(tree) -> Counter:
 def test_every_definition_is_used():
     # every top-level function, class and method is named somewhere in the
     # package outside its own definition; dunder methods are called by
-    # Python itself, and `quotient_fan` is the quotient of any fan (the
-    # chart runs its two halves as stages, so the relevance analysis shares
-    # the projection).
+    # Python itself.
     # Limit: names are counted, not bindings, so a definition that shares
     # its name with anything the package reads (another method, or a local
     # variable, as `divcalc.orbit` does a loop variable `orbit` in
     # `conelab`) is never reported; `test_every_definition_runs` closes that
     # gap with a census of calls at run time
-    allowed = {"quotient_fan"}
     trees = {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(Path(tilefold.__file__).parent.glob("*.py"))
@@ -71,7 +68,7 @@ def test_every_definition_is_used():
         ]
         for node in defs:
             name = node.name
-            if name in allowed or (name.startswith("__") and name.endswith("__")):
+            if name.startswith("__") and name.endswith("__"):
                 continue
             if used[name] == _names(node)[name]:
                 unused.append(f"{fname}:{node.lineno} {name}")
@@ -131,6 +128,14 @@ def test_projected_cones_make_one_fan():
     readers, definitions = _uses("_fan_of")
     assert readers == ["quotientfan.py:_chamber_fan"]
     assert len(definitions) == 1 and definitions[0].startswith("quotientfan.py:")
+
+
+def test_petersen_claim_is_judged_in_one_place():
+    # the solver proves the adjacency unique; only the report's
+    # `adjacency_is_petersen` check judges that it is the Petersen graph
+    readers, definitions = _uses("_graph_is_petersen")
+    assert readers == ["cli.py:section_intersection"]
+    assert len(definitions) == 1 and definitions[0].startswith("divcalc.py:")
 
 
 def test_no_cone_meets_or_face_tests_in_the_package():
@@ -243,10 +248,8 @@ def test_every_definition_runs(tmp_path):
     # a census of calls: every top-level function and method is entered by
     # `report all`, `fan quotient --export`, `intersection table --csv` and
     # `cones mori --csv`, except dunder methods, which Python calls, `main`,
-    # the entry point, `quotient_fan`, the quotient of any fan (the chart
-    # runs its two halves as stages), and `stages.clear`, which no single
-    # run needs
-    allowed = {"cli.py:main", "quotientfan.py:quotient_fan", "stages.py:clear"}
+    # the entry point, and `stages.clear`, which no single run needs
+    allowed = {"cli.py:main", "stages.py:clear"}
     package = Path(tilefold.__file__).parent
     golden = package.parents[1] / "goldens" / "report_all.json"
     pythonpath = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))

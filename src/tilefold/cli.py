@@ -241,7 +241,6 @@ def section_intersection() -> dict:
                         equivariant = False
     checks.append(check("tensor_group_equivariant", True, equivariant))
 
-    checks.append(check("cube_A1", 0, divcalc.triple_labels("A1", "A1", "A1")))
     checks.append(
         check(
             "cubes_by_type",
@@ -259,7 +258,6 @@ def section_intersection() -> dict:
     checks.append(check("entry_A0_B2_C23", 1, divcalc.triple_labels("A0", "B2", "C23")))
     checks.append(check("entry_A0_D01_C23", 1, divcalc.triple_labels("A0", "D01", "C23")))
     checks.append(check("entry_A0_B0_D01", 1, divcalc.triple_labels("A0", "B0", "D01")))
-    checks.append(check("entry_C01_cube", 1, divcalc.triple_labels("C01", "C01", "C01")))
     checks.append(check("entry_A0_C23_C23", -1, divcalc.triple_labels("A0", "C23", "C23")))
 
     ak = divcalc.anticanonical()

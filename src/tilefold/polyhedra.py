@@ -19,8 +19,9 @@ in one walk over the fewer of rays and facets, one dimension at a time,
 with dimensions read off the cover relation rather than ranked face by
 face.  The walk goes up to a group of ray permutations that the incidence
 certifies, the trivial group when none is given; it returns one face per
-orbit with the orbit's size, and a level holds the faces met on it and one
-key per orbit, the least image, an OR of one packed integer per ray.
+orbit with the orbit's size.  A level holds the faces met on it, and the
+first one met of each orbit claims the others by its images, an OR of one
+packed integer per ray.
 Face counts must satisfy the Euler relation.  Membership has a second,
 independent route: an all-integer simplex, pivoting with one common
 denominator (Edmonds' integer pivoting) by Dantzig's rule, and by Bland's
@@ -369,10 +370,13 @@ def _packed_images(images, mask: int) -> int:
     return packed
 
 
-def _lanes(packed: int, count: int, words: int):
-    """The `count` lanes of `words` 64-bit words in `packed`: ints, or word tuples."""
+def _lanes(packed: int, count: int, words: int) -> list[int]:
+    """The `count` lanes of `words` 64-bit words in `packed`, as ints."""
     view = memoryview(packed.to_bytes(8 * words * count, sys.byteorder)).cast("Q")
-    return view if words == 1 else list(zip(*[iter(view)] * words))
+    lanes = view[::words].tolist()
+    for k in range(1, words):
+        lanes = [lane | word << 64 * k for lane, word in zip(lanes, view[k::words])]
+    return lanes
 
 
 def _ray_images(perms, facet_rays, nrays: int) -> tuple[list[int], int]:
@@ -380,10 +384,11 @@ def _ray_images(perms, facet_rays, nrays: int) -> tuple[list[int], int]:
 
     Entry j packs the image of ray j under perms[i] into lane i, of as many
     64-bit words as the rays need, so a mask's images are the OR of the
-    entries of its rays.  Each permutation must be a bijection of
-    range(nrays) sending the ray set of every facet (the masks in
-    `facet_rays`) onto the ray set of a facet, and the set must be closed
-    under composition; otherwise RuntimeError.  No permutations, no images.
+    entries of its rays, and `_lanes` reads them back as ray masks.  Each
+    permutation must be a bijection of range(nrays) sending the ray set of
+    every facet (the masks in `facet_rays`) onto the ray set of a facet, and
+    the set must be closed under composition; otherwise RuntimeError.  No
+    permutations, no images.
     """
     words = max(1, -(-nrays // 64))
     if not perms:
@@ -397,7 +402,7 @@ def _ray_images(perms, facet_rays, nrays: int) -> tuple[list[int], int]:
         raise RuntimeError("ray permutations are not closed under composition")
     width = 64 * words
     images = [sum(1 << (width * i + p[j]) for i, p in enumerate(perms)) for j in range(nrays)]
-    facet_set = {_lanes(f, 1, words)[0] for f in facet_rays}
+    facet_set = set(facet_rays)
     for f in facet_rays:
         if not facet_set.issuperset(_lanes(_packed_images(images, f), len(perms), words)):
             raise RuntimeError("a ray permutation does not map facets onto facets")
@@ -426,13 +431,14 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
     composition; a group that passes acts on the face lattice by
     automorphisms, whatever code produced it, and any other input raises
     RuntimeError.  The walk works up to symmetry (Bremner, Dutour Sikirić &
-    Schürmann, 2009), keying each orbit by its least image: a cover first met
-    on its level is walked on if its orbit's key is new, and the orbit size
-    is its number of distinct images.  The covers of g(F) are the images of
-    the covers of F, so every face is still reached and each orbit is
-    expanded once.  A level holds only the faces met on it and its keys.
-    Images are packed per ray; the rays all covers of a face keep (its own
-    over rays, none over facets) are packed once, and a cover ORs in the rest.
+    Schürmann, 2009) in two passes a level.  The first collects the covers
+    met on the level, in the order met.  The second goes over them in that
+    order: a face no other has claimed represents a new orbit and is walked
+    on, its images claim the other faces of its orbit met on the level, and
+    the orbit size is its number of distinct images.  The covers of g(F) are
+    the images of the covers of F, so every face is still reached and each
+    orbit is expanded once.  A level holds only the faces met on it, and
+    only the representatives' images are packed, from one integer per ray.
     """
     if not c.is_pointed():
         raise ValueError("face enumeration requires a pointed cone")
@@ -460,9 +466,7 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
         height += 1
         dim = c.dim - height - 1 if by_facets else height + 1
         single = (dim, 1)  # one tuple for all one-face orbits
-        met: set[int] = set()  # ray masks of the next level met so far
-        keys: set = set()  # the least image of each orbit of the next level
-        next_level = []
+        met: dict[int, tuple[int, int] | None] = {}  # next level's faces -> (tight, walked)
         for tight, inside in level:
             joins: dict[int, int] = {}  # join -> the atoms outside the face that give it
             for j, atom in enumerate(atoms):
@@ -476,27 +480,22 @@ def face_lattice_raysets(c: Cone, ray_permutations=()) -> dict[int, tuple[int, i
                         break  # m lies below a cover
                 else:
                     covers.append(m)
-            if images:  # the images of the rays every cover keeps
-                kept = 0 if by_facets else inside
-                kept_images = _packed_images(images, kept)
             for m in covers:
                 walked = inside | joins[m]
-                face = m if by_facets else walked
-                if face in met:
-                    continue
-                met.add(face)
-                size = 1
-                if images:
-                    packed = kept_images | _packed_images(images, face ^ kept)
-                    lanes = _lanes(packed, len(perms), words)
-                    key = min(lanes)
-                    if key in keys:
-                        continue  # another face of this orbit was met first
-                    keys.add(key)
-                    size = len(set(lanes))
-                faces[face] = single if size == 1 else (dim, size)
-                next_level.append((m, walked))
-        level = next_level
+                met.setdefault(m if by_facets else walked, (m, walked))
+        if images:  # the first face met of each orbit claims the others
+            level = []
+            for face, entry in met.items():
+                if entry is not None:
+                    orbit = set(_lanes(_packed_images(images, face), len(perms), words))
+                    for image in orbit:
+                        if image in met:
+                            met[image] = None
+                    faces[face] = single if len(orbit) == 1 else (dim, len(orbit))
+                    level.append(entry)
+        else:
+            faces.update(dict.fromkeys(met, single))
+            level = list(met.values())
     rank = rational_rank(c.rays) if c.rays else 0
     if not height == c.dim == rank:
         raise RuntimeError(

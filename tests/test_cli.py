@@ -438,11 +438,12 @@ class TestWork:
         assert not FAN_ONLY & set(stages._results)
 
     def test_mori_f_vector_holds_one_level_of_faces(self):
-        # a level holds the faces it met and one key per orbit: with the cone
-        # built first, the walk alone peaks at 1.09 MB (1.13 MB with packed
-        # tables per four rays); carrying each representative's packed images
-        # into the next level took 2.14 MB, every image of every orbit on a
-        # level 4.6 MB, and all 189,780 faces at once 20 MB
+        # a level holds each face it met with its tight and walked masks: with
+        # the cone built first, the walk alone peaks at 1.14 MB (1.09 MB when
+        # a level held the faces it met and one key per orbit); carrying each
+        # representative's packed images into the next level took 2.14 MB,
+        # every image of every orbit on a level 4.6 MB, and all 189,780 faces
+        # at once 20 MB
         from tilefold import conelab
 
         conelab.mori_cone()
@@ -455,3 +456,23 @@ class TestWork:
             tracemalloc.stop()
         assert fvector == cli.EXPECTED_MORI_FVECTOR
         assert peak < 1.6e6, f"{peak / 1e6:.2f} MB"
+
+    def test_mori_walk_packs_images_once_per_orbit(self, monkeypatch):
+        # the certificate packs the images of each facet once and the walk
+        # those of each orbit's representative once: 189 + 4,925 calls, where
+        # taking the least image of every face met took 23,336
+        from tilefold import conelab, divcalc, polyhedra
+
+        cone = conelab.mori_cone()["cone"]
+        perms = divcalc.ray_permutations(cone.rays, divcalc.act_on_curve)
+        calls = 0
+        packed_images = polyhedra._packed_images
+
+        def counted(images, mask):
+            nonlocal calls
+            calls += 1
+            return packed_images(images, mask)
+
+        monkeypatch.setattr(polyhedra, "_packed_images", counted)
+        orbits = polyhedra.face_lattice_raysets(cone, perms)
+        assert calls <= len(cone.facets) + len(orbits), calls

@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from . import conelab, divcalc, quotientfan, stages, tilegroup
-from .polyhedra import fan_to_text
+from .polyhedra import face_lattice_fvector, fan_is_smooth, fan_to_text, is_complete_fan
 
 USAGE = """usage: tilefold COMMAND [options]
 
@@ -72,18 +72,11 @@ RELEVANCE_REQUIRED_PAIRS = ("A1/B1", "B2/A2", "C02/C13", "D12/C12", "D12/C03", "
 def section_fan_quotient() -> dict:
     checks = []
     fan = quotientfan.chart_quotient_fan()
-    rep = quotientfan.verify_quotient_fan(fan)
     checks.append(check("quotient_fan_rays", EXPECTED_QUOTIENT_RAYS, sorted(fan.rays)))
-    checks.append(check("quotient_fan_smooth", True, rep["smooth"]))
-    checks.append(check("quotient_fan_complete", True, rep["complete"]))
-    checks.append(check("quotient_fan_picard_number", 4, rep["picard_number"]))
-    checks.append(
-        check(
-            "quotient_fan_maximal_cones",
-            2 * len(fan.rays) - 4,
-            rep["maximal_cone_count"],
-        )
-    )
+    checks.append(check("quotient_fan_smooth", True, fan_is_smooth(fan)))
+    checks.append(check("quotient_fan_complete", True, is_complete_fan(fan)))
+    checks.append(check("quotient_fan_picard_number", 4, len(fan.rays) - fan.ambient_dim))
+    checks.append(check("quotient_fan_maximal_cones", 2 * len(fan.rays) - 4, len(fan.maximal_cones)))
 
     orthant = quotientfan.source_data()
     # only this section reads these two, so they are timed, not kept
@@ -128,22 +121,14 @@ def section_fan_quotient() -> dict:
         check("chart_relation_witness_E-B2-C02", [0, 1, 0], cg["witness_characters"]["E-B2-C02"])
     )
 
+    # each polytope is its homogenising cone: a vertex v is the ray (d, d*v)
     ample = quotientfan.chart_ample_polytope()
-    checks.append(check("ample_polytope_f_vector", [10, 15, 7], ample.f_vector()))
-    checks.append(check("ample_polytope_facets", 7, len(ample.cone.facets)))
-    checks.append(check("ample_polytope_is_lattice", True, ample.is_lattice_polytope()))
+    checks.append(check("ample_polytope_f_vector", [10, 15, 7], face_lattice_fvector(ample)))
+    checks.append(check("ample_polytope_is_lattice", True, all(r[0] == 1 for r in ample.rays)))
 
     weights, hull = quotientfan.fixed_point_weights()
-    checks.append(check("fixed_point_weight_count", 24, len(weights)))
-    checks.append(check("permutohedron_vertices", 24, len(hull.cone.rays)))
-    checks.append(check("permutohedron_f_vector", [24, 36, 14], hull.f_vector()))
-    checks.append(
-        check(
-            "weights_all_vertices",
-            True,
-            set(hull.lattice_vertices()) == set(weights.values()),
-        )
-    )
+    checks.append(check("permutohedron_f_vector", [24, 36, 14], face_lattice_fvector(hull)))
+    checks.append(check("weights_all_vertices", True, set(hull.rays) == {(1,) + w for w in weights.values()}))
 
     data = {
         "rays": fan.rays,
@@ -292,16 +277,16 @@ def section_quartics() -> dict:
 def section_cones_mori() -> dict:
     checks = []
     mori = conelab.mori_cone()
-    checks.append(check("mori_ray_count", 31, mori["ray_count"]))
-    checks.append(check("mori_facet_count", 189, mori["facet_count"]))
+    checks.append(check("mori_ray_count", 31, len(mori["cone"].rays)))
+    checks.append(check("mori_facet_count", 189, len(mori["cone"].facets)))
     checks.append(check("mori_k_negative_count", 12, len(mori["k_negative"])))
     checks.append(check("mori_k_trivial_count", 19, len(mori["k_trivial"])))
     deg = {d for r, d in mori["anticanonical_degrees"].items() if d > 0}
     checks.append(check("mori_k_negative_degrees", [1], sorted(deg)))
 
     orbits = conelab.contraction_orbit_report()
-    checks.append(check("mori_k_negative_orbits", [12], orbits["k_negative_orbit_sizes"]))
-    checks.append(check("mori_k_trivial_orbits", [3, 4, 12], orbits["k_trivial_orbit_sizes"]))
+    checks.append(check("mori_k_negative_orbits", [12], [len(o) for o in orbits["k_negative_orbits"]]))
+    checks.append(check("mori_k_trivial_orbits", [3, 4, 12], [len(o) for o in orbits["k_trivial_orbits"]]))
     checks.append(check("mori_k_negative_orbit_of_A0xD01", True, orbits["k_negative_is_orbit_of_A0xD01"]))
     checks.append(
         check(
@@ -328,7 +313,7 @@ def section_cones_mori() -> dict:
 def section_cones_nef() -> dict:
     checks = []
     nef = conelab.nef_cone()
-    checks.append(check("nef_ray_count", 189, nef["ray_count"]))
+    checks.append(check("nef_ray_count", 189, len(nef["cone"].rays)))
     checks.append(check("nef_histogram", EXPECTED_NEF_HISTOGRAM, nef["histogram"]))
     checks.append(check("nef_duality", True, nef["duality_check"]))
     checks.append(check("anticanonical_in_nef_cone", True, nef["anticanonical_nef"]))
@@ -343,8 +328,8 @@ def section_cones_nef() -> dict:
         )
     )
     orbits = conelab.contraction_orbit_report()
-    checks.append(check("to_curve_orbits", [1, 8], orbits["to_curve_orbit_sizes"]))
-    checks.append(check("to_surface_orbits", [1, 2, 8], orbits["to_surface_orbit_sizes"]))
+    checks.append(check("to_curve_orbits", [1, 8], [len(o) for o in orbits["to_curve_orbits"]]))
+    checks.append(check("to_surface_orbits", [1, 2, 8], [len(o) for o in orbits["to_surface_orbits"]]))
     checks.append(check("grass_ray_is_to_curve", True, orbits["grass_ray_is_to_curve"]))
     checks.append(check("grass_ray_invariant", True, orbits["grass_ray_invariant"]))
     checks.append(

@@ -96,8 +96,6 @@ def mori_cone() -> dict:
         "anticanonical_degrees": degrees,
         "k_negative": k_negative,
         "k_trivial": k_trivial,
-        "ray_count": len(cone.rays),
-        "facet_count": len(cone.facets),
     }
 
 
@@ -153,7 +151,6 @@ def nef_cone() -> dict:
     )
     return {
         "cone": cone,
-        "ray_count": len(rays),
         "square_by_ray": squares,
         "cube_by_ray": cubes,
         "histogram": histogram,
@@ -239,13 +236,9 @@ def contraction_orbit_report() -> dict:
         "to_surface_orbits": surface_orbits,
         "k_negative_orbits": kneg_orbits,
         "k_trivial_orbits": ktriv_orbits,
-        "to_curve_orbit_sizes": [len(o) for o in curve_orbits],
-        "to_surface_orbit_sizes": [len(o) for o in surface_orbits],
         "grass_ray_is_to_curve": grass_ray in to_curve,
         "grass_ray_invariant": grass_invariant,
         "surface_rep_in_orbit": rep_in_orbit,
-        "k_negative_orbit_sizes": [len(o) for o in kneg_orbits],
-        "k_trivial_orbit_sizes": [len(o) for o in ktriv_orbits],
         "k_negative_is_orbit_of_A0xD01": len(kneg_orbits) == 1
         and a0d01 in kneg_orbits[0],
         "k_trivial_orbit_reps": {

@@ -309,9 +309,6 @@ class Cone:
     def is_pointed(self) -> bool:
         return not self.lineality
 
-    def is_trivial(self) -> bool:
-        return not self.rays and not self.lineality
-
     def contains(self, point) -> bool:
         """Exact membership of an integer point."""
         if len(point) != self.ambient_dim:
@@ -522,58 +519,6 @@ def face_lattice_fvector(c: Cone, ray_permutations=()) -> tuple[int, ...]:
     if top_dim >= 1 and sum((-1) ** k * f for k, f in enumerate(counts)):
         raise RuntimeError(f"face counts {counts} by dimension break the Euler relation")
     return tuple(counts[1:top_dim])
-
-
-# ---------------------------------------------------------------------------
-# polytopes
-
-
-@dataclass(frozen=True)
-class Polytope:
-    """Bounded polytope, stored as its homogenising cone.
-
-    A vertex v is the primitive ray (d, d*v) of the cone, d > 0, and a facet
-    (b, a1..an) reads b + a.x >= 0.  ValueError when the cone has a ray with
-    d <= 0 or a lineality, which an unbounded polyhedron has.
-    """
-
-    ambient_dim: int
-    cone: Cone
-
-    def __post_init__(self):
-        if self.cone.lineality or any(r[0] <= 0 for r in self.cone.rays):
-            raise ValueError("unbounded polyhedron is not supported")
-
-    def f_vector(self) -> tuple[int, ...]:
-        """(f_0, ..., f_{dim-1}); empty for a point."""
-        return face_lattice_fvector(self.cone)
-
-    def is_lattice_polytope(self) -> bool:
-        # a primitive (d, d*v) with v integral has d = 1
-        return all(r[0] == 1 for r in self.cone.rays)
-
-    def lattice_vertices(self) -> tuple[Vec, ...]:
-        """The vertices, sorted; ValueError unless each is a lattice point."""
-        if not self.is_lattice_polytope():
-            raise ValueError("a vertex of the polytope is not a lattice point")
-        return tuple(r[1:] for r in self.cone.rays)
-
-
-def convex_hull(points) -> Polytope:
-    """Convex hull of integer points; works inside the affine span."""
-    gens = [(1,) + tuple(p) for p in points]
-    if not gens:
-        raise ValueError("hull of no points")
-    return Polytope(len(gens[0]) - 1, Cone.from_rays(len(gens[0]), gens))
-
-
-def polytope_from_inequalities(ambient_dim: int, rows) -> Polytope | None:
-    """{x : b + a.x >= 0 for (b, *a) in rows}, rows of ints; None when empty."""
-    homog = list(rows) + [(1,) + (0,) * ambient_dim]
-    cone = Cone.from_inequalities(ambient_dim + 1, homog)
-    if cone.is_trivial():
-        return None
-    return Polytope(ambient_dim, cone)
 
 
 # ---------------------------------------------------------------------------

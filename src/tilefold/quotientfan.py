@@ -27,13 +27,8 @@ from .exactlat import (
 from .polyhedra import (
     Cone,
     Fan,
-    Polytope,
-    convex_hull,
     fan_face_index_sets,
-    fan_is_smooth,
-    is_complete_fan,
     make_fan,
-    polytope_from_inequalities,
     ray_masks,
     uncovered_cone,
 )
@@ -100,19 +95,20 @@ def source_data() -> Fan:
 
 
 @stage
-def fixed_point_weights() -> tuple[dict[tuple[int, ...], tuple[int, ...]], Polytope]:
-    """Doubled ample-weight of each torus fixed point, and their hull.
+def fixed_point_weights() -> tuple[dict[tuple[int, ...], tuple[int, ...]], Cone]:
+    """Doubled ample-weight of each torus fixed point, and the homogenising cone of their hull.
 
     The weight at the fixed point indexed by a Weyl group element s, a
     permutation of range(4), has i-th coordinate 3 - 2*s(i), entry s(i) of
     the doubled minimal weight (3, 1, -1, -3), doubled so every weight
     lattice point stays integral; the 24 weights are the coordinate
     permutations of it and their hull lives in the sum-zero hyperplane.
+    The cone is spanned by the (1, w): a vertex v of the hull is its ray
+    (1, v), and its face counts are the hull's.
     """
     lam = (3, 1, -1, -3)
     weights = {sigma: tuple(lam[k] for k in sigma) for sigma in permutations(range(4))}
-    hull = convex_hull(list(weights.values()))
-    return weights, hull
+    return weights, Cone.from_rays(5, [(1,) + w for w in weights.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +237,6 @@ def chart_projected_faces() -> tuple[tuple[frozenset[int], Cone], ...]:
 def chart_quotient_fan() -> Fan:
     """The quotient fan of the chart orthant under the cokernel projection."""
     return _chamber_fan(len(COKERNEL_MATRIX), chart_projected_faces())
-
-
-def verify_quotient_fan(fan: Fan) -> dict:
-    """Smoothness, completeness and Picard number of a quotient fan."""
-    smooth = fan_is_smooth(fan)
-    complete = is_complete_fan(fan)
-    picard = len(fan.rays) - fan.ambient_dim
-    return {
-        "smooth": smooth,
-        "complete": complete,
-        "picard_number": picard,
-        "maximal_cone_count": len(fan.maximal_cones),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +386,7 @@ def git_subfans() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# toric class group and divisor polytopes
+# toric class group and the ample polytope
 
 
 def toric_class_group(fan: Fan) -> dict:
@@ -457,28 +440,23 @@ def chart_class_group_report() -> dict:
     return base
 
 
-def divisor_polytope(fan: Fan, coefficients) -> Polytope | None:
-    """Section polytope {m : <m, rho> >= -a_rho} of a torus divisor; the a_rho are ints."""
-    if len(coefficients) != len(fan.rays):
-        raise ValueError("one coefficient per ray required")
-    rows = [(a,) + r for r, a in zip(fan.rays, coefficients)]
-    return polytope_from_inequalities(fan.ambient_dim, rows)
-
-
 @stage
-def chart_ample_polytope() -> Polytope:
-    """Polytope of the divisor 5*C02 + 3*A1 + 3*B2 + 2*D12 on the chart quotient."""
+def chart_ample_polytope() -> Cone:
+    """Homogenising cone of the polytope of 5*C02 + 3*A1 + 3*B2 + 2*D12 on the chart quotient.
+
+    The polytope is {m : a_rho + <m, rho> >= 0 for each ray rho}, a_rho the
+    divisor's coefficient.  A vertex v is the primitive ray (d, d*v) of the
+    cone, d > 0, and a facet (b, *a) reads b + a.m >= 0.  RuntimeError
+    unless the polytope is nonempty and bounded: the cone has a ray, no
+    lineality and no ray with d <= 0.
+    """
     fan = chart_quotient_fan()
-    ray_index = {r: i for i, r in enumerate(fan.rays)}
-    coeff = [0] * len(fan.rays)
-    coeff[ray_index[QUOTIENT_RAYS[CHART_DIVISOR_RAY["C02"]]]] = 5
-    coeff[ray_index[QUOTIENT_RAYS[CHART_DIVISOR_RAY["A1"]]]] = 3
-    coeff[ray_index[QUOTIENT_RAYS[CHART_DIVISOR_RAY["B2"]]]] = 3
-    coeff[ray_index[QUOTIENT_RAYS[CHART_DIVISOR_RAY["D12"]]]] = 2
-    poly = divisor_polytope(fan, coeff)
-    if poly is None:
-        raise RuntimeError("the chart ample divisor has an empty polytope")
-    return poly
+    coeff = {QUOTIENT_RAYS[CHART_DIVISOR_RAY[name]]: a for name, a in (("C02", 5), ("A1", 3), ("B2", 3), ("D12", 2))}
+    rows = [(coeff.get(r, 0),) + r for r in fan.rays]
+    cone = Cone.from_inequalities(fan.ambient_dim + 1, rows + [(1,) + (0,) * fan.ambient_dim])
+    if not cone.rays or cone.lineality or any(r[0] <= 0 for r in cone.rays):
+        raise RuntimeError("the chart ample divisor's polytope is empty or unbounded")
+    return cone
 
 
 # ---------------------------------------------------------------------------

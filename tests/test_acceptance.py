@@ -9,6 +9,7 @@ import json
 import time
 
 from tilefold import cli, conelab, divcalc, quotientfan, tilegroup
+from tilefold.polyhedra import face_lattice_fvector, fan_is_smooth, is_complete_fan
 
 EXPECTED_RAYS = {
     (-1, 0, -1), (-1, -1, -1), (0, -1, -1),
@@ -28,13 +29,12 @@ def report(number: int, description: str, ok: bool, elapsed: float, budget: floa
 def test_criterion_01_quotient_fan():
     t0 = time.monotonic()
     fan = quotientfan.chart_quotient_fan()
-    rep = quotientfan.verify_quotient_fan(fan)
     ok = (
         set(fan.rays) == EXPECTED_RAYS
         and len(fan.rays) == 7
-        and rep["smooth"]
-        and rep["complete"]
-        and rep["picard_number"] == 4
+        and fan_is_smooth(fan)
+        and is_complete_fan(fan)
+        and len(fan.rays) - fan.ambient_dim == 4
     )
     report(1, "quotient fan rays, smoothness, completeness, Picard 4", ok, time.monotonic() - t0, 5)
 
@@ -74,10 +74,11 @@ def test_criterion_04_polytopes():
     t0 = time.monotonic()
     ample = quotientfan.chart_ample_polytope()
     weights, hull = quotientfan.fixed_point_weights()
+    # each polytope is its homogenising cone, a vertex v its ray (1, v)
     ok = (
-        ample.f_vector() == (10, 15, 7)
-        and len(hull.cone.rays) == 24
-        and set(hull.lattice_vertices()) == set(weights.values())
+        face_lattice_fvector(ample) == (10, 15, 7)
+        and len(hull.rays) == 24
+        and set(hull.rays) == {(1,) + w for w in weights.values()}
     )
     report(4, "ample polytope (10,15,7); permutohedron has all 24 vertices", ok, time.monotonic() - t0, 5)
 
@@ -213,12 +214,12 @@ def test_criterion_13_mori_cone():
     orbits = conelab.contraction_orbit_report()
     fv = conelab.mori_f_vector()
     ok = (
-        mori["ray_count"] == 31
+        len(mori["cone"].rays) == 31
         and len(mori["k_negative"]) == 12
         and len(mori["k_trivial"]) == 19
-        and orbits["k_negative_orbit_sizes"] == [12]
+        and [len(o) for o in orbits["k_negative_orbits"]] == [12]
         and orbits["k_negative_is_orbit_of_A0xD01"]
-        and orbits["k_trivial_orbit_sizes"] == [3, 4, 12]
+        and [len(o) for o in orbits["k_trivial_orbits"]] == [3, 4, 12]
         and fv == EXPECTED_FVECTOR
     )
     report(13, "cone of curves: 31 rays, orbits 12 | 12+4+3, full f-vector", ok, time.monotonic() - t0, 600)
@@ -230,12 +231,12 @@ def test_criterion_14_nef_cone():
     cls = conelab.classify_contractions()
     orbits = conelab.contraction_orbit_report()
     ok = (
-        nef["ray_count"] == 189
+        len(nef["cone"].rays) == 189
         and nef["histogram"] == EXPECTED_HISTOGRAM
         and cls["counts"] == {"to-curve": 9, "to-surface": 11, "birational": 169}
-        and orbits["to_curve_orbit_sizes"] == [1, 8]
+        and [len(o) for o in orbits["to_curve_orbits"]] == [1, 8]
         and orbits["grass_ray_invariant"]
-        and orbits["to_surface_orbit_sizes"] == [1, 2, 8]
+        and [len(o) for o in orbits["to_surface_orbits"]] == [1, 2, 8]
         and orbits["surface_rep_in_orbit"] == {1: True, 2: True, 8: True}
     )
     report(14, "nef cone: 189 rays, cube histogram, contraction orbits", ok, time.monotonic() - t0, 120)

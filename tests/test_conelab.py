@@ -44,8 +44,8 @@ class TestMoriCone:
 
     def test_cone_counts(self):
         mori = mori_cone()
-        assert mori["ray_count"] == 31
-        assert mori["facet_count"] == 189
+        assert len(mori["cone"].rays) == 31
+        assert len(mori["cone"].facets) == 189
 
     def test_k_degree_split(self):
         mori = mori_cone()
@@ -69,7 +69,7 @@ class TestMoriCone:
 class TestNefCone:
     def test_ray_count_and_histogram(self):
         nef = nef_cone()
-        assert nef["ray_count"] == 189
+        assert len(nef["cone"].rays) == 189
         assert nef["histogram"] == {
             0: 20, 1: 6, 2: 24, 4: 6, 5: 48, 14: 6, 16: 15, 18: 16, 22: 48,
         }
@@ -105,31 +105,26 @@ class TestNefCone:
 class TestOrbits:
     def test_to_curve_orbits(self):
         rep = contraction_orbit_report()
-        assert rep["to_curve_orbit_sizes"] == [1, 8]
+        assert [len(o) for o in rep["to_curve_orbits"]] == [1, 8]
         assert rep["grass_ray_is_to_curve"]
         assert rep["grass_ray_invariant"]
 
     def test_to_surface_orbits(self):
         rep = contraction_orbit_report()
-        assert rep["to_surface_orbit_sizes"] == [1, 2, 8]
+        assert [len(o) for o in rep["to_surface_orbits"]] == [1, 2, 8]
         assert rep["surface_rep_in_orbit"] == {1: True, 2: True, 8: True}
 
     def test_mori_orbits(self):
         rep = contraction_orbit_report()
-        assert rep["k_negative_orbit_sizes"] == [12]
+        assert [len(o) for o in rep["k_negative_orbits"]] == [12]
         assert rep["k_negative_is_orbit_of_A0xD01"]
-        assert rep["k_trivial_orbit_sizes"] == [3, 4, 12]
+        assert [len(o) for o in rep["k_trivial_orbits"]] == [3, 4, 12]
         assert rep["k_trivial_orbit_reps"] == {"A0*B1": 12, "A0*B0": 4, "C01*C23": 3}
 
     def test_orbit_sizes_divide_group_order(self):
         rep = contraction_orbit_report()
-        for sizes in (
-            rep["to_curve_orbit_sizes"],
-            rep["to_surface_orbit_sizes"],
-            rep["k_negative_orbit_sizes"],
-            rep["k_trivial_orbit_sizes"],
-        ):
-            assert all(48 % s == 0 for s in sizes)
+        for key in ("to_curve_orbits", "to_surface_orbits", "k_negative_orbits", "k_trivial_orbits"):
+            assert all(48 % len(o) == 0 for o in rep[key])
 
     def test_action_preserves_cones(self):
         rep = group_preserves_cones()

@@ -27,7 +27,6 @@ from tilefold.polyhedra import (
     _ray_images,
     _saturated_kernel,
     _transpose,
-    convex_hull,
     dual_cone,
     face_lattice_fvector,
     face_lattice_raysets,
@@ -37,7 +36,6 @@ from tilefold.polyhedra import (
     is_complete_fan,
     lp_in_cone,
     make_fan,
-    polytope_from_inequalities,
 )
 
 from test_exactlat import gauss_jordan_solve  # the tests' Fraction solver
@@ -1074,53 +1072,65 @@ def fraction_vertices(n, rows) -> set:
     return out
 
 
+def hull_cone(points) -> Cone:
+    """The homogenising cone of the convex hull of integer points: spanned by the (1, p)."""
+    return Cone.from_rays(len(points[0]) + 1, [(1,) + tuple(p) for p in points])
+
+
+def inequality_cone(n, rows) -> Cone:
+    """The homogenising cone of {x : b + a.x >= 0 for (b, *a) in rows}: the rows and d >= 0."""
+    return Cone.from_inequalities(n + 1, list(rows) + [(1,) + (0,) * n])
+
+
 class TestHull:
+    # a polytope is its homogenising cone: a vertex v is the primitive ray
+    # (d, d*v), d > 0, and a facet (b, *a) reads b + a.x >= 0
     def test_single_point(self):
-        p = convex_hull([(1, 2, 3)])
-        assert p.lattice_vertices() == ((1, 2, 3),)
-        assert p.f_vector() == ()
+        c = hull_cone([(1, 2, 3)])
+        assert c.rays == ((1, 1, 2, 3),)
+        assert face_lattice_fvector(c) == ()
 
     def test_square(self):
         pts = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
-        p = convex_hull(pts)
-        assert len(p.cone.rays) == 4
-        assert p.f_vector() == (4, 4)
+        c = hull_cone(pts)
+        assert len(c.rays) == 4
+        assert face_lattice_fvector(c) == (4, 4)
 
     def test_interior_points_do_not_change_vertices(self):
         pts = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
-        p = convex_hull(pts)
-        q = convex_hull(pts + [(1, 0, 0), (1, 1, 0), (0, 1, 1)])
-        assert p == q and p.lattice_vertices() == q.lattice_vertices()
-        assert p.f_vector() == q.f_vector() == (4, 6, 4)
+        c = hull_cone(pts)
+        d = hull_cone(pts + [(1, 0, 0), (1, 1, 0), (0, 1, 1)])
+        assert c == d and c.rays == tuple(sorted((1,) + p for p in pts))
+        assert face_lattice_fvector(c) == face_lattice_fvector(d) == (4, 6, 4)
 
     def test_lower_dimensional_hull(self):
         # triangle inside a plane in 3-space
         pts = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
-        p = convex_hull(pts)
-        assert p.f_vector() == (3, 3)  # a 2-dimensional polytope
+        c = hull_cone(pts)
+        assert face_lattice_fvector(c) == (3, 3)  # a 2-dimensional polytope
 
     def test_polytope_from_inequalities_point(self):
         # x >= 0, -x >= 0 forces the single point 0
-        p = polytope_from_inequalities(1, [(0, 1), (0, -1)])
-        assert p is not None and p.lattice_vertices() == ((0,),)
+        c = inequality_cone(1, [(0, 1), (0, -1)])
+        assert c.rays == ((1, 0),) and not c.lineality
 
     def test_polytope_empty(self):
-        p = polytope_from_inequalities(1, [(-1, 1), (-1, -1)])  # x>=1, x<=-1
-        assert p is None
+        c = inequality_cone(1, [(-1, 1), (-1, -1)])  # x>=1, x<=-1
+        assert not c.rays and not c.lineality
 
     def test_unbounded_polyhedron_rejected(self):
-        with pytest.raises(ValueError, match="unbounded"):
-            polytope_from_inequalities(1, [(0, 1)])  # x >= 0
-        with pytest.raises(ValueError, match="unbounded"):
-            polytope_from_inequalities(2, [(0, 1, 0), (0, -1, 0)])  # the line x = 0
+        # an unbounded polyhedron shows in its cone as a ray with d = 0 or
+        # as a lineality, which a bounded one has neither of
+        c = inequality_cone(1, [(0, 1)])  # x >= 0
+        assert c.rays == ((0, 1), (1, 0)) and not c.lineality
+        c = inequality_cone(2, [(0, 1, 0), (0, -1, 0)])  # the line x = 0
+        assert c.rays == ((1, 0, 0),) and c.lineality == ((0, 0, 1),)
 
     def test_non_lattice_vertex_is_not_read_as_a_lattice_point(self):
         # the segment [0, 1/2], from 1 - 2x >= 0 and x >= 0: its vertex 1/2 is
         # the ray (2, 1), and no integer vector stands for it
-        p = polytope_from_inequalities(1, [(1, -2), (0, 1)])
-        assert p.cone.rays == ((1, 0), (2, 1)) and not p.is_lattice_polytope()
-        with pytest.raises(ValueError, match="not a lattice point"):
-            p.lattice_vertices()
+        c = inequality_cone(1, [(1, -2), (0, 1)])
+        assert c.rays == ((1, 0), (2, 1))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_hull_and_facets_give_the_polytope_back(self, n):
@@ -1130,27 +1140,31 @@ class TestHull:
         rng = random.Random(n)
         for _ in range(20):
             pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 4))]
-            p = convex_hull(pts)
-            assert set(p.lattice_vertices()) <= set(pts)
-            assert convex_hull(p.lattice_vertices()) == p
-            eqs = p.cone.equations
-            rows = p.cone.facets + eqs + tuple(tuple(-x for x in e) for e in eqs)
-            assert polytope_from_inequalities(n, rows) == p
+            c = hull_cone(pts)
+            assert all(r[0] == 1 for r in c.rays)
+            vertices = [r[1:] for r in c.rays]
+            assert set(vertices) <= set(pts)
+            assert hull_cone(vertices) == c
+            eqs = c.equations
+            rows = c.facets + eqs + tuple(tuple(-x for x in e) for e in eqs)
+            assert inequality_cone(n, rows) == c
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_lattice_test_matches_fraction_vertices(self, n):
-        # the box |x_i| <= 2 and random cuts through it that keep the origin
+        # the box |x_i| <= 2 and random cuts through it that keep the origin:
+        # the rays (d, d*v) are the Fraction vertices v, and d is 1 for all
+        # of them exactly when each is a lattice point
         rng = random.Random(10 + n)
         box = [(2,) + tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
         seen = set()
         for _ in range(20):
             cuts = [(rng.randint(0, 4),) + tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
-            p = polytope_from_inequalities(n, box + cuts)
+            c = inequality_cone(n, box + cuts)
             vertices = fraction_vertices(n, box + cuts)
+            assert {tuple(Fraction(x, r[0]) for x in r[1:]) for r in c.rays} == vertices
+            assert len(c.rays) == len(vertices) and not c.lineality
             lattice = all(x.denominator == 1 for v in vertices for x in v)
-            assert p.is_lattice_polytope() == lattice and len(p.cone.rays) == len(vertices)
-            if lattice:
-                assert set(p.lattice_vertices()) == vertices
+            assert all(r[0] == 1 for r in c.rays) == lattice
             seen.add(lattice)
         assert seen == {True, False}
 
@@ -1174,12 +1188,6 @@ class TestIntegerInputs:
             Cone.from_inequalities(2, [(x, 1)])
         with pytest.raises(TypeError):
             Cone.from_inequalities(2, [(1, 0)], [(x, 1)])
-
-    def test_polytopes(self):
-        with pytest.raises(TypeError):
-            polytope_from_inequalities(1, [(Fraction(1, 2), -1), (0, 1)])  # not the point 0
-        with pytest.raises(TypeError):
-            convex_hull([(0,), (Fraction(1, 2),)])
 
     def test_fans(self):
         with pytest.raises(TypeError):

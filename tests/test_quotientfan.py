@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 
@@ -14,7 +13,9 @@ from tilefold import cli, polyhedra, quotientfan, stages
 from tilefold.exactlat import dot, mat_mul, mat_vec, primitive_vector, smith_invariants, transpose
 from tilefold.polyhedra import (
     Cone,
+    face_lattice_fvector,
     fan_face_index_sets,
+    fan_is_smooth,
     is_complete_fan,
     lp_in_cone,
     make_fan,
@@ -37,14 +38,12 @@ from tilefold.quotientfan import (
     chart_class_group_report,
     chart_projected_faces,
     chart_quotient_fan,
-    divisor_polytope,
     fixed_point_weights,
     git_subfans,
     non_projected_rays,
     principal_divisor_witness,
     relevant_pairs,
     source_data,
-    verify_quotient_fan,
 )
 
 from test_polyhedra import (  # the tests' DD meet reference
@@ -338,14 +337,13 @@ class TestQuotientFan:
         assert len(fan.maximal_cones) == 2 * len(fan.rays) - 4 == 10
 
     def test_verification_report(self):
-        rep = verify_quotient_fan(chart_quotient_fan())
-        assert rep["smooth"] and rep["complete"]
-        assert rep["picard_number"] == 4
+        fan = chart_quotient_fan()
+        assert fan_is_smooth(fan) and is_complete_fan(fan)
+        assert len(fan.rays) - fan.ambient_dim == 4  # the Picard number
 
     def test_p2_fan_report(self):
         fan = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [{0, 1}, {1, 2}, {0, 2}])
-        rep = verify_quotient_fan(fan)
-        assert rep["smooth"] and rep["complete"] and rep["picard_number"] == 1
+        assert fan_is_smooth(fan) and is_complete_fan(fan) and len(fan.rays) - fan.ambient_dim == 1
 
     def test_made_fan_is_read_without_double_description(self, monkeypatch):
         # make_fan checked the fan and kept its cones; reading them builds none
@@ -357,9 +355,7 @@ class TestQuotientFan:
         runs = []
         real = polyhedra._dd_inequalities
         monkeypatch.setattr(polyhedra, "_dd_inequalities", lambda *a: runs.append(a) or real(*a))
-        rep = verify_quotient_fan(fan)
-        assert rep["smooth"] and rep["complete"]
-        assert is_complete_fan(fan)
+        assert fan_is_smooth(fan) and is_complete_fan(fan)
         assert len(fan_face_index_sets(fan)) == 1 + 4 + 6 + 4
         assert runs == []
 
@@ -378,7 +374,7 @@ class TestQuotientFan:
 
     def test_orthant_fan_incomplete(self):
         fan = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [{0, 1, 2}])
-        assert not verify_quotient_fan(fan)["complete"]
+        assert not is_complete_fan(fan)
 
     def test_every_fan_cone_is_intersection_of_projections(self):
         # and every projected face is a union of quotient-fan pieces: we
@@ -713,48 +709,39 @@ class TestClassGroup:
 
 
 class TestPolytopes:
+    # each polytope is its homogenising cone: a vertex v is the primitive
+    # ray (d, d*v), d > 0, and a facet (b, *a) reads b + a.m >= 0
     def test_ample_polytope(self):
-        poly = chart_ample_polytope()
-        assert poly.f_vector() == (10, 15, 7)
-        assert len(poly.cone.facets) == 7
-        assert poly.is_lattice_polytope()
-
-    def test_zero_divisor_on_p3_is_a_point(self):
-        p3 = make_fan(
-            3,
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
-            [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}],
-        )
-        poly = divisor_polytope(p3, [0, 0, 0, 0])
-        assert poly is not None and poly.lattice_vertices() == ((0, 0, 0),)
-
-    def test_divisor_coefficients_are_ints(self):
-        # a coefficient that is not an int raises TypeError; int() truncated
-        # 1/2 to 0 and gave the point polytope of the zero divisor
-        p3 = make_fan(
-            3,
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
-            [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}],
-        )
-        for a in (Fraction(1, 2), 0.5, Fraction(1)):
-            with pytest.raises(TypeError):
-                divisor_polytope(p3, [a, 0, 0, 0])
+        cone = chart_ample_polytope()
+        assert face_lattice_fvector(cone) == (10, 15, 7)
+        assert len(cone.facets) == 7
+        assert all(r[0] == 1 for r in cone.rays)
 
     def test_ample_facet_normals_match_rays(self):
         fan = chart_quotient_fan()
-        poly = chart_ample_polytope()
-        normals = {primitive_vector(n[1:]) for n in poly.cone.facets}
+        cone = chart_ample_polytope()
+        normals = {primitive_vector(n[1:]) for n in cone.facets}
         assert normals == set(fan.rays)
 
     def test_ample_vertices_saturate_enough_facets(self):
-        poly = chart_ample_polytope()
-        for v in poly.lattice_vertices():
+        cone = chart_ample_polytope()
+        for r in cone.rays:
+            assert r[0] == 1
             tight = sum(
                 1
-                for n in poly.cone.facets
-                if n[0] + sum(a * b for a, b in zip(n[1:], v)) == 0
+                for n in cone.facets
+                if n[0] + sum(a * b for a, b in zip(n[1:], r[1:])) == 0
             )
-            assert tight >= len(poly.f_vector())
+            assert tight >= len(face_lattice_fvector(cone))
+
+    def test_unbounded_ample_polytope_raises(self, monkeypatch):
+        # rho0, rho1, rho2 and rho6 all have last coordinate -1, so they do
+        # not span R^3 positively and the polytope is unbounded in m_3
+        fan = make_fan(3, [QUOTIENT_RAYS[i] for i in (0, 1, 2, 6)], [{0}, {1}, {2}, {3}])
+        stages.clear(chart_ample_polytope)
+        monkeypatch.setattr(quotientfan, "chart_quotient_fan", lambda: fan)
+        with pytest.raises(RuntimeError, match="empty or unbounded"):
+            chart_ample_polytope()
 
 
 class TestFixedPointWeights:
@@ -763,18 +750,19 @@ class TestFixedPointWeights:
         assert weights[(0, 1, 2, 3)] == (3, 1, -1, -3)
 
     def test_all_weights_distinct_and_vertices(self):
+        # the hull's homogenising cone has the ray (1, w) for each weight w
         weights, hull = fixed_point_weights()
         assert len(set(weights.values())) == 24
-        assert set(hull.lattice_vertices()) == set(weights.values())
+        assert set(hull.rays) == {(1,) + w for w in weights.values()}
 
     def test_hull_f_vector(self):
         _, hull = fixed_point_weights()
-        assert hull.f_vector() == (24, 36, 14)
+        assert face_lattice_fvector(hull) == (24, 36, 14)
 
     def test_hull_f_vector_against_brute_force(self):
         # independent oracle: supporting planes from point triples inside
         # the sum-zero slice, vertices via the LP membership oracle
-        weights, _ = fixed_point_weights()
+        weights, hull = fixed_point_weights()
         pts4 = sorted(weights.values())
         basis = [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)]
         # coordinates in the slice: solve p = x*b0 + y*b1 + z*b2, then clear
@@ -831,6 +819,7 @@ class TestFixedPointWeights:
         for i, p in enumerate(homog):
             others = [q for j, q in enumerate(homog) if j != i]
             assert not lp_in_cone(others, p)
+        assert face_lattice_fvector(hull) == (len(pts), len(edges), len(planes))
 
 
 class TestPartitions:

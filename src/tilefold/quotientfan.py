@@ -329,8 +329,8 @@ def git_subfans() -> dict:
     each meet of two, is the cone spanned by the quotient rays its mask
     holds, as in `relevant_pairs`.  A subfan projects bijectively to a fan
     when each maximal face projects to a cone with one dimension per ray,
-    so a pointed one, no two have nested masks, and every meet is a face of
-    each cone by `_meets_in_face`: the fan axioms, read off the masks.  The
+    so a pointed one, and every meet is a face of each cone by
+    `_meets_in_face`: the fan axioms, read off the masks.  The
     full-dimensional meet of two cones is the union of the pieces they
     share, and cones meet in the fan faces whose rays they all hold.
     """
@@ -346,7 +346,7 @@ def git_subfans() -> dict:
     def is_fan(fs) -> bool:
         meets = ((masks[s], masks[s][0] & masks[t][0]) for s in fs for t in fs if s != t)
         return all(projected[s].dim == len(s) for s in fs) and all(
-            meet != m and _meets_in_face(meet, m, zeros) for (m, zeros), meet in meets
+            _meets_in_face(meet, m, zeros) for (m, zeros), meet in meets
         )
 
     faces = {name: _orthant_subfan(name) for name in ("plus", "minus", "zero")}
@@ -389,16 +389,6 @@ def git_subfans() -> dict:
 # toric class group and the ample polytope
 
 
-def toric_class_group(fan: Fan) -> dict:
-    """Class lattice of a complete toric variety: Z^rays / character image."""
-    n = fan.ambient_dim
-    rays = fan.rays
-    relation_rows = [[r[j] for r in rays] for j in range(n)]
-    invariants = smith_invariants(relation_rows)
-    rank = len(rays) - len(invariants)
-    return {"rank": rank, "torsion_free": all(d == 1 for d in invariants)}
-
-
 def principal_divisor_witness(fan: Fan, coefficients):
     """Character m with div(m) equal to the given ray-coefficient vector."""
     n = fan.ambient_dim
@@ -407,9 +397,8 @@ def principal_divisor_witness(fan: Fan, coefficients):
 
 
 def chart_class_group_report() -> dict:
-    """Class group of the chart quotient plus its three defining relations."""
+    """The three defining relations of the chart quotient's class group, with their witnesses."""
     fan = chart_quotient_fan()
-    base = toric_class_group(fan)
     ray_index = {r: i for i, r in enumerate(fan.rays)}
     pos = {name: ray_index[QUOTIENT_RAYS[i]] for name, i in CHART_DIVISOR_RAY.items()}
 
@@ -429,15 +418,12 @@ def chart_class_group_report() -> dict:
     witnesses = {
         name: principal_divisor_witness(fan, vec) for name, vec in relations.items()
     }
-    base.update(
-        {
-            "relations_principal": {k: w is not None for k, w in witnesses.items()},
-            "witness_characters": {
-                k: (tuple(w) if w is not None else None) for k, w in witnesses.items()
-            },
-        }
-    )
-    return base
+    return {
+        "relations_principal": {k: w is not None for k, w in witnesses.items()},
+        "witness_characters": {
+            k: (tuple(w) if w is not None else None) for k, w in witnesses.items()
+        },
+    }
 
 
 @stage

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from tilefold import cli, stages
-from tilefold.conelab import nef_cone
+from tilefold import cli, conelab, divcalc, stages
+from tilefold.conelab import effective_generators, mori_generators, nef_cone
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "..", "goldens", "report_all.json")
 # timed calls only the `fan quotient` section reads
@@ -18,6 +18,16 @@ def nef_cone_without_trivial_squares():
     """The nef cone with every square nonzero, so no ray contracts to a curve."""
     nef = nef_cone()
     return {**nef, "square_by_ray": dict.fromkeys(nef["square_by_ray"], (1,))}
+
+
+def mori_generators_without_ab_diagonal():
+    """The curve list less the orbit of the four curves A_i*B_i."""
+    return {name: v for name, v in mori_generators().items() if name not in {f"A{i}*B{i}" for i in range(4)}}
+
+
+def effective_generators_with_anticanonical():
+    """The 24 effective generators and the anticanonical class, which is not extremal."""
+    return {**effective_generators(), "-K": divcalc.anticanonical()["class"]}
 
 
 class TestParsing:
@@ -291,27 +301,27 @@ class TestGoldenComparison:
         assert "quartics/forced_mismatch" in err
         assert "still_fine" not in err
 
-    @pytest.mark.parametrize("command, name, patched, cached, failing", [
+    @pytest.mark.parametrize("command, name, patched, failing", [
         # every nef ray classified as it would be without a trivial square
-        ("cones nef", "nef_cone", nef_cone_without_trivial_squares,
-         ("classify_contractions", "contraction_orbit_report"), "cones_nef/contraction_counts"),
+        ("cones nef", "nef_cone", nef_cone_without_trivial_squares, "cones_nef/to_curve_orbits"),
         # a ray the group moves in place of the invariant X13 ray
-        ("cones flags", "FLAG_X13_RAY", ("A0",),
-         ("partial_flag_cones",), "cones_flags/flag_x13_ray_invariant"),
+        ("cones flags", "FLAG_X13_RAY", ("A0",), "cones_flags/flag_x13_ray_invariant"),
+        # a curve list missing one orbit still gives a cone the group permutes
+        ("cones mori", "mori_generators", mori_generators_without_ab_diagonal, "cones_mori/mori_f_vector"),
+        ("cones mori", "mori_generators", mori_generators_without_ab_diagonal, "cones_mori/mori_k_trivial_orbits"),
+        ("cones nef", "mori_generators", mori_generators_without_ab_diagonal, "cones_nef/nef_histogram"),
+        # an invariant generator inside the cone
+        ("cones eff", "effective_generators", effective_generators_with_anticanonical,
+         "cones_eff/effective_all_generators_extremal"),
     ])
-    def test_wrong_paper_value_fails_its_check(
-        self, tmp_path, monkeypatch, capsys, command, name, patched, cached, failing
-    ):
-        from tilefold import conelab
-
-        cached = [getattr(conelab, fn) for fn in cached]
+    def test_wrong_paper_value_fails_its_check(self, tmp_path, monkeypatch, capsys, command, name, patched, failing):
         monkeypatch.setattr(conelab, name, patched)
-        stages.clear(*cached)
+        stages.clear()
         try:
             code = cli.run(command.split() + ["--out", str(tmp_path / "r.json")])
         finally:
             monkeypatch.undo()
-            stages.clear(*cached)
+            stages.clear()
         err = capsys.readouterr().err
         assert code == 1, err
         assert failing in err and "Traceback" not in err

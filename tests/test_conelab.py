@@ -1,5 +1,6 @@
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -90,8 +91,8 @@ class TestNefCone:
         assert face_lattice_fvector(nef, perms) == tuple(reversed(EXPECTED_MORI_FVECTOR))
 
     def test_contraction_classification(self):
-        counts = classify_contractions()["counts"]
-        assert counts == {"to-curve": 9, "to-surface": 11, "birational": 169}
+        kinds = Counter(rec["kind"] for rec in classify_contractions()["records"])
+        assert kinds == {"to-curve": 9, "to-surface": 11, "birational": 169}
 
     def test_fiber_type_is_cube_zero(self):
         cls = classify_contractions()
@@ -166,8 +167,7 @@ class TestFlagSections:
 class TestEffectiveCone:
     def test_generators_and_extremality(self):
         e = effective_cone_analysis()
-        assert e["generator_count"] == 24
-        assert e["extremal_ray_count"] == 24
+        assert len(effective_generators()) == 24
         assert e["all_generators_extremal"]
 
     def test_dual_inclusion(self):

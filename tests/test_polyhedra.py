@@ -544,6 +544,17 @@ CYCLING_LP = (
     (2, 0, 2, 1),
 )
 
+# Beale's example (1955), on which Dantzig's rule cycles, scaled by 100 as
+# a membership problem.  Rows 1 to 3 are Beale's constraints and the last
+# three columns copy his slacks.  Phase-1 costs are minus the column sums,
+# so row 4 sets them to Beale's costs and 0 on the slack copies.  Row 5, of
+# ones, keeps each column primitive, as lp_in_cone divides by the gcd.
+BEALE_LP = (
+    [(25, 50, 0, -1, 1), (-6000, -9000, 0, -1, 1), (-4, -2, 100, -93, 1), (900, 300, 0, -1801, 1),
+     (100, 0, 0, -101, 1), (0, 100, 0, -101, 1), (0, 0, 100, -101, 1)],
+    (0, 0, 100, 1, 1),
+)
+
 vectors3 = st.lists(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
     min_size=1,
@@ -812,6 +823,11 @@ class TestCones:
         # degenerate pivots here cycle when ties leave by the largest basic index
         gens, point = CYCLING_LP
         assert not lp_in_cone(gens, point) and not Cone.from_rays(4, gens).contains(point)
+
+    def test_degenerate_pivots_fall_back_to_blands_rule(self):
+        # Dantzig's rule alone brings a basis back here: the pivots cycle
+        gens, point = BEALE_LP
+        assert not lp_in_cone(gens, point) and not Cone.from_rays(5, gens).contains(point)
 
     @settings(max_examples=150, deadline=None)
     @given(degenerate_lps())

@@ -1,21 +1,19 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
 All matrices are lists (or tuples) of rows of Python ints, so every
-computation here is arbitrary precision by construction.  Two elimination
-kernels back every other module: `hermite_normal_form` over Z gives normal
-forms, Smith invariants, kernels for subtorus inclusions and lattice
-membership; the Bareiss `echelon` over Q gives rank and the rational solve
-that projects rays off a cone's lineality, and it leaves the LU multipliers
-in place, so it also gives the LU factorization that the generator
-derivation needs.  Rationals (`fractions.Fraction`) remain only in that
-lineality projection: `solve_rational`, `orthogonal_complement_projection`
-and `scale_to_primitive_integer`, which `polyhedra._canonical_rays` reads.
-Every other module takes and returns integer vectors.
+computation here is arbitrary precision by construction; the kernels that
+copy their input reject any other entry.  Two elimination kernels back
+every other module: `hermite_normal_form` over Z gives normal forms, Smith
+invariants, kernels for subtorus inclusions and lattice membership; the
+Bareiss `echelon` gives rank over Q and the solve over Q that projects rays
+off a cone's lineality, its solution returned as integers over one common
+denominator, and it leaves the LU multipliers in place, so it also gives
+the LU factorization that the generator derivation needs.  No rational
+number is formed anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -24,7 +22,11 @@ Matrix = list[list[int]]
 
 
 def copy_matrix(m) -> Matrix:
-    return [list(row) for row in m]
+    """A mutable copy of an integer matrix; an entry that is not an int raises TypeError."""
+    out = [list(row) for row in m]
+    if not all(isinstance(x, int) for row in out for x in row):  # bool is an int
+        raise TypeError("matrix entries must be ints")
+    return out
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -76,15 +78,6 @@ def primitive_vector(v) -> Vector:
     if g == 0:
         return tuple(0 for _ in v)
     return tuple(x // g for x in v)
-
-
-def scale_to_primitive_integer(v) -> Vector:
-    """Primitive integer vector with the same direction as a rational vector."""
-    if all(isinstance(x, int) for x in v):
-        return primitive_vector(v)
-    fracs = [Fraction(x) for x in v]
-    den = lcm(*[f.denominator for f in fracs])
-    return primitive_vector([f.numerator * (den // f.denominator) for f in fracs])
 
 
 def _swap_rows(m, i, j):
@@ -270,10 +263,13 @@ def solve_left_integer(a, b):
 
 
 def solve_rational(a, b):
-    """Solution x (tuple of Fractions) of a @ x == b over Q, or None.
+    """(d, x) with a @ x == d * b over Z and d > 0, or None when a @ x == b has no solution.
 
-    Free variables are set to zero, so an underdetermined system yields
-    the solution supported on the pivot columns.
+    x / d is the solution over Q with the free variables set to zero, so an
+    underdetermined system yields the one supported on the pivot columns.
+    d is the absolute value of the last Bareiss pivot (1 if there is none),
+    a minor of a, so by Cramer's rule each step of the back substitution
+    divides exactly; a remainder raises RuntimeError.
     """
     rows, cols = matrix_shape(a)
     if len(b) != rows:
@@ -281,29 +277,14 @@ def solve_rational(a, b):
     ech, pivots, _ = echelon([list(row) + [bb] for row, bb in zip(a, b)])
     if pivots and pivots[-1] == cols:
         return None  # a pivot in the right-hand side: inconsistent
-    x = [Fraction(0)] * cols
+    d = ech[len(pivots) - 1][pivots[-1]] if pivots else 1
+    x = [0] * cols
     for r in reversed(range(len(pivots))):
         row = ech[r]
-        rest = sum(row[j] * x[j] for j in pivots[r + 1 :])
-        x[pivots[r]] = Fraction(row[cols] - rest, row[pivots[r]])
-    return tuple(x)
-
-
-def orthogonal_complement_projection(v, basis):
-    """Component of v orthogonal to span(basis), as a tuple of Fractions.
-
-    Used to canonicalize cone data modulo lineality: the orthogonal component
-    of a ray representative is independent of the representative chosen.
-    """
-    if not basis:
-        return tuple(Fraction(x) for x in v)
-    gram = [[dot(bi, bj) for bj in basis] for bi in basis]
-    rhs = [dot(bi, v) for bi in basis]
-    coeffs = solve_rational(gram, rhs)
-    if coeffs is None:
-        raise RuntimeError("Gram system of the lineality basis has no solution")
-    out = [Fraction(x) for x in v]
-    for c, b in zip(coeffs, basis):
-        if c:
-            out = [o - c * bb for o, bb in zip(out, b)]
-    return tuple(out)
+        rest = d * row[cols] - sum(row[j] * x[j] for j in pivots[r + 1 :])
+        x[pivots[r]], rem = divmod(rest, row[pivots[r]])
+        if rem:
+            raise RuntimeError("solve_rational: a back substitution step does not divide exactly")
+    if d < 0:
+        return -d, tuple(-v for v in x)
+    return d, tuple(x)

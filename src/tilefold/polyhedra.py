@@ -39,11 +39,10 @@ from dataclasses import dataclass, field
 from .exactlat import (
     dot,
     integer_kernel,
-    orthogonal_complement_projection,
     primitive_vector,
     rational_rank,
-    scale_to_primitive_integer,
     smith_invariants,
+    solve_rational,
 )
 
 Vec = tuple[int, ...]
@@ -154,17 +153,23 @@ def _canonical_rays(rays, lineality) -> tuple[tuple[Vec, ...], list[int]]:
     """Canonical ray representatives, sorted, each with the mask it came with.
 
     `rays` holds (vector, mask) pairs.  A representative is the primitive
-    orthogonal-to-lineality part of its vector.  The masks are tight sets,
-    which neither a positive scale nor a move along the lineality changes,
-    so vectors with one representative carry one mask.
+    orthogonal-to-lineality part of its vector: with G the Gram matrix of
+    the lineality basis L and G x == d * (L r), d > 0, that part is
+    (d r - x L) / d, so primitive(d r - x L) keeps its direction.  The
+    masks are tight sets, which neither a positive scale nor a move along
+    the lineality changes, so vectors with one representative carry one
+    mask.
     """
-    lin = [tuple(l) for l in lineality]
+    gram = [[dot(li, lj) for lj in lineality] for li in lineality]
     out: dict[Vec, int] = {}
     for r, mask in rays:
-        if lin:
-            r = scale_to_primitive_integer(orthogonal_complement_projection(r, lin))
-        else:
-            r = primitive_vector(r)
+        if gram:
+            solved = solve_rational(gram, [dot(l, r) for l in lineality])
+            if solved is None:
+                raise RuntimeError("Gram system of the lineality basis has no solution")
+            d, x = solved
+            r = [d * v - dot(x, col) for v, col in zip(r, zip(*lineality))]
+        r = primitive_vector(r)
         if any(r):
             out[tuple(r)] = mask
     order = sorted(out)

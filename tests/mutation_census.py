@@ -63,6 +63,10 @@ CODE_MUTANTS = (
                "all(projected[s].dim == len(s) for s in fs) and ", ""),
     CodeMutant("polyhedra.Cone.contains, facet test flipped", "polyhedra.py",
                "dot(n, point) >= 0 for n in self.facets", "dot(n, point) <= 0 for n in self.facets"),
+    # the ray is not scaled by the Gram solve's denominator before the
+    # lineality part is taken off
+    CodeMutant("polyhedra._canonical_rays, no denominator scaling", "polyhedra.py",
+               "d * v - dot(x, col)", "v - dot(x, col)"),
 )
 
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +19,6 @@ from tilefold.exactlat import (
     matrix_shape,
     primitive_vector,
     rational_rank,
-    scale_to_primitive_integer,
     smith_invariants,
     solve_left_integer,
     solve_rational,
@@ -266,6 +265,13 @@ small_system = st.integers(1, 6).flatmap(
 )
 
 
+def scale_to_primitive_integer(v) -> tuple[int, ...]:
+    """Primitive integer vector with the same direction as a rational vector."""
+    fracs = [Fraction(x) for x in v]
+    den = lcm(*[f.denominator for f in fracs])
+    return primitive_vector([f.numerator * (den // f.denominator) for f in fracs])
+
+
 def det(m) -> int:
     """Determinant of a square integer matrix: the signed last pivot of `echelon`."""
     n, cols = matrix_shape(m)
@@ -346,12 +352,18 @@ class TestSolvers:
     @given(small_system)
     def test_echelon_kernel_matches_gauss_jordan(self, system):
         a, b = system
+        # solve_rational gives the same solution as integers over one
+        # positive denominator, the absolute value of the last pivot
         expected, pivot_count = gauss_jordan_solve(a, b)
-        x = solve_rational(a, b)
-        assert x == expected
-        if x is not None:
-            assert all(isinstance(v, Fraction) for v in x)
-            assert mat_vec(a, x) == tuple(b)
+        solved = solve_rational(a, b)
+        assert (solved is None) == (expected is None)
+        if solved is not None:
+            d, x = solved
+            assert all(type(v) is int for v in (d, *x)) and d > 0
+            assert tuple(Fraction(v, d) for v in x) == expected
+            assert mat_vec(a, x) == tuple(d * v for v in b)
+            e, pivots, _ = echelon(a)
+            assert d == (abs(e[len(pivots) - 1][pivots[-1]]) if pivots else 1)
         assert rational_rank(a) == pivot_count
         if len(a) == len(a[0]):
             assert (det(a) != 0) == (pivot_count == len(a))
@@ -400,6 +412,16 @@ class TestSolvers:
         ]
         assert mat_mul(lower, upper) == m
 
+    @pytest.mark.parametrize("kernel", [echelon, hermite_normal_form, smith_invariants])
+    def test_entries_must_be_ints(self, kernel):
+        # the Bareiss value under [[1/2, 1], [1, 1]] is 1/2 - 1 = -1/2; a
+        # floor division would give -1, so the entry is rejected instead,
+        # as is a float or a Fraction with an integral value
+        for m in ([[Fraction(1, 2), 1], [1, 1]], [[Fraction(2), 1], [1, 1]], [[1.0, 0], [0, 1]]):
+            with pytest.raises(TypeError, match="must be ints"):
+                kernel(m)
+        assert kernel([[True, False], [0, 1]]) == kernel([[1, 0], [0, 1]])  # a bool is an int
+
     def test_solve_left(self):
         a = [[2, 0, 1], [0, 3, 1]]
         b = tuple(x + y for x, y in zip(a[0], a[1]))
@@ -408,9 +430,19 @@ class TestSolvers:
         assert solve_left_integer(a, (1, 0, 0)) is None
 
     def test_solve_rational(self):
-        x = solve_rational([[2, 0], [0, 4]], (1, 2))
-        assert x is not None and [2 * x[0], 4 * x[1]] == [1, 2]
+        # x = (1/2, 1/2) over the denominator 8 = 2 * 4, the last pivot
+        assert solve_rational([[2, 0], [0, 4]], (1, 2)) == (8, (4, 4))
+        assert solve_rational([[0, -1], [1, 0]], (1, 1)) == (1, (1, -1))  # a negative pivot
         assert solve_rational([[1, 1], [1, 1]], (0, 1)) is None
+
+    def test_solve_rational_raises_on_an_inexact_step(self, monkeypatch):
+        # Cramer's rule makes every division exact; a form that breaks it
+        # (here 3 * 1 over the pivot 2) raises, also under python -O
+        from tilefold import exactlat
+
+        monkeypatch.setattr(exactlat, "echelon", lambda m: ([[2, 0, 1], [0, 3, 1]], [0, 1], 0))
+        with pytest.raises(RuntimeError, match="does not divide exactly"):
+            exactlat.solve_rational([[2, 0], [0, 3]], (1, 1))
 
     @pytest.mark.parametrize(
         "v, expected",
@@ -427,6 +459,7 @@ class TestSolvers:
         ],
     )
     def test_scale_to_primitive_integer(self, v, expected):
+        # the tests' helper that clears the denominators of rational data
         out = scale_to_primitive_integer(v)
         assert out == expected and all(type(x) is int for x in out)
         assert scale_to_primitive_integer(list(v)) == expected

@@ -14,7 +14,6 @@ from tilefold.exactlat import (
     integer_kernel,
     primitive_vector,
     rational_rank,
-    scale_to_primitive_integer,
 )
 from tilefold.polyhedra import (
     Cone,
@@ -38,7 +37,7 @@ from tilefold.polyhedra import (
     make_fan,
 )
 
-from test_exactlat import gauss_jordan_solve  # the tests' Fraction solver
+from test_exactlat import gauss_jordan_solve, scale_to_primitive_integer  # the tests' Fraction helpers
 
 
 def brute_extremal_rays(dim, ineqs):
@@ -302,6 +301,29 @@ def fields(c: Cone):
 
 def scaled(v, num, den):
     return tuple(Fraction(x * num, den) for x in v)
+
+
+def reference_projection(v, basis):
+    """Reference: the component of v orthogonal to span(basis), as Fractions.
+
+    The rational projection that _canonical_rays made before it cleared
+    the Gram solve's denominator: v minus the Fraction coefficients of the
+    Gram system times the basis.
+    """
+    gram = [[dot(bi, bj) for bj in basis] for bi in basis]
+    coeffs, _ = gauss_jordan_solve(gram, [dot(bi, v) for bi in basis])
+    return tuple(x - sum(c * b[i] for c, b in zip(coeffs, basis)) for i, x in enumerate(v))
+
+
+# independent lineality rows and rays in R^d, d = 2..5
+lineality_and_rays = st.integers(2, 5).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=d - 1).filter(
+            lambda rows: rational_rank(rows) == len(rows)
+        ),
+        st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=6),
+    )
+)
 
 
 # The simplex as it was before its pivots shared one denominator: each row
@@ -815,6 +837,22 @@ class TestCones:
         assert lp_in_cone(cleared, inside) and c.contains(inside)
         with pytest.raises(TypeError):
             lp_in_cone(frac_gens, frac_point)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lineality_and_rays)
+    @example(([(1, 1, 0)], [(1, 0, 0), (0, 0, 1), (1, 1, 0)]))
+    @example(([(1, 2, 0), (0, 1, 3)], [(1, 0, 0), (0, 0, -1)]))
+    def test_canonical_rays_match_the_fraction_projection(self, inputs):
+        # the integer projection primitive(d r - x L) is the primitive
+        # vector of the rational projection of r off the lineality L
+        lineality, rays = inputs
+        got, masks = _canonical_rays([(r, 1 << i) for i, r in enumerate(rays)], lineality)
+        expected = {}
+        for i, r in enumerate(rays):
+            projected = scale_to_primitive_integer(reference_projection(r, lineality))
+            if any(projected):
+                expected[projected] = 1 << i
+        assert got == tuple(sorted(expected)) and masks == [expected[r] for r in got]
 
     def test_bool_entries_count_as_ints(self):
         assert Cone.from_rays(2, [(True, False), (0, 1)]) == Cone.from_rays(2, [(1, 0), (0, 1)])

@@ -1,4 +1,5 @@
 
+import math
 import os
 import random
 import subprocess
@@ -643,6 +644,22 @@ class TestGitSubfans:
         assert len(fans["plus"].maximal_cones) == 8
         assert len(fans["minus"].maximal_cones) == 8
 
+    def test_zero_subfan_is_what_plus_and_minus_share(self, monkeypatch):
+        # the zero subfan's maximal faces are the six that the plus and minus
+        # subfans share; the verdicts read masks, so an exclusion table that
+        # still projects bijectively, {2, 5} in place of {2, 4}, is told apart
+        # only here
+        shared = [{0, 1, 2}, {0, 1, 5}, {0, 4, 5}, {1, 2, 5}, {2, 3, 5}, {3, 4, 5}]
+
+        def shares():
+            return set(_orthant_subfan("zero")) == set(_orthant_subfan("plus")) & set(_orthant_subfan("minus"))
+
+        assert _orthant_subfan("zero") == shared and shares()
+        mutated = list(quotientfan.SUBFAN_EXCLUSIONS["zero"])
+        mutated[3] = {2, 5}
+        monkeypatch.setitem(quotientfan.SUBFAN_EXCLUSIONS, "zero", tuple(mutated))
+        assert git_subfans()["bijective"]["zero"] and not shares()
+
     def test_mask_fan_axioms_match_double_description(self, monkeypatch):
         # zero subfans excluding random edges and GIT triangles: a subfan
         # projects bijectively to a fan when each maximal face keeps one
@@ -773,14 +790,11 @@ class TestFixedPointWeights:
         cols = list(zip(*basis))
         raw = []
         for p in pts4:
-            x = solve_rational([list(r) for r in cols], p)
-            assert x is not None
-            raw.append(x)
-        denom = 1
-        for x in raw:
-            for c in x:
-                denom = denom * c.denominator // __import__("math").gcd(denom, c.denominator)
-        pts = [tuple(int(c * denom) for c in x) for x in raw]
+            solved = solve_rational([list(r) for r in cols], p)
+            assert solved is not None
+            raw.append(solved)
+        denom = math.lcm(*(d for d, _ in raw))
+        pts = [tuple(c * (denom // d) for c in x) for d, x in raw]
         planes = set()
         from itertools import combinations
 

@@ -166,11 +166,10 @@ def test_generator_maps_are_plain_functions():
         assert _uses(name) == ([], []), name
 
 
-def test_rationals_stay_in_the_lineality_projection():
-    # every other path takes and returns integer vectors: exactlat alone
-    # imports fractions, for the rational solve that projects a ray off a
-    # cone's lineality, and the projected ray is scaled back to integers in
-    # polyhedra's _canonical_rays, the one reader of scale_to_primitive_integer
+def test_no_module_imports_fractions():
+    # integers end to end: no module imports fractions, and the one solve
+    # over Q, which projects a ray off a cone's lineality, returns integers
+    # over a common denominator to polyhedra's _canonical_rays, its one reader
     importers = []
     for path in sorted(Path(tilefold.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -178,10 +177,23 @@ def test_rationals_stay_in_the_lineality_projection():
                 isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
             ):
                 importers.append(path.name)
-    assert importers == ["exactlat.py"]
-    readers, definitions = _uses("scale_to_primitive_integer")
+    assert importers == []
+    readers, definitions = _uses("solve_rational")
     assert readers == ["polyhedra.py:_canonical_rays"]
     assert len(definitions) == 1 and definitions[0].startswith("exactlat.py:")
+
+
+def test_cli_import_loads_no_rational_number_modules():
+    # `import tilefold.cli` loads none of the modules behind Fraction
+    code = "import sys, tilefold.cli; print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    package = Path(tilefold.__file__).parent
+    pythonpath = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_one_path_from_rows_to_cone():
